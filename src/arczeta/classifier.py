@@ -21,7 +21,15 @@ from .formulas import (
     formula_variants,
     variant_ids,
 )
-from .germs import GermSpec, analytic_equiv, canonicalize, oracle_cell, resolve_cell
+from .germs import (
+    CHANNEL_OF,
+    CHANNELS,
+    GermSpec,
+    analytic_equiv,
+    canonicalize,
+    oracle_cell,
+    resolve_cell,
+)
 from .quadric import beta_D_curve, beta_Y, beta_Y_fiber
 from .upoly import UPoly, u_pow
 
@@ -41,11 +49,6 @@ __all__ = [
     "oracle_recheck",
     "verify_paper_suite",
 ]
-
-CHANNELS = ("plus", "minus", "naive")
-
-_UM1 = u_pow(1) - u_pow(0)
-
 
 def _cell_id(n: int, channel: str) -> str:
     return f"n={n}/{channel}"
@@ -633,26 +636,22 @@ def _grid_specs() -> list[GermSpec]:
     return out
 
 
-def _channel(t) -> str:
-    return {1: "plus", -1: "minus", "naive": "naive"}[t]
-
-
 def _variant_oracle_cell(vid: str, args: tuple) -> tuple[GermSpec, int, str]:
     if vid == "quadra-even-terminal":
         l, eps, sig = args
-        return GermSpec("Q", sig), l, _channel(eps)
+        return GermSpec("Q", sig), l, CHANNEL_OF[eps]
     if vid == "lem7-A3-first-term":
         t, sig = args
-        return GermSpec("CUBE", sig), 3, _channel(t)
+        return GermSpec("CUBE", sig), 3, CHANNEL_OF[t]
     if vid == "lem2-Q-sign":
         k, s, eps, sig = args
-        return GermSpec("AK", sig, k=k, signs=(s,)), k + 1, _channel(eps)
+        return GermSpec("AK", sig, k=k, signs=(s,)), k + 1, CHANNEL_OF[eps]
     if vid == "lem4-display-set":
         l, eps, sig = args
-        return GermSpec("G", sig), l, _channel(eps)
+        return GermSpec("G", sig), l, CHANNEL_OF[eps]
     if vid == "lem5-keven-00":
         k, e1, e2, eps = args
-        return GermSpec("DK", (0, 0), k=k, signs=(e1, e2)), k - 1, _channel(eps)
+        return GermSpec("DK", (0, 0), k=k, signs=(e1, e2)), k - 1, CHANNEL_OF[eps]
     raise KeyError(vid)
 
 

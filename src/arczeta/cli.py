@@ -16,7 +16,7 @@ import sys
 import click
 
 from .classifier import ade_table, distinguish, nonsimple_report, verify_paper_suite
-from .germs import CrossCheckError, GermSpec, analytic_equiv, oracle_cell, zeta_table
+from .germs import CHANNELS, CrossCheckError, GermSpec, analytic_equiv, oracle_cell, zeta_table
 from .parser import GermParseError, parse_germ
 from .quadric import beta_Y, beta_Y_compl, beta_Y_fiber, beta_Y_star
 
@@ -70,7 +70,7 @@ def zeta(germ_expr: str, n_max: int, fmt: str, source: str, out: str | None, tra
     if trace:
         blocks = [text]
         for n, cells in table.rows:
-            for channel in ("plus", "minus", "naive"):
+            for channel in CHANNELS:
                 if cells[channel].provenance in ("oracle", "unavailable"):
                     outcome = oracle_cell(g, n, channel, collect_trace=True)
                     blocks.append(

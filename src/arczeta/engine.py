@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Literal, Sequence
+from functools import lru_cache
+from typing import Callable, Literal, Sequence
 
-from .mpoly import MPoly
+from .mpoly import Coeff, MPoly
 from .quadric import (
     beta_D_curve,
     beta_D_curve_zero,
@@ -34,7 +34,7 @@ from .quadric import (
     beta_Y,
     beta_Y_fiber,
 )
-from .upoly import ONE, UPoly, ZERO, u_pow
+from .upoly import ONE, U_MINUS_1, UPoly, ZERO, u_pow
 
 __all__ = [
     "EQ",
@@ -56,7 +56,6 @@ Rel = Literal["eq", "neq"]
 DEFAULT_BUDGET = 10_000
 BUDGET_ENV = "ARCZETA_STRATUM_BUDGET"
 
-_UM1 = u_pow(1) - 1
 _BLOCK_RANK = {"c": 0, "b": 1, "a": 2}
 
 
@@ -114,84 +113,141 @@ class ArcSystem:
         return sum(1 for _, rel in self.constraints if rel == EQ)
 
 
-def _tmul(a: list[MPoly], b: list[MPoly], n: int) -> list[MPoly]:
-    out = [MPoly.zero() for _ in range(n + 1)]
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j in range(0, n - i + 1):
-            bj = b[j]
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
+# Arc coefficient v_{j,s} (coordinate j, level s) has id j*_LEVEL_STRIDE + s-1.
+# The ids do not depend on the cell order n, so one expansion serves every
+# cell of a germ, and they sort in (coordinate, level) order, which fixes the
+# order of terminal recognition, of the nonvanishing assumptions in _T and
+# of the terms in failure texts.
+_LEVEL_STRIDE = 1024
+_ZERO_POLY = MPoly.zero()
+
+
+class _Series:
+    """A power series in t whose coefficients are computed on first request.
+
+    ``rule(m)`` computes the t^m coefficient and may request lower ones;
+    every coefficient below ``order`` is zero.  A coefficient never
+    depends on which orders were requested before it.
+    """
+
+    __slots__ = ("_coeffs", "_rule", "order")
+
+    def __init__(self, rule: Callable[[int], MPoly], order: int) -> None:
+        self._coeffs: list[MPoly] = []
+        self._rule = rule
+        self.order = order
+
+    def __getitem__(self, m: int) -> MPoly:
+        if m < self.order:
+            return _ZERO_POLY
+        coeffs = self._coeffs
+        while len(coeffs) <= m:
+            coeffs.append(self._rule(len(coeffs)))
+        return coeffs[m]
+
+
+def _arc(j: int) -> _Series:
+    """The arc sum_{s>=1} v_{j,s} t^s of ambient coordinate j."""
+    return _Series(lambda s: MPoly.var(j * _LEVEL_STRIDE + s - 1), 1)
+
+
+def _cauchy(a: _Series, b: _Series) -> _Series:
+    """The product series: (a*b)[m] = sum over i of a[i] * b[m-i]."""
+
+    def coeff(m: int) -> MPoly:
+        out = _ZERO_POLY
+        for i in range(a.order, m - b.order + 1):
+            ai = a[i]
+            if ai:
+                bi = b[m - i]
+                if bi:
+                    out = out + ai * bi
+        return out
+
+    return _Series(coeff, a.order + b.order)
+
+
+@lru_cache(maxsize=2)
+def _expansion(germ: MPoly) -> _Series:
+    """germ(arc(t)) as a lazily extended series, one per germ.
+
+    The t^m coefficient involves only levels s <= m, so it is the same
+    for every cell order n >= m.  The cache keeps the last two germs: a
+    zeta table walks one germ's cells, and a pair scan alternates
+    between two germs.
+    """
+    powers: dict[tuple[int, int], _Series] = {}
+
+    def power(j: int, e: int) -> _Series:
+        if (j, e) not in powers:
+            powers[j, e] = _arc(j) if e == 1 else _cauchy(power(j, e - 1), power(j, 1))
+        return powers[j, e]
+
+    parts: list[tuple[_Series, Coeff]] = []
+    for mono, coef in germ.terms():
+        if not mono:
+            raise ValueError("germ has a constant term")
+        series = power(*mono[0])
+        for j, e in mono[1:]:
+            series = _cauchy(series, power(j, e))
+        parts.append((series, coef))
+
+    def coeff(m: int) -> MPoly:
+        out = _ZERO_POLY
+        for series, coef in parts:
+            term = series[m]
+            if term:
+                out = out + term * coef
+        return out
+
+    return _Series(coeff, min(series.order for series, _ in parts) if parts else 0)
 
 
 def build_system(
     germ: MPoly, blocks: Sequence[str], n: int, target: int | str
 ) -> ArcSystem:
-    """Expand germ(arc(t)) to order n and collect the cell constraints.
+    """Cut the constraints of one arc-space cell from germ(arc(t)).
 
     ``germ`` is a polynomial in ambient variables 0..len(blocks)-1; each
-    receives the arc sum_{s=1..n} v_{j,s} t^s.  Constraints: the t^m
-    coefficient vanishes for m < n, and at m = n equals the target sign
-    (or is nonzero for the order-exactly-n cell).
+    receives the arc sum_{s>=1} v_{j,s} t^s, and the cell keeps levels
+    s <= n.  Constraints: the t^m coefficient vanishes for m < n, and at
+    m = n equals the target sign (or is nonzero for the order-exactly-n
+    cell).
+
+    The expansion is computed once per germ and extended on demand (see
+    ``_expansion``), so every order and channel shares it; only the last
+    constraint is built per call.  Variable ids are keyed by (coordinate,
+    level), independent of n.  Integer germs keep ``int`` coefficients;
+    ``Fraction`` appears only where the germ has one.
     """
     if n < 2:
         raise ValueError(f"arc order must be >= 2, got {n}")
+    if n > _LEVEL_STRIDE:
+        raise ValueError(f"arc order must be <= {_LEVEL_STRIDE}, got {n}")
     if target not in (1, -1, "naive"):
         raise ValueError(f"target must be +1, -1 or 'naive', got {target!r}")
     d = len(blocks)
-    variables: list[ArcVar] = []
     coord_of: list[int] = []
     counts: dict[str, int] = {}
-    for j, block in enumerate(blocks):
+    for block in blocks:
         if block not in _BLOCK_RANK:
             raise ValueError(f"unknown block {block!r}")
         counts[block] = counts.get(block, 0) + 1
         coord_of.append(counts[block])
-    for j in range(d):
-        for s in range(1, n + 1):
-            variables.append(
-                ArcVar(vid=j * n + (s - 1), block=blocks[j], level=s, coord=coord_of[j])
-            )
+    if any(j >= d for j in germ.vars()):
+        raise ValueError(f"germ has variables beyond the {d} blocks")
+    variables = [
+        ArcVar(vid=j * _LEVEL_STRIDE + s - 1, block=blocks[j], level=s, coord=coord_of[j])
+        for j in range(d)
+        for s in range(1, n + 1)
+    ]
     names = {v.vid: v.name for v in variables}
 
-    arcs: list[list[MPoly]] = []
-    for j in range(d):
-        coeffs = [MPoly.zero()]
-        for s in range(1, n + 1):
-            coeffs.append(MPoly.var(j * n + (s - 1)))
-        arcs.append(coeffs)
-
-    power_cache: dict[tuple[int, int], list[MPoly]] = {}
-
-    def arc_power(j: int, e: int) -> list[MPoly]:
-        key = (j, e)
-        if key not in power_cache:
-            if e == 1:
-                power_cache[key] = arcs[j]
-            else:
-                power_cache[key] = _tmul(arc_power(j, e - 1), arcs[j], n)
-        return power_cache[key]
-
-    tpoly = [MPoly.zero() for _ in range(n + 1)]
-    for mono, coef in germ.terms():
-        if not mono:
-            raise ValueError("germ has a constant term")
-        part = [MPoly.zero() for _ in range(n + 1)]
-        part[0] = MPoly.const(coef)
-        for j, e in mono:
-            part = _tmul(part, arc_power(j, e), n)
-        for m in range(n + 1):
-            tpoly[m] = tpoly[m] + part[m]
-
+    tpoly = _expansion(germ)
     if not tpoly[0].is_zero() or not tpoly[1].is_zero():
         raise ValueError("germ must vanish to order >= 2 at the origin")
 
-    constraints: list[tuple[MPoly, str]] = []
-    for m in range(2, n):
-        if not tpoly[m].is_zero():
-            constraints.append((tpoly[m], EQ))
+    constraints = [(tpoly[m], EQ) for m in range(2, n) if not tpoly[m].is_zero()]
     if target == "naive":
         constraints.append((tpoly[n], NEQ))
     else:
@@ -208,7 +264,7 @@ def build_system(
 
 def _torus_fiber(exps: tuple[int, ...], positive: bool) -> UPoly:
     if any(e % 2 for e in exps):
-        return _UM1 ** (len(exps) - 1)
+        return U_MINUS_1 ** (len(exps) - 1)
     if not positive:
         return ZERO
     half = tuple(e // 2 for e in exps)
@@ -237,9 +293,10 @@ def _recognize(p: MPoly, rel: str) -> UPoly | None:
         mono, c = terms[0]
         k = len(mono)
         if e == 0:
-            return u_pow(k) - _UM1**k
+            return u_pow(k) - U_MINUS_1**k
         exps = tuple(ex for _, ex in mono)
-        return _torus_fiber(exps, (-e / c) > 0)
+        # c*m = -e has a solution with m > 0 iff e and c differ in sign
+        return _torus_fiber(exps, (e > 0) != (c > 0))
 
     if all(len(m) == 1 for m, _ in terms):
         entries = [(m[0][0], m[0][1], c) for m, c in terms]
@@ -284,12 +341,12 @@ def _recognize(p: MPoly, rel: str) -> UPoly | None:
         sub = _recognize(remainder, EQ)
         if sub is None:
             return None
-        return _UM1 * u_pow(len(remainder.vars())) + u_pow(1) * sub
+        return U_MINUS_1 * u_pow(len(remainder.vars())) + u_pow(1) * sub
     return None
 
 
 def _match_cusp_curve(
-    terms: list[tuple[tuple[tuple[int, int], ...], Fraction]], e: Fraction
+    terms: list[tuple[tuple[tuple[int, int], ...], Coeff]], e: Coeff
 ) -> UPoly | None:
     """{c1*x*v^2 + c2*x^j = -e} for j >= 3: the D-family curve shapes."""
     for first, second in (terms, terms[::-1]):
@@ -321,7 +378,7 @@ def _T(p: MPoly, rel: str, assumed: frozenset[int], ambient: frozenset[int]) -> 
         rest = assumed - {v}
         if v not in p.vars():
             sub = _T(p, rel, rest, ambient - {v})
-            return None if sub is None else _UM1 * sub
+            return None if sub is None else U_MINUS_1 * sub
         whole = _T(p, rel, rest, ambient)
         if whole is None:
             return None
@@ -438,7 +495,7 @@ def decompose(
                 reduced = MPoly(
                     {m: c for m, c in p.terms() if m not in (((z, 2),), ((w, 2),))}
                 )
-                drop_factor = _UM1 if rel == EQ else _UM1 * _UM1
+                drop_factor = U_MINUS_1 if rel == EQ else U_MINUS_1 * U_MINUS_1
                 drop_branch = _Stratum(
                     constraints=[c for j, c in enumerate(st.constraints) if j != i],
                     assumed=st.assumed,
@@ -617,7 +674,7 @@ def _simplify(st, var_of, names, log):
                     continue
                 st.constraints = st.constraints[:i] + st.constraints[i + 1 :]
                 st.alive = st.alive - {v}
-                st.prefactor = st.prefactor * _UM1
+                st.prefactor = st.prefactor * U_MINUS_1
                 log(st.depth, f"[pivot] {names[v]} from neq#{i} (factor u-1)")
                 discharged = True
                 break
@@ -647,7 +704,7 @@ def _simplify(st, var_of, names, log):
             in_constraints |= vs
         free = len(st.alive - st.assumed - in_constraints)
         loose = len((st.alive & st.assumed) - in_constraints)
-        value = st.prefactor * u_pow(free) * (_UM1**loose)
+        value = st.prefactor * u_pow(free) * (U_MINUS_1**loose)
         for val in values:
             value = value * val
         return ("leaf", value)

@@ -30,7 +30,7 @@ from .quadric import (
     beta_Y_fiber,
     beta_Y_star,
 )
-from .upoly import ONE, UPoly, ZERO, geom_sum, u_pow
+from .upoly import ONE, U_MINUS_1, UPoly, ZERO, geom_sum, u_pow
 
 __all__ = [
     "Target",
@@ -51,8 +51,6 @@ __all__ = [
 ]
 
 Target = int | str  # +1 | -1 | "naive"
-
-_UM1 = u_pow(1) - 1
 
 
 class OutOfCoverage(Exception):
@@ -120,14 +118,14 @@ def arc_Q_naive(l: int, sig: Sig) -> UPoly:
     p, q = sig
     star = beta_Y_star(sig)
     if l % 2 == 1:
-        return ZERO if star.is_zero() else _UM1 * arc_Q_signed(l, +1, sig)
+        return ZERO if star.is_zero() else U_MINUS_1 * arc_Q_signed(l, +1, sig)
     n = l // 2
     total = u_pow(n * (p + q)) * beta_Y_compl(sig)
     if not star.is_zero():
         acc = ZERO
         for s in range(1, n):
             acc += u_pow((2 * n - s) * (p + q - 1) + s)
-        total += _UM1 * star * acc
+        total += U_MINUS_1 * star * acc
     return total
 
 
@@ -174,7 +172,7 @@ def arc_Ak(k: int, s: int, l: int, t: Target, sig: Sig) -> UPoly:
         n = k // 2  # l = 2n+1 odd; the extra top-power term is sign-free
         base = u_pow(2 * n + 1) * _arc_Q(2 * n + 1, t, sig)
         term = u_pow((n + 1) * (p + q) + 2 * n)
-        return base + (_UM1 * term if t == "naive" else term)
+        return base + (U_MINUS_1 * term if t == "naive" else term)
     n = (k + 1) // 2  # l = 2n even
     base = u_pow(2 * n) * _arc_Q(2 * n, t, sig)
     if t == "naive":
@@ -207,19 +205,19 @@ def arc_G(l: int, t: Target, sig: Sig) -> UPoly:
         n = (l - 1) // 2
         total = ZERO
         for m in range(1, n + 1):
-            level = u_pow(2 * m * r + 2 * m + 3) * star + _UM1 * u_pow(
+            level = u_pow(2 * m * r + 2 * m + 3) * star + U_MINUS_1 * u_pow(
                 2 * m * r + 2 * m + 2
             )
             total += u_pow((n - m) * (r + 3)) * level
-        return _UM1 * total if naive else total
+        return U_MINUS_1 * total if naive else total
     n = l // 2
     total = ZERO
     for m in range(2, n + 1):
-        level = u_pow((2 * m - 1) * r + 2 * m + 2) * star + _UM1 * u_pow(
+        level = u_pow((2 * m - 1) * r + 2 * m + 2) * star + U_MINUS_1 * u_pow(
             (2 * m - 1) * r + 2 * m + 1
         )
         if naive:
-            level = _UM1 * level
+            level = U_MINUS_1 * level
         total += u_pow((n - m) * (r + 3)) * level
     tail = beta_Y_compl(sig) if naive else beta_Y_fiber(sig, t)
     return total + u_pow(n * r + 3 * n + 1) * tail
@@ -255,9 +253,9 @@ def arc_Dk(k: int, e1: int, e2: int, l: int, t: Target, sig: Sig) -> UPoly:
         n = (k - 2) // 2
         shift = u_pow((n + 1) * r + 3 * n + 1)
         if t == "naive":
-            corr = (u_pow(2) - beta_D_curve_zero(k, e1 * e2)) - _UM1 * _UM1
+            corr = (u_pow(2) - beta_D_curve_zero(k, e1 * e2)) - U_MINUS_1 * U_MINUS_1
         else:
-            corr = beta_D_curve(k, e1 * e2, t) - _UM1
+            corr = beta_D_curve(k, e1 * e2, t) - U_MINUS_1
         return base + shift * corr
     n = (k - 1) // 2
     shift = u_pow(n * r + 3 * n)
@@ -283,13 +281,13 @@ def arc_D4_order4(cls: int, t: Target, sig: Sig) -> UPoly:
     star = beta_Y_star(sig)
     if t == "naive":
         return (
-            _UM1 * u_pow(3 * r + 6) * star
-            + alpha * _UM1 * _UM1 * u_pow(3 * r + 5)
+            U_MINUS_1 * u_pow(3 * r + 6) * star
+            + alpha * U_MINUS_1 * U_MINUS_1 * u_pow(3 * r + 5)
             + u_pow(2 * r + 6) * beta_Y_compl(sig)
         )
     return (
         u_pow(3 * r + 6) * star
-        + alpha * _UM1 * u_pow(3 * r + 5)
+        + alpha * U_MINUS_1 * u_pow(3 * r + 5)
         + u_pow(2 * r + 6) * beta_Y_fiber(sig, t)
     )
 
@@ -306,7 +304,7 @@ def _cube_jet_order3(t: Target, sig: Sig) -> UPoly:
     star = beta_Y_star(sig)
     p, q = sig
     signed = u_pow(2 * (p + q) + 5) * (star + 1)
-    return _UM1 * signed if t == "naive" else signed
+    return U_MINUS_1 * signed if t == "naive" else signed
 
 
 def arc_E(which: str, l: int, t: Target, sig: Sig) -> UPoly:
@@ -331,19 +329,19 @@ def arc_E(which: str, l: int, t: Target, sig: Sig) -> UPoly:
             if t != "naive":
                 raise OutOfCoverage("signed order-4 cell for E6: use the oracle")
             shifted = (p + 1, q) if which == "E6+" else (p, q + 1)
-            return _UM1 * u_pow(3 * r + 6) * star + u_pow(2 * r + 6) * beta_Y_compl(
+            return U_MINUS_1 * u_pow(3 * r + 6) * star + u_pow(2 * r + 6) * beta_Y_compl(
                 shifted
             )
         if t == "naive":
-            return _UM1 * u_pow(3 * r + 6) * star + u_pow(2 * r + 7) * beta_Y_compl(
+            return U_MINUS_1 * u_pow(3 * r + 6) * star + u_pow(2 * r + 7) * beta_Y_compl(
                 sig
             )
         return u_pow(3 * r + 6) * star + u_pow(2 * r + 7) * beta_Y_fiber(sig, t)
     if l == 5 and which in ("E7", "E8"):
         common = star * (u_pow(4 * r + 7) + u_pow(3 * r + 8))
-        extra = _UM1 * u_pow(3 * r + 7) if which == "E7" else u_pow(3 * r + 8)
+        extra = U_MINUS_1 * u_pow(3 * r + 7) if which == "E7" else u_pow(3 * r + 8)
         signed = common + extra
-        return _UM1 * signed if t == "naive" else signed
+        return U_MINUS_1 * signed if t == "naive" else signed
     raise OutOfCoverage(f"E cell ({which}, l={l}, {t!r}): use the oracle")
 
 
@@ -360,13 +358,13 @@ def arc_cube(l: int, t: Target, sig: Sig) -> UPoly:
         return _cube_jet_order3(t, sig)
     if l == 4:
         if t == "naive":
-            return _UM1 * u_pow(3 * r + 6) * star + u_pow(2 * r + 7) * beta_Y_compl(
+            return U_MINUS_1 * u_pow(3 * r + 6) * star + u_pow(2 * r + 7) * beta_Y_compl(
                 sig
             )
         return u_pow(3 * r + 6) * star + u_pow(2 * r + 7) * beta_Y_fiber(sig, t)
     if l == 5:
         signed = star * (u_pow(4 * r + 7) + u_pow(3 * r + 8))
-        return _UM1 * signed if t == "naive" else signed
+        return U_MINUS_1 * signed if t == "naive" else signed
     raise OutOfCoverage(f"cube cell l={l} > 5: use the oracle")
 
 
@@ -403,7 +401,7 @@ def _quadra_even_stated(l: int, eps: int, sig: Sig) -> UPoly:
 def _lem7_A3_stated(t: Target, sig: Sig) -> UPoly:
     p, q = sig
     signed = u_pow(2 * (p + q) + 7) * beta_Y_star(sig) + u_pow(2 * (p + q) + 5)
-    return _UM1 * signed if t == "naive" else signed
+    return U_MINUS_1 * signed if t == "naive" else signed
 
 
 def _lem2_odd_k_stated(k: int, s: int, eps: int, sig: Sig) -> UPoly:
@@ -422,8 +420,8 @@ def _lem4_odd_stated(l: int, eps: int, sig: Sig) -> UPoly:
     star = beta_Y_star(sig)
     return (
         u_pow((n + 2) * r + 3 * n) * star * geom_sum(r - 1, n)
-        + _UM1 * u_pow((n + 3) * r + 3 * n - 1) * geom_sum(r - 1, n - 1)
-        + _UM1 * u_pow((n + 1) * r + 3 * n + 1)
+        + U_MINUS_1 * u_pow((n + 3) * r + 3 * n - 1) * geom_sum(r - 1, n - 1)
+        + U_MINUS_1 * u_pow((n + 1) * r + 3 * n + 1)
     )
 
 
@@ -434,7 +432,7 @@ def _lem4_even_stated(l: int, eps: int, sig: Sig) -> UPoly:
     star = beta_Y_star(sig)
     return (
         u_pow((n + 2) * r + 3 * n) * star * geom_sum(r - 1, n - 1)
-        + _UM1 * u_pow((n + 3) * r + 3 * n - 1) * geom_sum(r - 1, n - 1)
+        + U_MINUS_1 * u_pow((n + 3) * r + 3 * n - 1) * geom_sum(r - 1, n - 1)
         + u_pow(n * r + 3 * n + 1) * beta_Y_fiber(sig, eps)
     )
 

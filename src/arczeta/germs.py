@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .engine import EngineOutcome, beta_of
+from .engine import EngineOutcome, beta_of, effective_budget
 from .formulas import (
     OutOfCoverage,
     arc_Ak,
@@ -39,6 +39,8 @@ from .upoly import UPoly
 __all__ = [
     "FAMILIES",
     "CHANNELS",
+    "TARGETS",
+    "CHANNEL_OF",
     "GermSpec",
     "CrossCheckError",
     "germ_poly",
@@ -55,8 +57,11 @@ __all__ = [
 
 FAMILIES = ("Q", "AK", "DK", "E6", "E7", "E8", "CUBE", "G", "JKI")
 CHANNELS = ("plus", "minus", "naive")
+#: The engine target of each channel: the leading coefficient is +1, -1,
+#: or merely nonzero.
+TARGETS: dict[str, int | str] = dict(zip(CHANNELS, (1, -1, "naive")))
+CHANNEL_OF: dict[int | str, str] = {t: ch for ch, t in TARGETS.items()}
 _SIMPLE = frozenset({"AK", "DK", "E6", "E7", "E8"})
-_TARGETS = {"plus": 1, "minus": -1, "naive": "naive"}
 
 _SIGNED = frozenset({1, -1})
 
@@ -357,7 +362,7 @@ class CrossCheckError(RuntimeError):
 @lru_cache(maxsize=None)
 def formula_cell(g: GermSpec, n: int, channel: str) -> UPoly:
     """Closed-form cell value; raises OutOfCoverage beyond the formulas."""
-    t = _TARGETS[channel]
+    t = TARGETS[channel]
     fam = g.family
     if fam == "Q":
         if t == "naive":
@@ -379,9 +384,9 @@ def formula_cell(g: GermSpec, n: int, channel: str) -> UPoly:
 
 
 @lru_cache(maxsize=None)
-def _oracle_cached(g: GermSpec, n: int, channel: str) -> EngineOutcome:
+def _oracle_cached(g: GermSpec, n: int, channel: str, budget: int) -> EngineOutcome:
     poly, blocks = germ_poly(g)
-    return beta_of(poly, blocks, n, _TARGETS[channel])
+    return beta_of(poly, blocks, n, TARGETS[channel], budget=budget)
 
 
 def oracle_cell(
@@ -391,11 +396,17 @@ def oracle_cell(
     budget: int | None = None,
     collect_trace: bool = False,
 ) -> EngineOutcome:
-    """Engine-computed cell value (cached for default invocations)."""
-    if budget is None and not collect_trace:
-        return _oracle_cached(g, n, channel)
+    """Engine-computed cell value, cached unless a trace is requested.
+
+    The stratum budget is resolved (``budget``, else the environment)
+    before the cache lookup and is part of its key, so an outcome
+    computed under one budget is never served under another.
+    """
+    limit = effective_budget(budget)
+    if not collect_trace:
+        return _oracle_cached(g, n, channel, limit)
     poly, blocks = germ_poly(g)
-    return beta_of(poly, blocks, n, _TARGETS[channel], budget=budget, collect_trace=collect_trace)
+    return beta_of(poly, blocks, n, TARGETS[channel], budget=limit, collect_trace=True)
 
 
 @dataclass(frozen=True)
@@ -579,7 +590,7 @@ def corank_index(g: GermSpec) -> tuple[int, Sig]:
     for p in range(d + 1):
         for q in range(d + 1 - p):
             ok = all(
-                arc_order2(d, (p, q), _TARGETS[ch]) == observed[ch] for ch in CHANNELS
+                arc_order2(d, (p, q), TARGETS[ch]) == observed[ch] for ch in CHANNELS
             )
             if ok:
                 matches.append((p, q))

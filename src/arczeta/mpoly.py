@@ -4,6 +4,11 @@ The stratification engine manipulates constraint polynomials in arc
 coefficients.  Variables are integer labels; a monomial is a sorted
 tuple of (variable, exponent) pairs.  Instances are treated as
 immutable: every operation returns a new polynomial.
+
+Coefficients are Python ``int`` unless a ``Fraction`` enters through a
+constructor or a scalar factor: integer germs then stay on integer
+arithmetic, which is exact and much cheaper than ``Fraction``.  No
+operation divides coefficients, so an ``int`` never turns into a float.
 """
 
 from __future__ import annotations
@@ -11,9 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-__all__ = ["Monomial", "MPoly"]
+__all__ = ["Coeff", "Monomial", "MPoly"]
 
 Monomial = tuple[tuple[int, int], ...]
+Coeff = int | Fraction
 
 _ONE_M: Monomial = ()
 
@@ -29,15 +35,15 @@ def _mmul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def _coerce(c: Fraction | int) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _coerce(c: Coeff) -> Coeff:
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
 class MPoly:
     __slots__ = ("_t",)
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None) -> None:
-        self._t: dict[Monomial, Fraction] = (
+    def __init__(self, terms: dict[Monomial, Coeff] | None = None) -> None:
+        self._t: dict[Monomial, Coeff] = (
             {m: c for m, c in terms.items() if c} if terms else {}
         )
 
@@ -48,14 +54,14 @@ class MPoly:
         return cls()
 
     @classmethod
-    def const(cls, c: Fraction | int) -> MPoly:
+    def const(cls, c: Coeff) -> MPoly:
         return cls({_ONE_M: _coerce(c)})
 
     @classmethod
     def var(cls, v: int, exp: int = 1) -> MPoly:
         if exp < 1:
             raise ValueError(f"exponent must be >= 1, got {exp}")
-        return cls({((v, exp),): Fraction(1)})
+        return cls({((v, exp),): 1})
 
     # -- inspection --------------------------------------------------
 
@@ -65,10 +71,10 @@ class MPoly:
     def is_const(self) -> bool:
         return all(m == _ONE_M for m in self._t)
 
-    def constant_term(self) -> Fraction:
-        return self._t.get(_ONE_M, Fraction(0))
+    def constant_term(self) -> Coeff:
+        return self._t.get(_ONE_M, 0)
 
-    def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[tuple[Monomial, Coeff]]:
         return iter(sorted(self._t.items()))
 
     def vars(self) -> frozenset[int]:
@@ -82,7 +88,7 @@ class MPoly:
                     best = e
         return best
 
-    def single_term(self) -> tuple[Monomial, Fraction] | None:
+    def single_term(self) -> tuple[Monomial, Coeff] | None:
         if len(self._t) != 1:
             return None
         return next(iter(self._t.items()))
@@ -103,7 +109,7 @@ class MPoly:
     def __add__(self, other: MPoly) -> MPoly:
         out = dict(self._t)
         for m, c in other._t.items():
-            s = out.get(m, Fraction(0)) + c
+            s = out.get(m, 0) + c
             if s:
                 out[m] = s
             else:
@@ -120,7 +126,7 @@ class MPoly:
     def __sub__(self, other: MPoly) -> MPoly:
         return self + (-other)
 
-    def __mul__(self, other: MPoly | Fraction | int) -> MPoly:
+    def __mul__(self, other: MPoly | Coeff) -> MPoly:
         if isinstance(other, (Fraction, int)):
             if not other:
                 return MPoly()
@@ -128,11 +134,11 @@ class MPoly:
             r = MPoly.__new__(MPoly)
             r._t = {m: c * c0 for m, c in self._t.items()}
             return r
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coeff] = {}
         for m1, c1 in self._t.items():
             for m2, c2 in other._t.items():
                 m = _mmul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
+                s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
@@ -159,8 +165,8 @@ class MPoly:
 
     def linear_split(self, v: int) -> tuple[MPoly, MPoly] | None:
         """Write self = A*v + B with A, B free of v; None unless deg_v = 1."""
-        a: dict[Monomial, Fraction] = {}
-        b: dict[Monomial, Fraction] = {}
+        a: dict[Monomial, Coeff] = {}
+        b: dict[Monomial, Coeff] = {}
         seen = False
         for m, c in self._t.items():
             ve = 0
@@ -189,7 +195,7 @@ class MPoly:
         d = self.deg_in(v)
         if d == 0:
             return self
-        layers: dict[int, dict[Monomial, Fraction]] = {}
+        layers: dict[int, dict[Monomial, Coeff]] = {}
         for m, c in self._t.items():
             ve = 0
             rest = []
@@ -220,7 +226,7 @@ class MPoly:
         return content
 
     def divide_by(self, mono: dict[int, int]) -> MPoly:
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coeff] = {}
         for m, c in self._t.items():
             reduced = []
             for w, e in m:

@@ -13,7 +13,7 @@ are all 0.
 
 from __future__ import annotations
 
-from .upoly import ONE, UPoly, ZERO, geom_sum, u_pow
+from .upoly import ONE, U_MINUS_1, UPoly, ZERO, geom_sum, u_pow
 
 __all__ = [
     "Sig",
@@ -28,8 +28,6 @@ __all__ = [
 ]
 
 Sig = tuple[int, int]
-
-_U_MINUS_1 = u_pow(1) - 1
 
 
 def _check_sig(sig: Sig) -> Sig:
@@ -105,12 +103,12 @@ def beta_power_fiber(m: int, sigma: int, sig: Sig, eps: int) -> UPoly:
     s = abs(p - q)
     peeled = ZERO
     if r:
-        peeled = _U_MINUS_1 * u_pow(p + q - r) * geom_sum(1, r)
+        peeled = U_MINUS_1 * u_pow(p + q - r) * geom_sum(1, r)
     if sigma == 1:
         if p >= q:
             tail = 1 + u_pow(s)
         else:
-            tail = u_pow(s - 1) * _U_MINUS_1
+            tail = u_pow(s - 1) * U_MINUS_1
     else:
         if p <= q:
             tail = ZERO
@@ -119,7 +117,7 @@ def beta_power_fiber(m: int, sigma: int, sig: Sig, eps: int) -> UPoly:
         elif m % 4 == 0:
             tail = UPoly.const(2) * u_pow(1)
         else:
-            tail = _U_MINUS_1
+            tail = U_MINUS_1
     return peeled + u_pow(r) * tail
 
 
@@ -149,7 +147,7 @@ def beta_D_curve(k: int, sigma2: int, eps: int) -> UPoly:
     _check_sign(eps, "eps")
     two_u = UPoly.const(2) * u_pow(1)
     if k % 2 == 1:
-        return two_u if sigma2 * eps == 1 else _U_MINUS_1
+        return two_u if sigma2 * eps == 1 else U_MINUS_1
     return u_pow(1) if sigma2 == 1 else two_u
 
 

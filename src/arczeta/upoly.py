@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Mapping
 
-__all__ = ["UPoly", "geom_sum", "u_pow", "U", "ONE", "ZERO", "NEG_INFINITY"]
+__all__ = ["UPoly", "geom_sum", "u_pow", "U", "U_MINUS_1", "ONE", "ZERO", "NEG_INFINITY"]
 
 NEG_INFINITY = float("-inf")
 
@@ -260,6 +260,8 @@ _ONE = _raw({0: 1})
 ZERO = _ZERO
 ONE = _ONE
 U = _raw({1: 1})
+#: beta of the punctured line R \ {0}
+U_MINUS_1 = U - 1
 
 
 def u_pow(k: int) -> UPoly:

@@ -1,10 +1,16 @@
 """Stratification engine: arc-coefficient systems and their decomposition."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from arczeta import engine
 from arczeta.engine import (
     BUDGET_ENV,
     DEFAULT_BUDGET,
+    EQ,
+    NEQ,
     ArcVar,
     beta_of,
     build_system,
@@ -12,6 +18,7 @@ from arczeta.engine import (
     effective_budget,
 )
 from arczeta.formulas import arc_Ak, arc_cube, arc_D4_order4, arc_Q_signed
+from arczeta.germs import GermSpec, germ_poly
 from arczeta.mpoly import MPoly
 from arczeta.upoly import u_pow
 
@@ -175,3 +182,105 @@ def test_decompose_accepts_prebuilt_system():
     out = decompose(sys)
     assert out.ok
     assert out.value == arc_Q_signed(2, -1, (2, 1))
+
+
+# -- the shared arc expansion --------------------------------------------------
+
+# One germ of each family; the J instance carries a non-integer modulus.
+WITNESS_GERMS = [
+    GermSpec("Q", (1, 1)),
+    GermSpec("AK", (1, 0), k=3, signs=(-1,)),
+    GermSpec("DK", (0, 1), k=5, signs=(1, -1)),
+    GermSpec("E6", (0, 0), signs=(-1,)),
+    GermSpec("E7", (1, 0)),
+    GermSpec("E8", (0, 0)),
+    GermSpec("CUBE", (0, 1)),
+    GermSpec("G", (1, 0)),
+    GermSpec("JKI", (0, 0), k=2, i=0, params=(("b", Fraction(1, 2)),)),
+]
+_T_VAR = -1  # the arc parameter t, as an extra polynomial variable
+
+
+def _t_degree(mono):
+    return dict(mono).get(_T_VAR, 0)
+
+
+def _truncate(p: MPoly, n: int) -> MPoly:
+    return MPoly({m: c for m, c in p.terms() if _t_degree(m) <= n})
+
+
+def _reference_constraints(germ: MPoly, d: int, n: int, vid, target):
+    """f(arc(t)) by plain substitution, collected by the power of t."""
+    t = MPoly.var(_T_VAR)
+    arcs = [MPoly.zero()] * d
+    for j in range(d):
+        for s in range(1, n + 1):
+            arcs[j] = arcs[j] + MPoly.var(vid[j, s]) * t**s
+    total = MPoly.zero()
+    for mono, coef in germ.terms():
+        term = MPoly.const(coef)
+        for j, e in mono:
+            for _ in range(e):
+                term = _truncate(term * arcs[j], n)
+        total = total + term
+    by_degree = [dict() for _ in range(n + 1)]
+    for mono, coef in total.terms():
+        rest = tuple((v, e) for v, e in mono if v != _T_VAR)
+        by_degree[_t_degree(mono)][rest] = coef
+    coeffs = [MPoly(terms) for terms in by_degree]
+    out = [(coeffs[m], EQ) for m in range(2, n) if not coeffs[m].is_zero()]
+    if target == "naive":
+        out.append((coeffs[n], NEQ))
+    else:
+        out.append((coeffs[n] - MPoly.const(target), EQ))
+    return out
+
+
+def _coefficients(system):
+    return [c for p, _ in system.constraints for _, c in p.terms()]
+
+
+@pytest.mark.parametrize("spec", WITNESS_GERMS, ids=lambda g: g.render())
+def test_build_system_matches_reference_expansion(spec):
+    poly, blocks = germ_poly(spec)
+    d = len(blocks)
+    ascending = list(range(2, 10))
+    shuffled = ascending[:]
+    random.Random(7).shuffle(shuffled)
+    vid_of = {}
+    for order in (ascending, ascending[::-1], shuffled):
+        engine._expansion.cache_clear()
+        for n in order:
+            for target in (1, -1, "naive"):
+                system = build_system(poly, blocks, n, target)
+                vids = [v.vid for v in system.variables]
+                # one id per (coordinate, level), sorted in that order, whatever n is
+                assert vids == sorted(set(vids))
+                assert [v.level for v in system.variables] == list(range(1, n + 1)) * d
+                vid = {(j, s): vids[j * n + s - 1] for j in range(d) for s in range(1, n + 1)}
+                for key, value in vid.items():
+                    assert vid_of.setdefault(key, value) == value
+                expected = _reference_constraints(poly, d, n, vid, target)
+                assert system.constraints == expected, (spec.render(), n, target)
+                coeffs = _coefficients(system)
+                if spec.family == "JKI":
+                    if n >= 4:  # b*x1^2*x2^2 first reaches t^4
+                        assert Fraction(1, 2) in coeffs
+                else:
+                    assert all(type(c) is int for c in coeffs)
+
+
+def test_build_system_bounds():
+    with pytest.raises(ValueError):
+        build_system(Q21, ("c", "c"), 3, 1)  # x2 has no block
+    with pytest.raises(ValueError):
+        build_system(Q21, ("c", "c", "c"), 1025, 1)  # beyond the level stride
+
+
+def test_sign_test_is_exact_for_huge_coefficients():
+    # c*v1^2 = 1 has two real points for any c > 0; 1/c underflows a float
+    huge = 10**400
+    assert beta_of(MPoly.var(0, 2) * huge, ("c",), 2, 1).value == 2 * u_pow(1)
+    assert beta_of(MPoly.var(0, 2) * -huge, ("c",), 2, 1).value == 0
+    # v^2 = huge: the quotient would overflow a float
+    assert engine._recognize(MPoly.var(0, 2) - MPoly.const(huge), EQ) == 2

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from arczeta.engine import BUDGET_ENV, DEFAULT_BUDGET
 from arczeta.germs import (
     CHANNELS,
     Cell,
@@ -333,3 +334,17 @@ def test_cell_dataclass_frozen():
     c = Cell(u_pow(1), "formula")
     with pytest.raises(Exception):
         c.value = None  # type: ignore[misc]
+
+
+def test_oracle_cache_keys_on_budget(monkeypatch):
+    """A cell cached under one stratum budget is not served under another."""
+    g = D(4, 1, 1, sig=(1, 0))
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    first = oracle_cell(g, 6, "plus")
+    assert (first.failure, first.strata) == ("unmatched-terminal", 8)
+    monkeypatch.setenv(BUDGET_ENV, "1")
+    assert oracle_cell(g, 6, "plus").failure == "depth-exceeded"
+    # an explicit budget wins over the environment and shares the cache entry
+    assert oracle_cell(g, 6, "plus", budget=DEFAULT_BUDGET) is first
+    monkeypatch.delenv(BUDGET_ENV)
+    assert oracle_cell(g, 6, "plus") is first
