@@ -58,6 +58,10 @@ def test_build_system_validation():
         build_system(Q21 + MPoly.const(1), ("c", "c", "c"), 3, 1)
     with pytest.raises(ValueError):
         build_system(_v(0) + _v(1) ** 2, ("c", "c"), 3, 1)  # order 1 at 0
+    with pytest.raises(ValueError):
+        build_system(Q21, ("c", "c"), 3, 1)  # x2 has no block
+    with pytest.raises(ValueError):
+        build_system(Q21, ("c", "c", "c"), 1025, 1)  # beyond the level stride
 
 
 def test_arcvar_naming_and_split_order():
@@ -268,13 +272,6 @@ def test_build_system_matches_reference_expansion(spec):
                         assert Fraction(1, 2) in coeffs
                 else:
                     assert all(type(c) is int for c in coeffs)
-
-
-def test_build_system_bounds():
-    with pytest.raises(ValueError):
-        build_system(Q21, ("c", "c"), 3, 1)  # x2 has no block
-    with pytest.raises(ValueError):
-        build_system(Q21, ("c", "c", "c"), 1025, 1)  # beyond the level stride
 
 
 def test_sign_test_is_exact_for_huge_coefficients():
