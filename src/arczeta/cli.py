@@ -16,6 +16,7 @@ import sys
 import click
 
 from .classifier import ade_table, distinguish, nonsimple_report, verify_paper_suite
+from .engine import EngineOutcome
 from .germs import CHANNELS, CrossCheckError, GermSpec, analytic_equiv, oracle_cell, zeta_table
 from .parser import GermParseError, parse_germ
 from .quadric import beta_Y, beta_Y_compl, beta_Y_fiber, beta_Y_star
@@ -56,8 +57,16 @@ def zeta(germ_expr: str, n_max: int, fmt: str, source: str, out: str | None, tra
     g = _parse(germ_expr)
     if n_max < 2:
         raise click.UsageError("--N must be at least 2")
+    # With --trace every engine run collects its trace, so each cell is
+    # decomposed once; the oracle cache, which holds no traces, is bypassed.
+    traced: dict[tuple[int, str], EngineOutcome] = {}
+
+    def traced_oracle(g: GermSpec, n: int, channel: str) -> EngineOutcome:
+        traced[n, channel] = oracle_cell(g, n, channel, collect_trace=True)
+        return traced[n, channel]
+
     try:
-        table = zeta_table(g, n_max, source)
+        table = zeta_table(g, n_max, source, oracle=traced_oracle if trace else None)
     except CrossCheckError as exc:
         click.echo(f"cross-check failure: {exc}", err=True)
         sys.exit(1)
@@ -72,7 +81,7 @@ def zeta(germ_expr: str, n_max: int, fmt: str, source: str, out: str | None, tra
         for n, cells in table.rows:
             for channel in CHANNELS:
                 if cells[channel].provenance in ("oracle", "unavailable"):
-                    outcome = oracle_cell(g, n, channel, collect_trace=True)
+                    outcome = traced.get((n, channel)) or traced_oracle(g, n, channel)
                     blocks.append(
                         f"# trace n={n}/{channel} "
                         f"({'ok' if outcome.ok else outcome.failure}, "

@@ -120,6 +120,7 @@ class ArcSystem:
 # of the terms in failure texts.
 _LEVEL_STRIDE = 1024
 _ZERO_POLY = MPoly.zero()
+_NO_VARS: frozenset[int] = frozenset()
 
 
 class _Series:
@@ -325,16 +326,10 @@ def _recognize(p: MPoly, rel: str) -> UPoly | None:
 
     # An isolated hyperbolic pair z^2 - w^2 rotates to a product coordinate
     # and peels off: beta = (u-1)*u^rest + u*beta(remainder).
-    pos = neg = None
-    for v in sorted(p.vars()):
-        hits = [(m, c) for m, c in terms if any(w == v for w, _ in m)]
-        if len(hits) != 1 or hits[0][0] != ((v, 2),):
-            continue
-        if hits[0][1] > 0:
-            pos = pos if pos is not None else v
-        else:
-            neg = neg if neg is not None else v
-    if pos is not None and neg is not None:
+    squares = p.summary().squares
+    pair = _hyperbolic_pair(squares, sorted(squares))
+    if pair is not None:
+        pos, neg = pair
         remainder = MPoly(
             {m: c for m, c in p.terms() if m not in (((pos, 2),), ((neg, 2),))}
         )
@@ -464,7 +459,8 @@ def decompose(
         path="root",
     )
     stack = [root]
-    var_of = {v.vid: v for v in system.variables}
+    ordered = sorted(system.variables, key=lambda v: v.split_key)
+    rank = {v.vid: r for r, v in enumerate(ordered)}
 
     try:
         while stack:
@@ -475,7 +471,7 @@ def decompose(
                     "depth-exceeded",
                     f"stratum budget {limit} exhausted (set {BUDGET_ENV} to raise it)",
                 )
-            action = _simplify(st, var_of, names, log)
+            action = _simplify(st, rank, names, log)
             if action[0] == "empty":
                 log(st.depth, "[empty]")
                 continue
@@ -559,10 +555,14 @@ def decompose(
     )
 
 
-def _simplify(st, var_of, names, log):
+def _simplify(st, rank, names, log):
     """Run the rewrite rules to quiescence; return the stratum's fate.
 
-    Returns ("empty",) | ("leaf", UPoly) | ("split", vid) | ("fail", detail).
+    Returns ("empty",) | ("leaf", UPoly) | ("peel", i, z, w)
+    | ("split", vid) | ("fail", detail).
+
+    Rules read each constraint's cached ``MPoly.summary()``; ``rank``
+    orders variables by their ``split_key``.
     """
     while True:
         changed = False
@@ -585,17 +585,17 @@ def _simplify(st, var_of, names, log):
 
         # nonzero-factor reduction
         for i, (p, rel) in enumerate(st.constraints):
-            content = p.content_monomial()
+            content = p.summary().content
             if not content:
                 continue
             if rel == NEQ:
-                fresh = [v for v in content if v not in st.assumed]
+                fresh = [v for v, _ in content if v not in st.assumed]
                 if fresh:
                     st.assumed = st.assumed | frozenset(fresh)
-                st.constraints[i] = (p.divide_by(content), rel)
+                st.constraints[i] = (p.divide_by(dict(content)), rel)
                 changed = True
             else:
-                div = {v: e for v, e in content.items() if v in st.assumed}
+                div = {v: e for v, e in content if v in st.assumed}
                 if div:
                     st.constraints[i] = (p.divide_by(div), rel)
                     changed = True
@@ -604,93 +604,79 @@ def _simplify(st, var_of, names, log):
 
         # forced zeros
         forced: set[int] = set()
-        empty = False
         for p, rel in st.constraints:
             if rel != EQ:
                 continue
             single = p.single_term()
-            if single is not None:
-                mono, _ = single
-                if mono and len(mono) == 1:
-                    forced.add(mono[0][0])
-                    continue
+            if single is not None and len(single[0]) == 1:
+                forced.add(single[0][0][0])
+                continue
             verdict = _definite(p, st.assumed)
             if verdict == "empty":
-                empty = True
-                break
-            if isinstance(verdict, set):
+                return ("empty",)
+            if verdict:
                 forced |= verdict
-        if empty:
-            return ("empty",)
         if forced:
             if forced & st.assumed:
                 return ("empty",)
-            st.constraints = [
-                (_subs_zero_many(p, forced), rel) for p, rel in st.constraints
-            ]
+            st.constraints = [(p.subs_zero_many(forced), rel) for p, rel in st.constraints]
             st.alive = st.alive - forced
             continue
 
-        # pivot discharges, deepest constraint first
-        discharged = False
-        for i in range(len(st.constraints) - 1, -1, -1):
-            p, rel = st.constraints[i]
-            earlier_vars: set[int] = set()
-            for j in range(i):
-                earlier_vars |= st.constraints[j][0].vars()
-            candidates = sorted(
-                p.vars() - st.assumed, key=lambda w: var_of[w].split_key
-            )
-            for v in candidates:
-                if v in earlier_vars:
-                    continue
-                split = p.linear_split(v)
-                if split is None:
-                    continue
-                a, b = split
-                unit = a.single_term()
-                if unit is None:
-                    continue
-                if any(w not in st.assumed for w, _ in unit[0]):
-                    continue
-                if rel == EQ:
-                    new_cons = st.constraints[:i]
-                    for j in range(i + 1, len(st.constraints)):
-                        q, qrel = st.constraints[j]
-                        if v in q.vars():
-                            q = q.subs_clear(v, a, b)
-                        new_cons.append((q, qrel))
-                    st.constraints = new_cons
-                    st.alive = st.alive - {v}
-                    log(st.depth, f"[pivot] {names[v]} from eq#{i}")
-                    discharged = True
-                    break
-                later = any(
-                    v in st.constraints[j][0].vars()
-                    for j in range(len(st.constraints))
-                    if j != i
-                )
-                if later:
-                    continue
-                st.constraints = st.constraints[:i] + st.constraints[i + 1 :]
+        # pivot discharges, deepest constraint first: a variable is a pivot
+        # of constraint i if it occurs in no earlier constraint (and, for a
+        # neq, in no later one either)
+        cons = st.constraints
+        earlier = [_NO_VARS]
+        for p, _ in cons[:-1]:
+            earlier.append(earlier[-1] | p.vars())
+        for i in range(len(cons) - 1, -1, -1):
+            p, rel = cons[i]
+            later = _NO_VARS
+            if rel == NEQ:
+                later = later.union(*(q.vars() for q, _ in cons[i + 1 :]))
+            v = None
+            for w, rest in p.summary().pivots.items():
+                if (
+                    w not in earlier[i]
+                    and w not in later
+                    and w not in st.assumed
+                    and all(x in st.assumed for x, _ in rest)
+                    and (v is None or rank[w] < rank[v])
+                ):
+                    v = w
+            if v is None:
+                continue
+            if rel == EQ:
+                a, b = p.linear_split(v)
+                new_cons = cons[:i]
+                for q, qrel in cons[i + 1 :]:
+                    if v in q.vars():
+                        q = q.subs_clear(v, a, b)
+                    new_cons.append((q, qrel))
+                st.constraints = new_cons
+                st.alive = st.alive - {v}
+                log(st.depth, f"[pivot] {names[v]} from eq#{i}")
+            else:
+                st.constraints = cons[:i] + cons[i + 1 :]
                 st.alive = st.alive - {v}
                 st.prefactor = st.prefactor * U_MINUS_1
                 log(st.depth, f"[pivot] {names[v]} from neq#{i} (factor u-1)")
-                discharged = True
-                break
-            if discharged:
-                break
-        if discharged:
-            continue
-        break
+            break
+        else:
+            break
 
-    # terminal attempt
+    # terminal attempt: a constraint sharing no variable with another is
+    # recognized on its own
     var_sets = [p.vars() for p, _ in st.constraints]
+    occurs: dict[int, int] = {}
+    for vs in var_sets:
+        for v in vs:
+            occurs[v] = occurs.get(v, 0) + 1
     blocked: list[int] = []
     values: list[UPoly] = []
     for i, (p, rel) in enumerate(st.constraints):
-        overlap = any(var_sets[i] & var_sets[j] for j in range(len(var_sets)) if j != i)
-        if overlap:
+        if any(occurs[v] > 1 for v in var_sets[i]):
             blocked.append(i)
             continue
         val = _T(p, rel, st.assumed & var_sets[i], var_sets[i])
@@ -699,27 +685,21 @@ def _simplify(st, var_of, names, log):
         else:
             values.append(val)
     if not blocked:
-        in_constraints: set[int] = set()
-        for vs in var_sets:
-            in_constraints |= vs
-        free = len(st.alive - st.assumed - in_constraints)
-        loose = len((st.alive & st.assumed) - in_constraints)
+        free = len(st.alive.difference(st.assumed, occurs))
+        loose = len((st.alive & st.assumed).difference(occurs))
         value = st.prefactor * u_pow(free) * (U_MINUS_1**loose)
         for val in values:
             value = value * val
         return ("leaf", value)
 
     for i in blocked:
-        pair = _peelable_pair(st, i, var_sets, var_of)
+        pair = _peelable_pair(st.constraints[i][0], occurs, st.assumed, rank)
         if pair is not None:
             return ("peel", i, pair[0], pair[1])
     for i in blocked:
-        splittable = sorted(
-            st.constraints[i][0].vars() - st.assumed,
-            key=lambda w: var_of[w].split_key,
-        )
+        splittable = var_sets[i] - st.assumed
         if splittable:
-            return ("split", splittable[0])
+            return ("split", min(splittable, key=rank.__getitem__))
     frozen = [st.constraints[i][0].text(names) for i in blocked]
     return (
         "fail",
@@ -727,58 +707,45 @@ def _simplify(st, var_of, names, log):
     )
 
 
-def _peelable_pair(st, i, var_sets, var_of):
-    """A hyperbolic pair z^2 - w^2 isolated in constraint i, if any.
+def _peelable_pair(
+    p: MPoly, occurs: dict[int, int], assumed: frozenset[int], rank: dict[int, int]
+) -> tuple[int, int] | None:
+    """A hyperbolic pair z^2 - w^2 isolated in constraint p, if any.
 
     Both variables must occur only through their own square term in this
-    constraint, nowhere else, and carry no nonvanishing assumption; the
-    rotated coordinates (z+w, z-w) then split the stratum algebraically.
+    constraint, in no other (``occurs`` counts the constraints each
+    variable is in), and carry no nonvanishing assumption; the rotated
+    coordinates (z+w, z-w) then split the stratum algebraically.
     """
-    p = st.constraints[i][0]
-    elsewhere: set[int] = set()
-    for j, vs in enumerate(var_sets):
-        if j != i:
-            elsewhere |= vs
-    pos: list[int] = []
-    neg: list[int] = []
-    for v in sorted(p.vars() - st.assumed, key=lambda w: var_of[w].split_key):
-        if v in elsewhere:
-            continue
-        hits = [(m, c) for m, c in p.terms() if any(w == v for w, _ in m)]
-        if len(hits) != 1 or hits[0][0] != ((v, 2),):
-            continue
-        (pos if hits[0][1] > 0 else neg).append(v)
-    if pos and neg:
-        return pos[0], neg[0]
-    return None
+    squares = p.summary().squares
+    order = sorted(
+        (v for v in squares if occurs[v] == 1 and v not in assumed), key=rank.__getitem__
+    )
+    return _hyperbolic_pair(squares, order)
 
 
-def _subs_zero_many(p: MPoly, vs: set[int]) -> MPoly:
-    for v in vs:
-        p = p.subs_zero(v)
-    return p
+def _hyperbolic_pair(squares: dict[int, Coeff], order: list[int]) -> tuple[int, int] | None:
+    """The first positive and the first negative isolated square in ``order``.
+
+    ``squares`` is a polynomial's ``summary().squares``; both
+    ``_recognize`` and ``_peelable_pair`` find their pair here.
+    """
+    pos = next((v for v in order if squares[v] > 0), None)
+    neg = next((v for v in order if squares[v] < 0), None)
+    if pos is None or neg is None:
+        return None
+    return pos, neg
 
 
-def _definite(p: MPoly, assumed: frozenset[int]) -> str | set[int] | None:
+def _definite(p: MPoly, assumed: frozenset[int]) -> str | frozenset[int] | None:
     """Detect sum-of-same-sign even powers: forces zeros or emptiness."""
+    shape = p.summary().definite
+    if shape is None:
+        return None
+    sign, involved = shape
     e = p.constant_term()
-    sign = 0
-    involved: set[int] = set()
-    for m, c in p.terms():
-        if not m:
-            continue
-        if len(m) != 1 or m[0][1] % 2:
-            return None
-        s = 1 if c > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return None
-        involved.add(m[0][0])
     if e == 0:
-        if involved & assumed:
-            return "empty"
-        return involved
+        return "empty" if involved & assumed else involved
     if (e > 0) == (sign > 0):
         return "empty"
     return None

@@ -17,7 +17,7 @@ Cells outside a formula's declared coverage raise :class:`OutOfCoverage`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable
 
 from .quadric import (
     Sig,
@@ -25,12 +25,11 @@ from .quadric import (
     beta_D_curve_zero,
     beta_power_fiber,
     beta_power_zero,
-    beta_Y,
     beta_Y_compl,
     beta_Y_fiber,
     beta_Y_star,
 )
-from .upoly import ONE, U_MINUS_1, UPoly, ZERO, geom_sum, u_pow
+from .upoly import U_MINUS_1, UPoly, ZERO, geom_sum, u_pow
 
 __all__ = [
     "Target",

@@ -16,9 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .engine import EngineOutcome, beta_of, effective_budget
 from .formulas import (
@@ -409,6 +410,10 @@ def oracle_cell(
     return beta_of(poly, blocks, n, TARGETS[channel], budget=limit, collect_trace=True)
 
 
+# An engine-outcome source for resolve_cell: (germ, n, channel) -> outcome.
+Oracle = Callable[[GermSpec, int, str], EngineOutcome]
+
+
 @dataclass(frozen=True)
 class Cell:
     value: UPoly | None
@@ -416,7 +421,9 @@ class Cell:
     note: str = ""
 
 
-def resolve_cell(g: GermSpec, n: int, channel: str, source: str) -> Cell:
+def resolve_cell(
+    g: GermSpec, n: int, channel: str, source: str, oracle: Oracle | None = None
+) -> Cell:
     """One table cell under the requested source policy.
 
     ``formulas``: closed form or unavailable.  ``oracle``: engine or
@@ -424,14 +431,19 @@ def resolve_cell(g: GermSpec, n: int, channel: str, source: str) -> Cell:
     against the oracle; disagreement raises), oracle elsewhere.
     ``auto``: formula where covered (unchecked), oracle elsewhere —
     the fast path used by classification scans.
+
+    ``oracle`` stands in for ``oracle_cell`` as the source of engine
+    outcomes, e.g. one that collects traces.
     """
+    if oracle is None:
+        oracle = oracle_cell
     if source == "formulas":
         try:
             return Cell(formula_cell(g, n, channel), "formula")
         except OutOfCoverage as oc:
             return Cell(None, "unavailable", str(oc))
     if source == "oracle":
-        out = oracle_cell(g, n, channel)
+        out = oracle(g, n, channel)
         if out.ok:
             return Cell(out.value, "oracle")
         return Cell(None, "unavailable", f"{out.failure}: {out.detail}")
@@ -440,12 +452,12 @@ def resolve_cell(g: GermSpec, n: int, channel: str, source: str) -> Cell:
     try:
         value = formula_cell(g, n, channel)
     except OutOfCoverage:
-        out = oracle_cell(g, n, channel)
+        out = oracle(g, n, channel)
         if out.ok:
             return Cell(out.value, "oracle")
         return Cell(None, "unavailable", f"{out.failure}: {out.detail}")
     if source == "hybrid":
-        out = oracle_cell(g, n, channel)
+        out = oracle(g, n, channel)
         if out.ok:
             if out.value != value:
                 raise CrossCheckError(g, n, channel, value, out.value)
@@ -558,12 +570,14 @@ class ZetaTable:
         return "\n".join(lines)
 
 
-def zeta_table(g: GermSpec, N: int, source: str = "hybrid") -> ZetaTable:
+def zeta_table(
+    g: GermSpec, N: int, source: str = "hybrid", oracle: Oracle | None = None
+) -> ZetaTable:
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     rows = []
     for n in range(2, N + 1):
-        cells = {ch: resolve_cell(g, n, ch, source) for ch in CHANNELS}
+        cells = {ch: resolve_cell(g, n, ch, source, oracle=oracle) for ch in CHANNELS}
         rows.append((n, cells))
     return ZetaTable(germ=g, N=N, source=source, rows=tuple(rows))
 

@@ -5,6 +5,15 @@ coefficients.  Variables are integer labels; a monomial is a sorted
 tuple of (variable, exponent) pairs.  Instances are treated as
 immutable: every operation returns a new polynomial.
 
+Because a polynomial never changes, the structural facts the engine's
+rewrite rules read off it (its variables, content monomial, pivot
+candidates, isolated squares and definite shape; see :class:`Summary`)
+are computed once, on first request, and kept on the instance.  The
+contract that makes this safe: ``_t`` is never reassigned or mutated
+after construction, so in particular never after ``summary()`` has been
+read.  Code that builds a polynomial term by term does so in a fresh
+dict and wraps it once (``_wrap``).
+
 Coefficients are Python ``int`` unless a ``Fraction`` enters through a
 constructor or a scalar factor: integer germs then stay on integer
 arithmetic, which is exact and much cheaper than ``Fraction``.  No
@@ -14,9 +23,9 @@ operation divides coefficients, so an ``int`` never turns into a float.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Collection, Iterator
 
-__all__ = ["Coeff", "Monomial", "MPoly"]
+__all__ = ["Coeff", "Monomial", "MPoly", "Summary"]
 
 Monomial = tuple[tuple[int, int], ...]
 Coeff = int | Fraction
@@ -39,13 +48,98 @@ def _coerce(c: Coeff) -> Coeff:
     return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
+class Summary:
+    """The structure of one polynomial that the engine's rules match on.
+
+    * ``vars``: the variables that occur.
+    * ``content``: the per-variable minimum exponent over all terms, as a
+      sorted monomial; empty if there is a constant term.
+    * ``pivots``: each variable that occurs in exactly one term, with
+      exponent 1, mapped to that term's other factors.
+    * ``squares``: each variable whose only occurrence is a bare
+      ``c*v^2`` term, mapped to ``c``.
+    * ``definite``: ``(sign, involved)`` when every non-constant term is
+      an even power of one variable with coefficient sign ``sign``
+      (0 if there is no such term), else None.
+
+    The mappings are shared with every reader and must not be mutated.
+    """
+
+    __slots__ = ("vars", "content", "pivots", "squares", "definite")
+
+    def __init__(self, t: dict[Monomial, Coeff]) -> None:
+        first: dict[int, Monomial] = {}
+        repeated: set[int] = set()
+        for m in t:
+            for v, _ in m:
+                if v in first:
+                    repeated.add(v)
+                else:
+                    first[v] = m
+        pivots: dict[int, Monomial] = {}
+        squares: dict[int, Coeff] = {}
+        for v, m in first.items():
+            if v in repeated:
+                continue
+            if len(m) == 1:
+                e = m[0][1]
+                if e == 1:
+                    pivots[v] = _ONE_M
+                elif e == 2:
+                    squares[v] = t[m]
+            elif dict(m)[v] == 1:
+                pivots[v] = tuple(f for f in m if f[0] != v)
+        self.vars: frozenset[int] = frozenset(first)
+        self.content: Monomial = _content(t)
+        self.pivots = pivots
+        self.squares = squares
+        self.definite = _definite_shape(t)
+
+
+def _definite_shape(t: dict[Monomial, Coeff]) -> tuple[int, frozenset[int]] | None:
+    sign = 0
+    for m, c in t.items():
+        if not m:
+            continue
+        if len(m) != 1 or m[0][1] % 2:
+            return None
+        s = 1 if c > 0 else -1
+        if sign == 0:
+            sign = s
+        elif s != sign:
+            return None
+    return sign, frozenset(m[0][0] for m in t if m)
+
+
+def _content(t: dict[Monomial, Coeff]) -> Monomial:
+    if not t or _ONE_M in t:
+        return _ONE_M
+    it = iter(t)
+    content = dict(next(it))
+    for m in it:
+        exps = dict(m)
+        content = {v: min(e, exps[v]) for v, e in content.items() if v in exps}
+        if not content:
+            return _ONE_M
+    return tuple(content.items())
+
+
 class MPoly:
-    __slots__ = ("_t",)
+    __slots__ = ("_t", "_s")
 
     def __init__(self, terms: dict[Monomial, Coeff] | None = None) -> None:
         self._t: dict[Monomial, Coeff] = (
             {m: c for m, c in terms.items() if c} if terms else {}
         )
+        self._s: Summary | None = None
+
+    @classmethod
+    def _wrap(cls, terms: dict[Monomial, Coeff]) -> MPoly:
+        """Adopt ``terms`` (fresh, with no zero coefficient) without copying."""
+        r = cls.__new__(cls)
+        r._t = terms
+        r._s = None
+        return r
 
     # -- constructors ------------------------------------------------
 
@@ -69,7 +163,8 @@ class MPoly:
         return not self._t
 
     def is_const(self) -> bool:
-        return all(m == _ONE_M for m in self._t)
+        t = self._t
+        return not t or (len(t) == 1 and _ONE_M in t)
 
     def constant_term(self) -> Coeff:
         return self._t.get(_ONE_M, 0)
@@ -77,8 +172,15 @@ class MPoly:
     def terms(self) -> Iterator[tuple[Monomial, Coeff]]:
         return iter(sorted(self._t.items()))
 
+    def summary(self) -> Summary:
+        """The cached structural summary, computed on first request."""
+        s = self._s
+        if s is None:
+            s = self._s = Summary(self._t)
+        return s
+
     def vars(self) -> frozenset[int]:
-        return frozenset(v for m in self._t for v, _ in m)
+        return self.summary().vars
 
     def deg_in(self, v: int) -> int:
         best = 0
@@ -114,14 +216,10 @@ class MPoly:
                 out[m] = s
             else:
                 out.pop(m, None)
-        r = MPoly.__new__(MPoly)
-        r._t = out
-        return r
+        return MPoly._wrap(out)
 
     def __neg__(self) -> MPoly:
-        r = MPoly.__new__(MPoly)
-        r._t = {m: -c for m, c in self._t.items()}
-        return r
+        return MPoly._wrap({m: -c for m, c in self._t.items()})
 
     def __sub__(self, other: MPoly) -> MPoly:
         return self + (-other)
@@ -131,9 +229,7 @@ class MPoly:
             if not other:
                 return MPoly()
             c0 = _coerce(other)
-            r = MPoly.__new__(MPoly)
-            r._t = {m: c * c0 for m, c in self._t.items()}
-            return r
+            return MPoly._wrap({m: c * c0 for m, c in self._t.items()})
         out: dict[Monomial, Coeff] = {}
         for m1, c1 in self._t.items():
             for m2, c2 in other._t.items():
@@ -143,9 +239,7 @@ class MPoly:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        r = MPoly.__new__(MPoly)
-        r._t = out
-        return r
+        return MPoly._wrap(out)
 
     __rmul__ = __mul__
 
@@ -188,7 +282,24 @@ class MPoly:
         return MPoly(a), MPoly(b)
 
     def subs_zero(self, v: int) -> MPoly:
-        return MPoly({m: c for m, c in self._t.items() if all(w != v for w, _ in m)})
+        return self.subs_zero_many((v,))
+
+    def subs_zero_many(self, vs: Collection[int]) -> MPoly:
+        """Set every variable in ``vs`` to zero, in one pass over the terms.
+
+        Returns ``self``, summary included, when no term involves ``vs``.
+        """
+        s = self._s
+        if s is not None and s.vars.isdisjoint(vs):
+            return self
+        out: dict[Monomial, Coeff] = {}
+        for m, c in self._t.items():
+            for w, _ in m:
+                if w in vs:
+                    break
+            else:
+                out[m] = c
+        return self if len(out) == len(self._t) else MPoly._wrap(out)
 
     def subs_clear(self, v: int, a: MPoly, b: MPoly) -> MPoly:
         """Return self * a^deg_v with v replaced by -b/a (a a monomial unit)."""
@@ -209,21 +320,6 @@ class MPoly:
         for ve, terms in layers.items():
             total = total + MPoly(terms) * ((-b) ** ve) * (a ** (d - ve))
         return total
-
-    def content_monomial(self) -> dict[int, int]:
-        """Per-variable minimum exponent over all terms ({} if any constant term)."""
-        if not self._t or _ONE_M in self._t:
-            return {}
-        it = iter(self._t)
-        content = dict(next(it))
-        for m in it:
-            exps = dict(m)
-            content = {
-                v: min(e, exps[v]) for v, e in content.items() if v in exps
-            }
-            if not content:
-                return {}
-        return content
 
     def divide_by(self, mono: dict[int, int]) -> MPoly:
         out: dict[Monomial, Coeff] = {}

@@ -9,6 +9,7 @@ import sys
 
 from click.testing import CliRunner
 
+from arczeta import engine, germs
 from arczeta.cli import main
 
 
@@ -57,6 +58,27 @@ def test_zeta_source_and_trace():
     r = run("zeta", "A(2) (+) Q(1,1)", "--N", "3", "--source", "formulas", "--trace")
     assert r.exit_code == 0
     assert "# trace" not in r.output
+
+
+def test_zeta_trace_decomposes_each_cell_once(monkeypatch):
+    calls = []
+    decompose = engine.decompose
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("collect_trace", False))
+        return decompose(*args, **kwargs)
+
+    germs._oracle_cached.cache_clear()
+    monkeypatch.setattr(engine, "decompose", counting)
+    r = run("zeta", "D(4,+,-) (+) Q(1,1)", "--N", "6", "--trace")
+    assert r.exit_code == 0
+    # 5 rows x 3 channels; 6 cells are oracle-only and print a trace
+    assert calls == [True] * 15
+    assert r.output.count("# trace n=") == 6
+    calls.clear()
+    plain = run("zeta", "D(4,+,-) (+) Q(1,1)", "--N", "6")
+    assert r.output.startswith(plain.output)
+    assert calls == [False] * 15
 
 
 def test_zeta_parse_error_is_exit_2():

@@ -1,5 +1,6 @@
 """Stratification engine: arc-coefficient systems and their decomposition."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -18,8 +19,9 @@ from arczeta.engine import (
     effective_budget,
 )
 from arczeta.formulas import arc_Ak, arc_cube, arc_D4_order4, arc_Q_signed
-from arczeta.germs import GermSpec, germ_poly
+from arczeta.germs import CHANNELS, TARGETS, GermSpec, germ_poly
 from arczeta.mpoly import MPoly
+from arczeta.parser import parse_germ
 from arczeta.upoly import u_pow
 
 
@@ -281,3 +283,35 @@ def test_sign_test_is_exact_for_huge_coefficients():
     assert beta_of(MPoly.var(0, 2) * -huge, ("c",), 2, 1).value == 0
     # v^2 = huge: the quotient would overflow a float
     assert engine._recognize(MPoly.var(0, 2) - MPoly.const(huge), EQ) == 2
+
+
+# -- the exact behaviour of decompose ---------------------------------------------
+
+# sha256 over every outcome field of these cells, traces included, as the
+# engine produced them before rule matching read cached polynomial summaries.
+# A change of rule order changes the trace and fails this even where the
+# values agree; a deliberate change of behaviour must record a new digest.
+PINNED_DIGEST = "4f0cc74e3062dd4e0f610b317bf34a8cb3ba83b8d85b8e6a883c9589263c91c8"
+
+
+def _pinned_cells():
+    cells = [(g, n, ch) for g in WITNESS_GERMS for n in range(2, 10) for ch in CHANNELS]
+    cells.append((parse_germ("D(5,+,+) (+) Q(1,1)"), 9, "plus"))  # unmatched terminal
+    cells += [(parse_germ("J(2,1; a0=1/2) (+) Q(1,0)"), 6, ch) for ch in CHANNELS]
+    return cells
+
+
+def test_decompose_behaviour_is_pinned():
+    digest = hashlib.sha256()
+    failures = 0
+    for g, n, ch in _pinned_cells():
+        poly, blocks = germ_poly(g)
+        out = beta_of(poly, blocks, n, TARGETS[ch], budget=DEFAULT_BUDGET, collect_trace=True)
+        failures += not out.ok
+        record = [g.render(), str(n), ch, str(out.value), str(out.failure), out.detail]
+        record.append(str(out.strata))
+        record += [f"{path}: {value}" for path, value in out.leaves]
+        record += out.trace
+        digest.update(("\n".join(record) + "\n\n").encode())
+    assert failures == 24
+    assert digest.hexdigest() == PINNED_DIGEST

@@ -11,7 +11,6 @@ from arczeta.engine import BUDGET_ENV, DEFAULT_BUDGET
 from arczeta.germs import (
     CHANNELS,
     Cell,
-    CrossCheckError,
     GermSpec,
     analytic_equiv,
     apply_signed_permutation,

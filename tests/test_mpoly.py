@@ -1,0 +1,163 @@
+"""Sparse polynomials: the cached structural summary the engine matches on.
+
+Each summary entry replaced a term scan in the engine's rewrite rules.
+The scans are kept here as reference implementations, and the summary
+must agree with them on random sparse polynomials.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from arczeta.engine import _definite
+from arczeta.mpoly import MPoly
+
+VARS = range(5)
+
+coefficients = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool),
+)
+# General monomials, plus the bare v and v^2 that pivots and peels look for
+monomials = st.one_of(
+    st.dictionaries(st.sampled_from(VARS), st.integers(1, 4), min_size=1, max_size=3).map(
+        lambda exps: tuple(sorted(exps.items()))
+    ),
+    st.tuples(st.sampled_from(VARS), st.sampled_from((1, 2))).map(lambda f: (f,)),
+)
+# Sums of even powers of single variables, mostly of one sign
+even_powers = st.tuples(st.sampled_from(VARS), st.sampled_from((2, 4))).map(lambda f: (f,))
+
+
+@st.composite
+def polys(draw):
+    if draw(st.booleans()):
+        terms = draw(st.dictionaries(monomials, coefficients, max_size=6))
+    else:
+        sign = draw(st.sampled_from((1, -1)))
+        terms = draw(st.dictionaries(even_powers, coefficients.map(abs), max_size=4))
+        terms = {m: sign * c for m, c in terms.items()}
+        if terms and draw(st.integers(0, 4)) == 0:
+            m = next(iter(terms))
+            terms[m] = -terms[m]
+    if draw(st.booleans()):
+        terms[()] = draw(coefficients)
+    return MPoly(terms)
+
+
+assumed_sets = st.frozensets(st.sampled_from(VARS))
+
+
+# -- the term scans the summary replaced -----------------------------------------
+
+
+def ref_content(p: MPoly) -> dict[int, int]:
+    terms = dict(p.terms())
+    if not terms or () in terms:
+        return {}
+    it = iter(terms)
+    content = dict(next(it))
+    for m in it:
+        exps = dict(m)
+        content = {v: min(e, exps[v]) for v, e in content.items() if v in exps}
+        if not content:
+            return {}
+    return content
+
+
+def ref_pivots(p: MPoly, assumed: frozenset[int]) -> dict[int, tuple]:
+    """Variables v with p = c*m*v + B, B free of v and m a monomial in ``assumed``."""
+    out = {}
+    for v in p.vars():
+        split = p.linear_split(v)
+        if split is None:
+            continue
+        unit = split[0].single_term()
+        if unit is None:
+            continue
+        if any(w not in assumed for w, _ in unit[0]):
+            continue
+        out[v] = unit[0]
+    return out
+
+
+def ref_squares(p: MPoly) -> dict[int, object]:
+    terms = [(m, c) for m, c in p.terms() if m]
+    out = {}
+    for v in sorted(p.vars()):
+        hits = [(m, c) for m, c in terms if any(w == v for w, _ in m)]
+        if len(hits) == 1 and hits[0][0] == ((v, 2),):
+            out[v] = hits[0][1]
+    return out
+
+
+def ref_definite(p: MPoly, assumed: frozenset[int]):
+    e = p.constant_term()
+    sign = 0
+    involved: set[int] = set()
+    for m, c in p.terms():
+        if not m:
+            continue
+        if len(m) != 1 or m[0][1] % 2:
+            return None
+        s = 1 if c > 0 else -1
+        if sign == 0:
+            sign = s
+        elif s != sign:
+            return None
+        involved.add(m[0][0])
+    if e == 0:
+        if involved & assumed:
+            return "empty"
+        return involved
+    if (e > 0) == (sign > 0):
+        return "empty"
+    return None
+
+
+def fields(p: MPoly) -> tuple:
+    s = p.summary()
+    return (s.vars, s.content, s.pivots, s.squares, s.definite)
+
+
+# -- properties -------------------------------------------------------------------
+
+
+@given(polys(), assumed_sets)
+def test_summary_matches_term_scans(p, assumed):
+    s = p.summary()
+    assert s.vars == frozenset(v for m, _ in p.terms() for v, _ in m)
+    assert dict(s.content) == ref_content(p)
+    pivots = {v: rest for v, rest in s.pivots.items() if all(w in assumed for w, _ in rest)}
+    assert pivots == ref_pivots(p, assumed)
+    assert s.squares == ref_squares(p)
+    assert _definite(p, assumed) == ref_definite(p, assumed)
+
+
+@given(polys())
+def test_summary_is_cached_and_survives_arithmetic(p):
+    first = p.summary()
+    assert p.summary() is first
+    before = fields(p)
+    for v in VARS:
+        p.subs_zero(v)
+        if p.linear_split(v) is not None:
+            a, b = p.linear_split(v)
+            p.subs_clear(v, a, b)
+    _ = (p + p, p * p, -p, p - p, p * 3, p * Fraction(1, 2), p**2)
+    p.subs_zero_many(set(VARS))
+    if first.content:
+        p.divide_by(dict(first.content))
+    assert p.summary() is first
+    assert fields(p) == before == fields(MPoly(dict(p.terms())))
+
+
+@given(polys(), st.frozensets(st.sampled_from(VARS)))
+def test_subs_zero_many_matches_one_at_a_time(p, vs):
+    q = p
+    for v in sorted(vs):
+        q = q.subs_zero(v)
+    assert p.subs_zero_many(vs) == q
+    if p.vars().isdisjoint(vs):
+        assert p.subs_zero_many(vs) is p
