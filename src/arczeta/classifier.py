@@ -10,6 +10,8 @@ no out-of-band invariants enter the reports.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -52,6 +54,15 @@ __all__ = [
 
 def _cell_id(n: int, channel: str) -> str:
     return f"n={n}/{channel}"
+
+
+def _csv(header: list[str], rows: list[list]) -> str:
+    """CSV text with the csv module's default \\r\\n line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +293,17 @@ class ClassificationReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
+    def to_csv(self) -> str:
+        rows = []
+        for e in self.entries:
+            c = e.certificate
+            if c is not None and c.separated:
+                rows.append([e.germ1, e.germ2, e.relation, c.n, c.channel, str(c.value1), str(c.value2)])
+            else:
+                rows.append([e.germ1, e.germ2, e.relation, "", "", "", ""])
+        header = ["germ1", "germ2", "relation", "n", "channel", "value1", "value2"]
+        return _csv(header, rows)
+
     def to_text(self) -> str:
         lines = [
             f"blow-Nash classification  d={self.d}  kmax={self.kmax}  "
@@ -338,60 +360,47 @@ def ade_table(
 ) -> ClassificationReport:
     """Pairwise classification of every simple germ at ambient dimension d.
 
-    Equivalent pairs (same canonical form) must agree on every available
-    cell up to N; all other pairs must produce a Distinguisher with
-    n <= N.  Violations land in ``failures``.
+    Every pair goes through :func:`distinguish`.  Equivalent pairs (same
+    canonical form) must come out unseparated, agreeing on every available
+    cell up to N; all other pairs must be separated at some n <= N.
+    Violations land in ``failures``; a broken equivalent pair is reported
+    at its first disagreeing cell.
     """
     specs = enumerate_simple(d, kmax)
     entries: list[PairEntry] = []
     failures: list[str] = []
     for i, g1 in enumerate(specs):
         for g2 in specs[i + 1 :]:
-            if analytic_equiv(g1, g2):
-                agreed = 0
-                unavailable: list[str] = []
-                for n in range(2, N + 1):
-                    for channel in CHANNELS:
-                        c1 = resolve_cell(g1, n, channel, source)
-                        c2 = resolve_cell(g2, n, channel, source)
-                        if c1.value is None or c2.value is None:
-                            unavailable.append(_cell_id(n, channel))
-                            continue
-                        if c1.value != c2.value:
-                            failures.append(
-                                f"equivalent pair {g1.render()} ~ {g2.render()} "
-                                f"disagrees at {_cell_id(n, channel)}: "
-                                f"{c1.value} vs {c2.value}"
-                            )
-                        else:
-                            agreed += 1
-                entries.append(
-                    PairEntry(
-                        g1.render(),
-                        g2.render(),
-                        "equivalent",
-                        None,
-                        tuple(unavailable),
-                        agreed,
-                    )
-                )
-            else:
-                dist = distinguish(g1, g2, N, source)
+            dist = distinguish(g1, g2, N, source)
+            if not analytic_equiv(g1, g2):
                 if not dist.separated:
                     failures.append(
-                        f"no distinguisher at n <= {N} for {g1.render()} vs "
-                        f"{g2.render()} (unavailable: {', '.join(dist.unavailable) or 'none'})"
+                        f"no distinguisher at n <= {N} for {dist.germ1} vs "
+                        f"{dist.germ2} (unavailable: {', '.join(dist.unavailable) or 'none'})"
                     )
                 entries.append(
-                    PairEntry(
-                        g1.render(),
-                        g2.render(),
-                        "distinct",
-                        dist,
-                        dist.unavailable,
-                        0,
-                    )
+                    PairEntry(dist.germ1, dist.germ2, "distinct", dist, dist.unavailable, 0)
                 )
+                continue
+            # agreed cells: those compared before the scan stopped, less the unavailable
+            scanned = (N - 1) * len(CHANNELS)
+            if dist.separated:
+                failures.append(
+                    f"equivalent pair {dist.germ1} ~ {dist.germ2} "
+                    f"disagrees at {_cell_id(dist.n, dist.channel)}: "
+                    f"{dist.value1} vs {dist.value2}"
+                )
+                scanned = (dist.n - 2) * len(CHANNELS) + CHANNELS.index(dist.channel)
+            entries.append(
+                PairEntry(
+                    dist.germ1,
+                    dist.germ2,
+                    "equivalent",
+                    None,
+                    dist.unavailable,
+                    scanned - len(dist.unavailable),
+                )
+            )
     seen: set[str] = set()
     classes: list[str] = []
     for g in specs:
@@ -481,6 +490,14 @@ class NonsimpleReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+
+    def to_csv(self) -> str:
+        rows = []
+        for e in self.entries:
+            if e.skipped:
+                rows.append([e.instance, "", f"skipped: {e.reason}"])
+            rows.extend([e.instance, s.germ2, s.verdict] for s in e.separations)
+        return _csv(["instance", "versus", "verdict"], rows)
 
     def to_text(self) -> str:
         lines = [f"nonsimple germ report  N={self.N}"]
@@ -600,6 +617,10 @@ class SuiteReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
+    def to_csv(self) -> str:
+        rows = [[s.name, s.status, line] for s in self.sections for line in s.lines]
+        return _csv(["section", "status", "line"], rows)
+
     def to_text(self) -> str:
         lines = ["paper verification suite", "========================"]
         for s in self.sections:
@@ -659,6 +680,15 @@ def _describe_cell(g: GermSpec, n: int, channel: str) -> str:
     return f"{g.render()} {_cell_id(n, channel)}"
 
 
+def _value_section(name: str, checks: list[tuple[str, UPoly, UPoly]]) -> SuiteSection:
+    """One ``label = value [ok|FAIL]`` line per (label, got, want) check."""
+    lines = tuple(
+        f"{label} = {got} [{'ok' if got == want else 'FAIL'}]" for label, got, want in checks
+    )
+    bad = any(got != want for _, got, want in checks)
+    return SuiteSection(name, "FAIL" if bad else "ok", lines)
+
+
 def verify_paper_suite() -> SuiteReport:
     """Run every adjudication the acceptance grid rests on.
 
@@ -677,15 +707,7 @@ def verify_paper_suite() -> SuiteReport:
         ("beta_Y_fiber((1,1),+1)", beta_Y_fiber((1, 1), 1), u - 1),
         ("beta_Y_fiber((2,1),+1)", beta_Y_fiber((2, 1), 1), u_pow(2) + u),
     ]
-    lines = []
-    bad = 0
-    for name, got, want in spot:
-        mark = "ok" if got == want else "FAIL"
-        bad += got != want
-        lines.append(f"{name} = {got} [{mark}]")
-    sections.append(
-        SuiteSection("quadric-catalog", "FAIL" if bad else "ok", tuple(lines))
-    )
+    sections.append(_value_section("quadric-catalog", spot))
 
     # closed form vs recursion on the quadric chain
     mismatches = []
@@ -741,25 +763,16 @@ def verify_paper_suite() -> SuiteReport:
     )
 
     # frozen report values
-    lines = []
-    bad = 0
-
-    def check(name: str, got: UPoly, want: UPoly) -> None:
-        nonlocal bad
-        mark = "ok" if got == want else "FAIL"
-        bad += got != want
-        lines.append(f"{name} = {got} [{mark}]")
-
-    check("curve fiber, odd k, aligned signs", beta_D_curve(5, 1, 1), 2 * u)
-    check("curve fiber, even k, positive", beta_D_curve(4, 1, 1), u)
-    check("curve fiber, even k, negative", beta_D_curve(4, -1, 1), 2 * u)
-    check("suspension-free order 3", arc_G(3, 1, (0, 0)), u_pow(4) * (u - 1))
-    check("suspension-free order 5", arc_G(5, 1, (0, 0)), u_pow(6) * (u_pow(2) - 1))
-    check("E7 order-5 cell at (0,0)", arc_E("E7", 5, 1, (0, 0)), (u - 1) * u_pow(7))
-    check("E8 order-5 cell at (0,0)", arc_E("E8", 5, 1, (0, 0)), u_pow(8))
-    sections.append(
-        SuiteSection("report-values", "FAIL" if bad else "ok", tuple(lines))
-    )
+    frozen = [
+        ("curve fiber, odd k, aligned signs", beta_D_curve(5, 1, 1), 2 * u),
+        ("curve fiber, even k, positive", beta_D_curve(4, 1, 1), u),
+        ("curve fiber, even k, negative", beta_D_curve(4, -1, 1), 2 * u),
+        ("suspension-free order 3", arc_G(3, 1, (0, 0)), u_pow(4) * (u - 1)),
+        ("suspension-free order 5", arc_G(5, 1, (0, 0)), u_pow(6) * (u_pow(2) - 1)),
+        ("E7 order-5 cell at (0,0)", arc_E("E7", 5, 1, (0, 0)), (u - 1) * u_pow(7)),
+        ("E8 order-5 cell at (0,0)", arc_E("E8", 5, 1, (0, 0)), u_pow(8)),
+    ]
+    sections.append(_value_section("report-values", frozen))
 
     # pairwise separation of the cube-jet classes (corank-2 normal forms)
     e_germs = [

@@ -32,6 +32,15 @@ def _parse(expr: str) -> GermSpec:
         raise click.UsageError(f"{expr!r}: {exc}") from exc
 
 
+def _render(report, fmt: str) -> str:
+    """A report object (``to_text``/``to_csv``/``to_json``) in the chosen format."""
+    if fmt == "json":
+        return report.to_json() + "\n"
+    if fmt == "csv":
+        return report.to_csv()
+    return report.to_text()
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
@@ -70,12 +79,7 @@ def zeta(germ_expr: str, n_max: int, fmt: str, source: str, out: str | None, tra
     except CrossCheckError as exc:
         click.echo(f"cross-check failure: {exc}", err=True)
         sys.exit(1)
-    if fmt == "json":
-        text = table.to_json() + "\n"
-    elif fmt == "csv":
-        text = table.to_csv()
-    else:
-        text = table.to_text()
+    text = _render(table, fmt)
     if trace:
         blocks = [text]
         for n, cells in table.rows:
@@ -155,22 +159,7 @@ def table(dim: int, kmax: int, n_max: int, fmt: str, source: str, out: str | Non
     if dim < 2:
         raise click.UsageError("--d must be at least 2")
     report = ade_table(dim, kmax, n_max, source)
-    if fmt == "json":
-        text = report.to_json() + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["germ1", "germ2", "relation", "n", "channel", "value1", "value2"])
-        for e in report.entries:
-            c = e.certificate
-            if c is not None and c.separated:
-                w.writerow([e.germ1, e.germ2, e.relation, c.n, c.channel, str(c.value1), str(c.value2)])
-            else:
-                w.writerow([e.germ1, e.germ2, e.relation, "", "", "", ""])
-        text = buf.getvalue()
-    else:
-        text = report.to_text()
-    _emit(text, out)
+    _emit(_render(report, fmt), out)
     if not report.ok:
         sys.exit(1)
 
@@ -188,22 +177,7 @@ def nonsimple(instances: tuple[str, ...], n_max: int, kmax: int, fmt: str, out: 
         if g.family != "JKI":
             raise click.UsageError(f"{g.render()!r} is not a J-family instance")
     report = nonsimple_report(germs, n_max, kmax)
-    if fmt == "json":
-        text = report.to_json() + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["instance", "versus", "verdict"])
-        for e in report.entries:
-            if e.skipped:
-                w.writerow([e.instance, "", f"skipped: {e.reason}"])
-                continue
-            for s in e.separations:
-                w.writerow([e.instance, s.germ2, s.verdict])
-        text = buf.getvalue()
-    else:
-        text = report.to_text()
-    _emit(text, out)
+    _emit(_render(report, fmt), out)
     if not report.ok:
         sys.exit(1)
 
@@ -215,19 +189,7 @@ def nonsimple(instances: tuple[str, ...], n_max: int, kmax: int, fmt: str, out: 
 def verify(suite: str, fmt: str, out: str | None) -> None:
     """Run the verification suite: grids, frozen values, adjudications."""
     report = verify_paper_suite()
-    if fmt == "json":
-        text = report.to_json() + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["section", "status", "line"])
-        for s in report.sections:
-            for line in s.lines:
-                w.writerow([s.name, s.status, line])
-        text = buf.getvalue()
-    else:
-        text = report.to_text()
-    _emit(text, out)
+    _emit(_render(report, fmt), out)
     if not report.ok:
         sys.exit(1)
 

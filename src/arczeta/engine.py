@@ -446,9 +446,10 @@ def decompose(
     total = ZERO
     processed = 0
 
-    def log(depth: int, msg: str) -> None:
+    # A trace line is formatted only when traces are collected.
+    def log(depth: int, fmt: str, *args) -> None:
         if collect_trace:
-            trace.append("  " * depth + msg)
+            trace.append("  " * depth + fmt % args)
 
     root = _Stratum(
         constraints=list(system.constraints),
@@ -477,7 +478,7 @@ def decompose(
                 continue
             if action[0] == "leaf":
                 value = action[1]
-                log(st.depth, f"[leaf] {value}")
+                log(st.depth, "[leaf] %s", value)
                 leaves.append((st.path, value))
                 total += value
                 continue
@@ -486,7 +487,7 @@ def decompose(
             if action[0] == "peel":
                 _, i, z, w = action
                 zn, wn = names[z], names[w]
-                log(st.depth, f"[peel] {zn}^2-{wn}^2 in #{i}")
+                log(st.depth, "[peel] %s^2-%s^2 in #%s", zn, wn, i)
                 p, rel = st.constraints[i]
                 reduced = MPoly(
                     {m: c for m, c in p.terms() if m not in (((z, 2),), ((w, 2),))}
@@ -517,7 +518,7 @@ def decompose(
             # split
             v = action[1]
             vn = names[v]
-            log(st.depth, f"[split] {vn}")
+            log(st.depth, "[split] %s", vn)
             zero_branch = _Stratum(
                 constraints=[(p.subs_zero(v), rel) for p, rel in st.constraints],
                 assumed=st.assumed,
@@ -656,12 +657,12 @@ def _simplify(st, rank, names, log):
                     new_cons.append((q, qrel))
                 st.constraints = new_cons
                 st.alive = st.alive - {v}
-                log(st.depth, f"[pivot] {names[v]} from eq#{i}")
+                log(st.depth, "[pivot] %s from eq#%s", names[v], i)
             else:
                 st.constraints = cons[:i] + cons[i + 1 :]
                 st.alive = st.alive - {v}
                 st.prefactor = st.prefactor * U_MINUS_1
-                log(st.depth, f"[pivot] {names[v]} from neq#{i} (factor u-1)")
+                log(st.depth, "[pivot] %s from neq#%s (factor u-1)", names[v], i)
             break
         else:
             break

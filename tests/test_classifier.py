@@ -1,10 +1,12 @@
 """Classification scans: distinguishers, the A-D-E table, nonsimple reports,
 and the verification suite."""
 
+import dataclasses
 import json
 
 import pytest
 
+from arczeta import classifier
 from arczeta.classifier import (
     ade_table,
     audit_scan_minimality,
@@ -14,7 +16,7 @@ from arczeta.classifier import (
     oracle_recheck,
     verify_paper_suite,
 )
-from arczeta.germs import GermSpec, analytic_equiv, canonicalize
+from arczeta.germs import GermSpec, analytic_equiv, canonicalize, resolve_cell
 from arczeta.upoly import u_pow
 
 
@@ -159,6 +161,55 @@ def test_ade_table_text_and_json():
     assert data["ok"] is True
     assert data["d"] == 2
     assert len(data["pairs"]) == len(rep.entries)
+
+
+def _patch_cells(monkeypatch, rewrite):
+    """Route ade_table's cell lookups through ``rewrite(g, n, channel, cell)``."""
+
+    def patched(g, n, channel, source, oracle=None):
+        return rewrite(g, n, channel, resolve_cell(g, n, channel, source, oracle))
+
+    monkeypatch.setattr(classifier, "resolve_cell", patched)
+
+
+def test_ade_table_reports_a_broken_equivalent_pair(monkeypatch):
+    g = "D(4,-,-) (+) Q(0,0)"
+    bump = u_pow(40)
+
+    def rewrite(spec, n, channel, cell):
+        if (spec.render(), n, channel) == (g, 3, "minus"):
+            return dataclasses.replace(cell, value=cell.value + bump)
+        return cell
+
+    _patch_cells(monkeypatch, rewrite)
+    rep = ade_table(2, kmax=4, N=5)
+    v = resolve_cell(D(4, 1, 1, (0, 0)), 3, "minus", "auto").value
+    assert not rep.ok
+    assert rep.failures == (
+        f"equivalent pair D(4,+,+) (+) Q(0,0) ~ {g} disagrees at n=3/minus: "
+        f"{v} vs {v + bump}",
+    )
+    # the scan stops at the first disagreement: n=2 and n=3/plus agreed
+    e = rep.certificate_for("D(4,+,+) (+) Q(0,0)", g)
+    assert (e.relation, e.certificate, e.agreed_cells) == ("equivalent", None, 4)
+
+
+def test_ade_table_reports_an_unseparated_distinct_pair(monkeypatch):
+    e7 = GermSpec("E7", (0, 0))
+
+    def rewrite(spec, n, channel, cell):
+        if spec.family == "E8":
+            return resolve_cell(e7, n, channel, "auto")
+        return cell
+
+    _patch_cells(monkeypatch, rewrite)
+    rep = ade_table(2, kmax=4, N=5)
+    assert not rep.ok
+    assert rep.failures == (
+        "no distinguisher at n <= 5 for E7 (+) Q(0,0) vs E8 (+) Q(0,0) (unavailable: none)",
+    )
+    e = rep.certificate_for("E7 (+) Q(0,0)", "E8 (+) Q(0,0)")
+    assert e.relation == "distinct" and not e.certificate.separated
 
 
 # -- nonsimple instances ---------------------------------------------------------

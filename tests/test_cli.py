@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -295,3 +296,32 @@ def test_help_lists_commands():
     assert r.exit_code == 0
     for cmd in ("zeta", "distinguish", "table", "nonsimple", "verify", "catalog"):
         assert cmd in r.output
+
+
+# -- output bytes ---------------------------------------------------------------------------
+
+# sha256 over the exit codes and exact stdout bytes of these commands in every
+# format, recorded while each command still rendered its own CSV.  A refactor
+# of the renderers must keep it; a deliberate change of
+# output must record a new digest.  The report CSVs keep csv.writer's \r\n
+# line ends and the zeta CSV its \n ones.
+PINNED_OUTPUT = [
+    ("table", "--d", "2"),
+    ("distinguish", "A(3,+) (+) Q(1,1)", "A(3,-) (+) Q(1,1)"),
+    ("distinguish", "D(4,+,+) (+) Q(0,0)", "D(4,-,-) (+) Q(0,0)"),
+    ("nonsimple", "J(2,0) (+) Q(1,1)"),
+    ("verify",),
+    ("catalog", "--max", "2"),
+    ("zeta", "A(3,+) (+) Q(1,1)", "--N", "5"),
+]
+PINNED_OUTPUT_DIGEST = "575bdd51b8d81469f6dba4c24ba652a6001f6a9928da736788c434f70649ec8b"
+
+
+def test_output_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for args in PINNED_OUTPUT:
+        for fmt in ("text", "csv", "json"):
+            r = run(*args, "--format", fmt)
+            digest.update(f"{' '.join(args)} --format {fmt}: {r.exit_code}\n".encode())
+            digest.update(r.stdout_bytes)
+    assert digest.hexdigest() == PINNED_OUTPUT_DIGEST

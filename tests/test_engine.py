@@ -22,7 +22,7 @@ from arczeta.formulas import arc_Ak, arc_cube, arc_D4_order4, arc_Q_signed
 from arczeta.germs import CHANNELS, TARGETS, GermSpec, germ_poly
 from arczeta.mpoly import MPoly
 from arczeta.parser import parse_germ
-from arczeta.upoly import u_pow
+from arczeta.upoly import UPoly, u_pow
 
 
 def _v(j: int) -> MPoly:
@@ -181,6 +181,23 @@ def test_budget_env(monkeypatch):
 def test_trace_only_on_request():
     assert beta_of(Q21, ("c", "c", "c"), 3, 1).trace == []
     assert beta_of(Q21, ("c", "c", "c"), 3, 1, collect_trace=True).trace
+
+
+def test_untraced_run_formats_no_trace_line(monkeypatch):
+    rendered = []
+    to_str = UPoly.__str__
+
+    def counting(self):
+        rendered.append(self)
+        return to_str(self)
+
+    monkeypatch.setattr(UPoly, "__str__", counting)
+    # leaves, splits and a peel, as in the traced run below
+    out = beta_of(D4PM11, ("a", "b", "c", "c"), 4, 1)
+    assert out.ok and len(out.leaves) > 1
+    assert rendered == []
+    traced = beta_of(D4PM11, ("a", "b", "c", "c"), 4, 1, collect_trace=True)
+    assert len(rendered) == len(traced.leaves)
 
 
 def test_decompose_accepts_prebuilt_system():
