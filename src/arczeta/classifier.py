@@ -10,8 +10,6 @@ no out-of-band invariants enter the reports.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -27,6 +25,7 @@ from .germs import (
     CHANNEL_OF,
     CHANNELS,
     GermSpec,
+    _csv,
     analytic_equiv,
     canonicalize,
     oracle_cell,
@@ -54,15 +53,6 @@ __all__ = [
 
 def _cell_id(n: int, channel: str) -> str:
     return f"n={n}/{channel}"
-
-
-def _csv(header: list[str], rows: list[list]) -> str:
-    """CSV text with the csv module's default \\r\\n line ends."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ Output is deterministic: identical invocations produce identical bytes.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
 
@@ -17,12 +15,22 @@ import click
 
 from .classifier import ade_table, distinguish, nonsimple_report, verify_paper_suite
 from .engine import EngineOutcome
-from .germs import CHANNELS, CrossCheckError, GermSpec, analytic_equiv, oracle_cell, zeta_table
+from .germs import (
+    CHANNELS,
+    CrossCheckError,
+    GermSpec,
+    _csv,
+    analytic_equiv,
+    oracle_cell,
+    zeta_table,
+)
 from .parser import GermParseError, parse_germ
 from .quadric import beta_Y, beta_Y_compl, beta_Y_fiber, beta_Y_star
 
 _FORMATS = click.Choice(["text", "csv", "json"])
 _SOURCES = click.Choice(["formulas", "oracle", "hybrid", "auto"])
+#: Every --N: a table, a scan or a cube check needs at least the n=2 row.
+_ORDER = click.IntRange(min=2)
 
 
 def _parse(expr: str) -> GermSpec:
@@ -56,7 +64,7 @@ def main() -> None:
 
 @main.command()
 @click.argument("germ_expr")
-@click.option("--N", "n_max", type=int, default=6, show_default=True, help="Largest arc order.")
+@click.option("--N", "n_max", type=_ORDER, default=6, show_default=True, help="Largest arc order.")
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
 @click.option("--source", type=_SOURCES, default="hybrid", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
@@ -64,8 +72,6 @@ def main() -> None:
 def zeta(germ_expr: str, n_max: int, fmt: str, source: str, out: str | None, trace: bool) -> None:
     """Zeta table of one germ expression up to order N."""
     g = _parse(germ_expr)
-    if n_max < 2:
-        raise click.UsageError("--N must be at least 2")
     # With --trace every engine run collects its trace, so each cell is
     # decomposed once; the oracle cache, which holds no traces, is bypassed.
     traced: dict[tuple[int, str], EngineOutcome] = {}
@@ -99,7 +105,7 @@ def zeta(germ_expr: str, n_max: int, fmt: str, source: str, out: str | None, tra
 @main.command(name="distinguish")
 @click.argument("germ1")
 @click.argument("germ2")
-@click.option("--N", "n_max", type=int, default=9, show_default=True)
+@click.option("--N", "n_max", type=_ORDER, default=9, show_default=True)
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
 @click.option("--source", type=_SOURCES, default="auto", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
@@ -117,21 +123,20 @@ def distinguish_cmd(germ1: str, germ2: str, n_max: int, fmt: str, source: str, o
         payload["analytic_equiv"] = equivalent
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["germ1", "germ2", "verdict", "n", "channel", "value1", "value2"])
-        w.writerow(
+        text = _csv(
+            ["germ1", "germ2", "verdict", "n", "channel", "value1", "value2"],
             [
-                dist.germ1,
-                dist.germ2,
-                dist.verdict,
-                dist.n if dist.separated else "",
-                dist.channel if dist.separated else "",
-                str(dist.value1) if dist.separated else "",
-                str(dist.value2) if dist.separated else "",
-            ]
+                [
+                    dist.germ1,
+                    dist.germ2,
+                    dist.verdict,
+                    dist.n if dist.separated else "",
+                    dist.channel if dist.separated else "",
+                    str(dist.value1) if dist.separated else "",
+                    str(dist.value2) if dist.separated else "",
+                ]
+            ],
         )
-        text = buf.getvalue()
     else:
         lines = [f"{dist.germ1}  vs  {dist.germ2}", f"verdict: {dist.verdict}"]
         if dist.separated:
@@ -148,16 +153,14 @@ def distinguish_cmd(germ1: str, germ2: str, n_max: int, fmt: str, source: str, o
 
 
 @main.command()
-@click.option("--d", "dim", type=int, required=True, help="Ambient dimension.")
+@click.option("--d", "dim", type=click.IntRange(min=2), required=True, help="Ambient dimension.")
 @click.option("--kmax", type=int, default=8, show_default=True)
-@click.option("--N", "n_max", type=int, default=9, show_default=True)
+@click.option("--N", "n_max", type=_ORDER, default=9, show_default=True)
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
 @click.option("--source", type=_SOURCES, default="auto", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def table(dim: int, kmax: int, n_max: int, fmt: str, source: str, out: str | None) -> None:
     """Pairwise classification of all simple germs at ambient dimension d."""
-    if dim < 2:
-        raise click.UsageError("--d must be at least 2")
     report = ade_table(dim, kmax, n_max, source)
     _emit(_render(report, fmt), out)
     if not report.ok:
@@ -166,7 +169,7 @@ def table(dim: int, kmax: int, n_max: int, fmt: str, source: str, out: str | Non
 
 @main.command()
 @click.argument("instances", nargs=-1, required=True)
-@click.option("--N", "n_max", type=int, default=5, show_default=True)
+@click.option("--N", "n_max", type=_ORDER, default=5, show_default=True)
 @click.option("--kmax", type=int, default=8, show_default=True)
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
@@ -195,7 +198,9 @@ def verify(suite: str, fmt: str, out: str | None) -> None:
 
 
 @main.command()
-@click.option("--max", "top", type=int, default=4, show_default=True, help="Largest p and q.")
+@click.option(
+    "--max", "top", type=click.IntRange(min=0), default=4, show_default=True, help="Largest p and q."
+)
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def catalog(top: int, fmt: str, out: str | None) -> None:
@@ -215,17 +220,12 @@ def catalog(top: int, fmt: str, out: str | None) -> None:
                     "complement": str(beta_Y_compl(sig)),
                 }
             )
+    cols = ["p", "q", "beta_Y", "beta_Y_star", "fiber_plus", "fiber_minus", "complement"]
     if fmt == "json":
         text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["p", "q", "beta_Y", "beta_Y_star", "fiber_plus", "fiber_minus", "complement"])
-        for r in rows:
-            w.writerow([r["p"], r["q"], r["beta_Y"], r["beta_Y_star"], r["fiber_plus"], r["fiber_minus"], r["complement"]])
-        text = buf.getvalue()
+        text = _csv(cols, [[r[c] for c in cols] for r in rows])
     else:
-        cols = ["p", "q", "beta_Y", "beta_Y_star", "fiber_plus", "fiber_minus", "complement"]
         widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in cols}
         lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
         for r in rows:

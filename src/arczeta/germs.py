@@ -67,6 +67,15 @@ _SIMPLE = frozenset({"AK", "DK", "E6", "E7", "E8"})
 _SIGNED = frozenset({1, -1})
 
 
+def _csv(header: list[str], rows: list[list]) -> str:
+    """CSV text with the csv module's default \\r\\n line ends; every CSV uses it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _fmt_sign(s: int) -> str:
     return "+" if s == 1 else "-"
 
@@ -390,6 +399,46 @@ def _oracle_cached(g: GermSpec, n: int, channel: str, budget: int) -> EngineOutc
     return beta_of(poly, blocks, n, TARGETS[channel], budget=budget)
 
 
+_SWAP = {"plus": "minus", "minus": "plus", "naive": "naive"}
+
+
+def _dual(g: GermSpec) -> GermSpec:
+    """The germ -g, up to a signed permutation of its variables.
+
+    A_n^c(-g) = A_n^{-c}(g), so a cell of g is the swapped-channel cell
+    of its dual.  The signature swaps; A, D and E6 negate their signs;
+    J(k,0) negates b and c (x -> -x absorbs the rest) and J(k,i>0)
+    negates s and every a_m.  Q, E7, E8, CUBE and G are self-dual.
+    """
+    sig = g.sig[::-1]
+    if g.family in ("AK", "DK", "E6"):
+        return replace(g, sig=sig, signs=tuple(-s for s in g.signs))
+    if g.family == "JKI":
+        params = tuple(
+            (name, -v if g.i > 0 or name in ("b", "c") else v) for name, v in g.params
+        )
+        return replace(g, sig=sig, params=params)
+    return replace(g, sig=sig)
+
+
+def _orbit(g: GermSpec, n: int, channel: str) -> list[tuple[GermSpec, str]]:
+    """The cells whose value equals cell (g, n, channel) by a sign symmetry.
+
+    Negation maps (g, c) to (dual g, -c); at odd n, t -> -t maps the
+    plus cell of a germ to its minus cell.
+    """
+    cells = [(g, channel), (_dual(g), _SWAP[channel])]
+    if n % 2 and channel != "naive":
+        cells += [(h, _SWAP[ch]) for h, ch in cells]
+    return cells
+
+
+def _orbit_order(cell: tuple[GermSpec, str]) -> tuple:
+    # family, k and i are the same across an orbit
+    g, channel = cell
+    return g.sig, g.signs, g.params, CHANNELS.index(channel)
+
+
 def oracle_cell(
     g: GermSpec,
     n: int,
@@ -402,12 +451,22 @@ def oracle_cell(
     The stratum budget is resolved (``budget``, else the environment)
     before the cache lookup and is part of its key, so an outcome
     computed under one budget is never served under another.
+
+    The cache is keyed on the least cell of the symmetry orbit
+    (``_orbit``): every cell in it is the same set up to a linear
+    isomorphism, so its virtual Poincaré polynomial is the same.  Only a
+    successful outcome is shared; if the representative fails, the
+    requested cell is computed (and cached) itself, so a failure always
+    describes the cell's own system.  A traced call decomposes the
+    requested cell.
     """
     limit = effective_budget(budget)
-    if not collect_trace:
-        return _oracle_cached(g, n, channel, limit)
-    poly, blocks = germ_poly(g)
-    return beta_of(poly, blocks, n, TARGETS[channel], budget=limit, collect_trace=True)
+    if collect_trace:
+        poly, blocks = germ_poly(g)
+        return beta_of(poly, blocks, n, TARGETS[channel], budget=limit, collect_trace=True)
+    rep, rep_channel = min(_orbit(g, n, channel), key=_orbit_order)
+    out = _oracle_cached(rep, n, rep_channel, limit)
+    return out if out.ok else _oracle_cached(g, n, channel, limit)
 
 
 # An engine-outcome source for resolve_cell: (germ, n, channel) -> outcome.
@@ -537,24 +596,14 @@ class ZetaTable:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["germ", "d", "n", "channel", "value", "provenance"])
         label = self.germ.render()
+        rows = []
         for n, cells in self.rows:
             for ch in CHANNELS:
                 cell = cells[ch]
-                writer.writerow(
-                    [
-                        label,
-                        self.d,
-                        n,
-                        ch,
-                        str(cell.value) if cell.value is not None else "",
-                        cell.provenance,
-                    ]
-                )
-        return buf.getvalue()
+                value = str(cell.value) if cell.value is not None else ""
+                rows.append([label, self.d, n, ch, value, cell.provenance])
+        return _csv(["germ", "d", "n", "channel", "value", "provenance"], rows)
 
     def to_text(self) -> str:
         lines = [f"germ: {self.germ.render()}   d={self.d}   source={self.source}"]

@@ -20,7 +20,9 @@ from arczeta.formulas import (
 )
 from arczeta.germs import (
     CHANNELS,
+    TARGETS,
     GermSpec,
+    _dual,
     apply_signed_permutation,
     formula_cell,
     germ_poly,
@@ -242,6 +244,71 @@ def test_criterion_8_signed_permutation_invariance():
     print(
         f"[PASS] criterion 8: 20 signed-permutation pairs agree on all"
         f" {cells} cells with n<=5 ({elapsed:.1f}s)"
+    )
+
+
+# Every family, unbalanced signatures, and J moduli that the dual negates
+# (b, c, s, a0, a1) or keeps (the a_m of J(k,0)).
+SYMMETRY_POOL = [
+    GermSpec("Q", (2, 1)),
+    GermSpec("Q", (0, 3)),
+    GermSpec("AK", (1, 0), k=2, signs=(1,)),
+    GermSpec("AK", (0, 2), k=3, signs=(-1,)),
+    GermSpec("AK", (2, 0), k=4, signs=(1,)),
+    GermSpec("AK", (2, 1), k=5, signs=(1,)),
+    GermSpec("DK", (1, 0), k=4, signs=(1, -1)),
+    GermSpec("DK", (0, 2), k=4, signs=(1, 1)),
+    GermSpec("DK", (0, 1), k=5, signs=(-1, -1)),
+    GermSpec("DK", (1, 0), k=6, signs=(-1, 1)),
+    GermSpec("E6", (1, 0), signs=(1,)),
+    GermSpec("E6", (0, 2), signs=(-1,)),
+    GermSpec("E7", (0, 1)),
+    GermSpec("E8", (2, 0)),
+    GermSpec("CUBE", (2, 0)),
+    GermSpec("G", (0, 1)),
+    GermSpec("JKI", (1, 0), k=2, i=0, params=(("b", Fraction(1, 2)),)),
+    GermSpec(
+        "JKI", (0, 1), k=3, i=0,
+        params=(("b", Fraction(-2)), ("c", Fraction(3)), ("a1", Fraction(1, 3))),
+    ),
+    GermSpec(
+        "JKI", (1, 0), k=2, i=1,
+        params=(("s", Fraction(-1)), ("a0", Fraction(1, 2)), ("a1", Fraction(2))),
+    ),
+]
+SWAPPED = {"plus": "minus", "minus": "plus", "naive": "naive"}
+
+
+def test_sign_symmetries_are_exact_identities():
+    """The two symmetries the oracle cache shares cells across, in Z[u].
+
+    t -> -t carries A_n^{+1}(f) onto A_n^{-1}(f) at odd n, and
+    A_n^c(f) = A_n^{-c}(-f) with -f = dual(f) up to a signed
+    permutation.  Direct engine runs, so no cache vouches for itself.
+    """
+    t0 = time.monotonic()
+    compared = 0
+    for g in SYMMETRY_POOL:
+        systems = {h: germ_poly(h) for h in (g, _dual(g))}
+        for n in range(2, 8):
+            out = {
+                (h, ch): beta_of(poly, blocks, n, TARGETS[ch])
+                for h, (poly, blocks) in systems.items()
+                for ch in CHANNELS
+            }
+            pairs = [((g, ch), (_dual(g), SWAPPED[ch])) for ch in CHANNELS]
+            if n % 2:
+                pairs += [((h, "plus"), (h, "minus")) for h in systems]
+            for a, b in pairs:
+                if out[a].ok and out[b].ok:
+                    assert out[a].value == out[b].value, (a[0].render(), n, a[1], b)
+                    compared += 1
+    elapsed = time.monotonic() - t0
+    assert compared >= 400
+    print(
+        f"[PASS] sign symmetries: {len(SYMMETRY_POOL)} germs agree with their"
+        f" duals and, at odd n, plus with minus on {compared} cell pairs"
+        f" with n<=7 ({elapsed:.1f}s)"
     )
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 from arczeta import engine, germs
@@ -79,7 +80,8 @@ def test_zeta_trace_decomposes_each_cell_once(monkeypatch):
     calls.clear()
     plain = run("zeta", "D(4,+,-) (+) Q(1,1)", "--N", "6")
     assert r.output.startswith(plain.output)
-    assert calls == [False] * 15
+    # the minus cells at n=3 and n=5 are the plus cells (t -> -t)
+    assert calls == [False] * 13
 
 
 def test_zeta_parse_error_is_exit_2():
@@ -94,6 +96,24 @@ def test_zeta_parse_error_is_exit_2():
 def test_zeta_bad_n():
     r = run("zeta", "A(2) (+) Q(1,1)", "--N", "1")
     assert r.exit_code == 2
+
+
+# Like zeta's, every other --N, and --max, out of range is a usage error
+# (exit 2), never a mathematical failure (exit 1) or a traceback.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("distinguish", "A(2) (+) Q(1,0)", "A(3,+) (+) Q(1,0)", "--N", "1"),
+        ("table", "--d", "2", "--N", "1"),
+        ("nonsimple", "J(2,0) (+) Q(1,1)", "--N", "0"),
+        ("catalog", "--max", "-1"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_out_of_range_option_is_exit_2(args):
+    r = run(*args)
+    assert r.exit_code == 2
+    assert "Invalid value" in r.output
 
 
 def test_zeta_out_file(tmp_path):
@@ -298,13 +318,34 @@ def test_help_lists_commands():
         assert cmd in r.output
 
 
+# -- CSV line ends ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("zeta", "A(3,+) (+) Q(1,1)", "--N", "3"),
+        ("distinguish", "A(3,+) (+) Q(1,1)", "A(3,-) (+) Q(1,1)", "--N", "4"),
+        ("table", "--d", "2", "--kmax", "3", "--N", "4"),
+        ("nonsimple", "J(2,0) (+) Q(0,0)", "--N", "5"),
+        ("verify",),
+        ("catalog", "--max", "1"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_every_csv_ends_lines_with_crlf(args):
+    out = run(*args, "--format", "csv").stdout_bytes
+    lines = out.split(b"\r\n")
+    assert len(lines) > 2 and lines[-1] == b""
+    assert not any(b"\n" in line for line in lines)
+
+
 # -- output bytes ---------------------------------------------------------------------------
 
 # sha256 over the exit codes and exact stdout bytes of these commands in every
-# format, recorded while each command still rendered its own CSV.  A refactor
-# of the renderers must keep it; a deliberate change of
-# output must record a new digest.  The report CSVs keep csv.writer's \r\n
-# line ends and the zeta CSV its \n ones.
+# format.  A refactor of the renderers must keep it; a deliberate change of
+# output must record a new digest.  Re-recorded when the zeta CSV took the
+# \r\n line ends of every other CSV; no other byte changed.
 PINNED_OUTPUT = [
     ("table", "--d", "2"),
     ("distinguish", "A(3,+) (+) Q(1,1)", "A(3,-) (+) Q(1,1)"),
@@ -314,7 +355,7 @@ PINNED_OUTPUT = [
     ("catalog", "--max", "2"),
     ("zeta", "A(3,+) (+) Q(1,1)", "--N", "5"),
 ]
-PINNED_OUTPUT_DIGEST = "575bdd51b8d81469f6dba4c24ba652a6001f6a9928da736788c434f70649ec8b"
+PINNED_OUTPUT_DIGEST = "b1486892aedb490646175e4b904cad0555d2f2ecb7a56d17368f5724e971a675"
 
 
 def test_output_bytes_are_pinned():

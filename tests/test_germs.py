@@ -7,11 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from arczeta.engine import BUDGET_ENV, DEFAULT_BUDGET
+from arczeta import germs
+from arczeta.engine import BUDGET_ENV, DEFAULT_BUDGET, EngineOutcome
 from arczeta.germs import (
     CHANNELS,
     Cell,
     GermSpec,
+    _dual,
+    _oracle_cached,
     analytic_equiv,
     apply_signed_permutation,
     canonicalize,
@@ -182,6 +185,52 @@ def test_signed_permutation_validation():
         apply_signed_permutation(poly, blocks, [0, 1, 2], [1, 1, 2])
 
 
+# x -> -x (and y -> -y for E8) carries -f to the dual's core polynomial.
+DUAL_CORE_FLIPS = {
+    "E6": [-1, 1], "E7": [-1, 1], "E8": [-1, -1], "CUBE": [-1, 1], "G": [-1, 1], "JKI": [-1, 1],
+}
+
+
+def dual_permutation(g):
+    """The signed permutation taking -germ_poly(g) to germ_poly(_dual(g))."""
+    core = {"Q": 0, "AK": 1}.get(g.family, 2)
+    p, q = g.sig
+    # the suspension's positive and negative squares trade places
+    perm = list(range(core)) + [core + q + i for i in range(p)] + [core + j for j in range(q)]
+    flips = DUAL_CORE_FLIPS.get(g.family, [1, 1])[:core] + [1] * (p + q)
+    return perm, flips
+
+
+def test_dual_is_negation_up_to_a_signed_permutation():
+    pool = [
+        GermSpec("Q", (2, 1)),
+        A(2, 1, (1, 0)),
+        A(3, -1, (0, 2)),
+        D(4, 1, -1, (1, 0)),
+        D(5, -1, -1, (2, 1)),
+        GermSpec("E6", (0, 1), signs=(1,)),
+        GermSpec("E7", (1, 2)),
+        GermSpec("E8", (0, 0)),
+        GermSpec("CUBE", (2, 0)),
+        GermSpec("G", (0, 3)),
+        GermSpec("JKI", (1, 0), k=2, i=0, params=(("b", Fraction(1, 2)),)),
+        GermSpec("JKI", (0, 1), k=3, i=0, params=(("b", Fraction(0)), ("a0", Fraction(2)))),
+        GermSpec("JKI", (2, 0), k=2, i=1, params=(("a0", Fraction(1, 2)), ("a1", Fraction(3)))),
+        GermSpec("JKI", (1, 1), k=3, i=2, params=(("s", Fraction(-1)), ("a3", Fraction(-1, 4)))),
+    ]
+    for g in pool:
+        h = _dual(g)
+        assert h.sig == g.sig[::-1] and (h.family, h.k, h.i) == (g.family, g.k, g.i)
+        assert GermSpec(h.family, h.sig, h.k, h.i, h.signs, h.params) == h
+        assert _dual(h) == g
+        poly, blocks = germ_poly(g)
+        assert apply_signed_permutation(-poly, blocks, *dual_permutation(g)) == germ_poly(h)
+    assert _dual(D(4, 1, -1)).signs == (-1, 1)
+    assert _dual(pool[10]).params == (("b", Fraction(-1, 2)), ("c", Fraction(-1)))
+    assert dict(_dual(pool[11]).params)["a0"] == 2  # J(k,0) keeps its a_m
+    assert dict(_dual(pool[12]).params) == {"a0": -Fraction(1, 2), "a1": -3, "s": -1}
+
+
 # -- cell resolution -----------------------------------------------------------
 
 
@@ -347,3 +396,48 @@ def test_oracle_cache_keys_on_budget(monkeypatch):
     assert oracle_cell(g, 6, "plus", budget=DEFAULT_BUDGET) is first
     monkeypatch.delenv(BUDGET_ENV)
     assert oracle_cell(g, 6, "plus") is first
+
+
+@pytest.fixture
+def empty_oracle_cache():
+    _oracle_cached.cache_clear()
+    yield
+    _oracle_cached.cache_clear()
+
+
+def test_oracle_cell_shares_a_success_across_the_orbit(empty_oracle_cache):
+    g = A(3, 1)
+    out = oracle_cell(g, 3, "plus")
+    assert out.ok
+    # t -> -t at odd n, and the dual A(3,-) with plus and minus swapped
+    for h, ch in ((g, "minus"), (A(3, -1), "minus"), (A(3, -1), "plus")):
+        assert oracle_cell(h, 3, ch) is out
+    assert _oracle_cached.cache_info().currsize == 1
+    # at even n plus and minus are different sets: one run each
+    assert oracle_cell(g, 2, "plus") is not oracle_cell(g, 2, "minus")
+    assert _oracle_cached.cache_info().currsize == 3
+
+
+def test_failing_representative_falls_back_to_the_cell(monkeypatch, empty_oracle_cache):
+    """Only a success crosses the orbit; a failure describes the cell's own system."""
+    real = germs.beta_of
+    fail_all = False
+
+    def engine(poly, blocks, n, target, budget=None):
+        if fail_all or target == -1:
+            terms = sorted(str(c) for _, c in poly.terms())
+            return EngineOutcome(None, "unmatched-terminal", f"{target}: {terms}", 1, [])
+        return real(poly, blocks, n, target, budget=budget)
+
+    monkeypatch.setattr(germs, "beta_of", engine)
+    # the orbit of (A(3,+), 2, plus) is itself and (A(3,-), 2, minus), the least
+    out = oracle_cell(A(3, 1), 2, "plus")
+    assert out.ok and out.value == formula_cell(A(3, 1), 2, "plus")
+    assert oracle_cell(A(3, -1), 2, "minus").failure == "unmatched-terminal"
+    _oracle_cached.cache_clear()
+    fail_all = True
+    for g, ch in ((A(3, 1), "plus"), (A(3, -1), "minus")):
+        poly, blocks = germ_poly(g)
+        own = engine(poly, blocks, 2, germs.TARGETS[ch])
+        out = oracle_cell(g, 2, ch)
+        assert (out.failure, out.detail) == (own.failure, own.detail)
