@@ -31,6 +31,8 @@ _FORMATS = click.Choice(["text", "csv", "json"])
 _SOURCES = click.Choice(["formulas", "oracle", "hybrid", "auto"])
 #: Every --N: a table, a scan or a cube check needs at least the n=2 row.
 _ORDER = click.IntRange(min=2)
+#: Every --kmax: k = 2 is the least k of any family.
+_KMAX = click.IntRange(min=2)
 
 
 def _parse(expr: str) -> GermSpec:
@@ -154,7 +156,7 @@ def distinguish_cmd(germ1: str, germ2: str, n_max: int, fmt: str, source: str, o
 
 @main.command()
 @click.option("--d", "dim", type=click.IntRange(min=2), required=True, help="Ambient dimension.")
-@click.option("--kmax", type=int, default=8, show_default=True)
+@click.option("--kmax", type=_KMAX, default=8, show_default=True)
 @click.option("--N", "n_max", type=_ORDER, default=9, show_default=True)
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
 @click.option("--source", type=_SOURCES, default="auto", show_default=True)
@@ -170,7 +172,7 @@ def table(dim: int, kmax: int, n_max: int, fmt: str, source: str, out: str | Non
 @main.command()
 @click.argument("instances", nargs=-1, required=True)
 @click.option("--N", "n_max", type=_ORDER, default=5, show_default=True)
-@click.option("--kmax", type=int, default=8, show_default=True)
+@click.option("--kmax", type=_KMAX, default=8, show_default=True)
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def nonsimple(instances: tuple[str, ...], n_max: int, kmax: int, fmt: str, out: str | None) -> None:

@@ -10,6 +10,8 @@ by recursive stratification of the coefficient constraints:
 * a catalog of recognized terminal shapes (diagonal quadrics, power
   forms, monomial equations, cusp-type plane curves), combined by
   inclusion-exclusion over nonvanishing assumptions,
+* hyperbolic peels: an isolated pair z^2 - w^2 rotates to the product
+  coordinates (z+w, z-w) and cuts the stratum in two,
 * sign splits on a chosen coordinate when nothing else applies.
 
 Every leaf contributes ``prefactor * (recognized values) * u^free`` and
@@ -21,9 +23,9 @@ exhausted stratum budget yields an explicit failure outcome.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 from .mpoly import Coeff, MPoly
 from .quadric import (
@@ -51,7 +53,6 @@ __all__ = [
 
 EQ = "eq"
 NEQ = "neq"
-Rel = Literal["eq", "neq"]
 
 DEFAULT_BUDGET = 10_000
 BUDGET_ENV = "ARCZETA_STRATUM_BUDGET"
@@ -324,19 +325,6 @@ def _recognize(p: MPoly, rel: str) -> UPoly | None:
         if curve is not None:
             return curve
 
-    # An isolated hyperbolic pair z^2 - w^2 rotates to a product coordinate
-    # and peels off: beta = (u-1)*u^rest + u*beta(remainder).
-    squares = p.summary().squares
-    pair = _hyperbolic_pair(squares, sorted(squares))
-    if pair is not None:
-        pos, neg = pair
-        remainder = MPoly(
-            {m: c for m, c in p.terms() if m not in (((pos, 2),), ((neg, 2),))}
-        )
-        sub = _recognize(remainder, EQ)
-        if sub is None:
-            return None
-        return U_MINUS_1 * u_pow(len(remainder.vars())) + u_pow(1) * sub
     return None
 
 
@@ -472,95 +460,41 @@ def decompose(
                     "depth-exceeded",
                     f"stratum budget {limit} exhausted (set {BUDGET_ENV} to raise it)",
                 )
-            action = _simplify(st, rank, names, log)
-            if action[0] == "empty":
+            fate = _simplify(st, rank, names, log)
+            if fate is None:
                 log(st.depth, "[empty]")
-                continue
-            if action[0] == "leaf":
-                value = action[1]
-                log(st.depth, "[leaf] %s", value)
-                leaves.append((st.path, value))
-                total += value
-                continue
-            if action[0] == "fail":
-                raise _Failure("unmatched-terminal", action[1])
-            if action[0] == "peel":
-                _, i, z, w = action
-                zn, wn = names[z], names[w]
-                log(st.depth, "[peel] %s^2-%s^2 in #%s", zn, wn, i)
-                p, rel = st.constraints[i]
-                reduced = MPoly(
-                    {m: c for m, c in p.terms() if m not in (((z, 2),), ((w, 2),))}
-                )
-                drop_factor = U_MINUS_1 if rel == EQ else U_MINUS_1 * U_MINUS_1
-                drop_branch = _Stratum(
-                    constraints=[c for j, c in enumerate(st.constraints) if j != i],
-                    assumed=st.assumed,
-                    alive=st.alive - {z, w},
-                    prefactor=st.prefactor * drop_factor,
-                    depth=st.depth + 1,
-                    path=f"{st.path} / peel({zn},{wn})-solve",
-                )
-                keep_branch = _Stratum(
-                    constraints=[
-                        (reduced, rel) if j == i else c
-                        for j, c in enumerate(st.constraints)
-                    ],
-                    assumed=st.assumed,
-                    alive=st.alive - {z, w},
-                    prefactor=st.prefactor * u_pow(1),
-                    depth=st.depth + 1,
-                    path=f"{st.path} / peel({zn},{wn})-slice",
-                )
-                stack.append(drop_branch)
-                stack.append(keep_branch)
-                continue
-            # split
-            v = action[1]
-            vn = names[v]
-            log(st.depth, "[split] %s", vn)
-            zero_branch = _Stratum(
-                constraints=[(p.subs_zero(v), rel) for p, rel in st.constraints],
-                assumed=st.assumed,
-                alive=st.alive - {v},
-                prefactor=st.prefactor,
-                depth=st.depth + 1,
-                path=f"{st.path} / {vn}=0",
-            )
-            nonzero_branch = _Stratum(
-                constraints=list(st.constraints),
-                assumed=st.assumed | {v},
-                alive=st.alive,
-                prefactor=st.prefactor,
-                depth=st.depth + 1,
-                path=f"{st.path} / {vn}!=0",
-            )
-            stack.append(zero_branch)
-            stack.append(nonzero_branch)
+            elif isinstance(fate, UPoly):
+                log(st.depth, "[leaf] %s", fate)
+                leaves.append((st.path, fate))
+                total += fate
+            else:
+                stack.extend(fate)
+        value, failure, detail = total, None, ""
     except _Failure as f:
-        return EngineOutcome(
-            value=None,
-            failure=f.kind,
-            detail=f.detail,
-            strata=processed,
-            leaves=leaves,
-            trace=trace,
-        )
+        value, failure, detail = None, f.kind, f.detail
     return EngineOutcome(
-        value=total,
-        failure=None,
-        detail="",
+        value=value,
+        failure=failure,
+        detail=detail,
         strata=processed,
         leaves=leaves,
         trace=trace,
     )
 
 
+def _child(st: _Stratum, step: str, constraints: list, **changes) -> _Stratum:
+    """A sub-stratum of ``st`` one level down, its path extended by ``step``."""
+    return replace(
+        st, constraints=constraints, depth=st.depth + 1, path=f"{st.path} / {step}", **changes
+    )
+
+
 def _simplify(st, rank, names, log):
     """Run the rewrite rules to quiescence; return the stratum's fate.
 
-    Returns ("empty",) | ("leaf", UPoly) | ("peel", i, z, w)
-    | ("split", vid) | ("fail", detail).
+    Returns None for an empty stratum, the value of a leaf, or the two
+    child strata of a peel or a split; raises ``_Failure`` when a
+    terminal is unmatched and nothing can be split.
 
     Rules read each constraint's cached ``MPoly.summary()``; ``rank``
     orders variables by their ``split_key``.
@@ -573,12 +507,12 @@ def _simplify(st, rank, names, log):
         for p, rel in st.constraints:
             if p.is_zero():
                 if rel == NEQ:
-                    return ("empty",)
+                    return None
                 changed = True
                 continue
             if p.is_const():
                 if rel == EQ:
-                    return ("empty",)
+                    return None
                 changed = True
                 continue
             kept.append((p, rel))
@@ -614,12 +548,12 @@ def _simplify(st, rank, names, log):
                 continue
             verdict = _definite(p, st.assumed)
             if verdict == "empty":
-                return ("empty",)
+                return None
             if verdict:
                 forced |= verdict
         if forced:
             if forced & st.assumed:
-                return ("empty",)
+                return None
             st.constraints = [(p.subs_zero_many(forced), rel) for p, rel in st.constraints]
             st.alive = st.alive - forced
             continue
@@ -691,21 +625,40 @@ def _simplify(st, rank, names, log):
         value = st.prefactor * u_pow(free) * (U_MINUS_1**loose)
         for val in values:
             value = value * val
-        return ("leaf", value)
+        return value
 
     for i in blocked:
-        pair = _peelable_pair(st.constraints[i][0], occurs, st.assumed, rank)
-        if pair is not None:
-            return ("peel", i, pair[0], pair[1])
+        p, rel = st.constraints[i]
+        pair = _peelable_pair(p, occurs, st.assumed, rank)
+        if pair is None:
+            continue
+        z, w = pair
+        zn, wn = names[z], names[w]
+        log(st.depth, "[peel] %s^2-%s^2 in #%s", zn, wn, i)
+        reduced = MPoly({m: c for m, c in p.terms() if m not in (((z, 2),), ((w, 2),))})
+        # With a = z+w, b = z-w the constraint is ab + r: a != 0 solves for b
+        # (factor u-1, or (u-1)^2 for a neq), a = 0 leaves r with b free (u).
+        tag, alive = f"peel({zn},{wn})", st.alive - {z, w}
+        before, after = st.constraints[:i], st.constraints[i + 1 :]
+        drop = st.prefactor * (U_MINUS_1 if rel == EQ else U_MINUS_1 * U_MINUS_1)
+        kept = before + [(reduced, rel)] + after
+        return [
+            _child(st, f"{tag}-solve", before + after, alive=alive, prefactor=drop),
+            _child(st, f"{tag}-slice", kept, alive=alive, prefactor=st.prefactor * u_pow(1)),
+        ]
     for i in blocked:
         splittable = var_sets[i] - st.assumed
         if splittable:
-            return ("split", min(splittable, key=rank.__getitem__))
+            v = min(splittable, key=rank.__getitem__)
+            vn = names[v]
+            log(st.depth, "[split] %s", vn)
+            zeroed = [(p.subs_zero(v), rel) for p, rel in st.constraints]
+            return [
+                _child(st, f"{vn}=0", zeroed, alive=st.alive - {v}),
+                _child(st, f"{vn}!=0", list(st.constraints), assumed=st.assumed | {v}),
+            ]
     frozen = [st.constraints[i][0].text(names) for i in blocked]
-    return (
-        "fail",
-        "no terminal form for: " + "; ".join(frozen),
-    )
+    raise _Failure("unmatched-terminal", "no terminal form for: " + "; ".join(frozen))
 
 
 def _peelable_pair(
@@ -722,15 +675,6 @@ def _peelable_pair(
     order = sorted(
         (v for v in squares if occurs[v] == 1 and v not in assumed), key=rank.__getitem__
     )
-    return _hyperbolic_pair(squares, order)
-
-
-def _hyperbolic_pair(squares: dict[int, Coeff], order: list[int]) -> tuple[int, int] | None:
-    """The first positive and the first negative isolated square in ``order``.
-
-    ``squares`` is a polynomial's ``summary().squares``; both
-    ``_recognize`` and ``_peelable_pair`` find their pair here.
-    """
     pos = next((v for v in order if squares[v] > 0), None)
     neg = next((v for v in order if squares[v] < 0), None)
     if pos is None or neg is None:

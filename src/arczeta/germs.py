@@ -496,33 +496,28 @@ def resolve_cell(
     """
     if oracle is None:
         oracle = oracle_cell
-    if source == "formulas":
-        try:
-            return Cell(formula_cell(g, n, channel), "formula")
-        except OutOfCoverage as oc:
-            return Cell(None, "unavailable", str(oc))
-    if source == "oracle":
-        out = oracle(g, n, channel)
-        if out.ok:
-            return Cell(out.value, "oracle")
-        return Cell(None, "unavailable", f"{out.failure}: {out.detail}")
-    if source not in ("hybrid", "auto"):
+    if source not in ("formulas", "oracle", "hybrid", "auto"):
         raise ValueError(f"unknown source {source!r}")
-    try:
-        value = formula_cell(g, n, channel)
-    except OutOfCoverage:
-        out = oracle(g, n, channel)
+    value = None
+    if source != "oracle":
+        try:
+            value = formula_cell(g, n, channel)
+        except OutOfCoverage as oc:
+            if source == "formulas":
+                return Cell(None, "unavailable", str(oc))
+        else:
+            if source != "hybrid":
+                return Cell(value, "formula")
+    out = oracle(g, n, channel)
+    if value is None:
         if out.ok:
             return Cell(out.value, "oracle")
         return Cell(None, "unavailable", f"{out.failure}: {out.detail}")
-    if source == "hybrid":
-        out = oracle(g, n, channel)
-        if out.ok:
-            if out.value != value:
-                raise CrossCheckError(g, n, channel, value, out.value)
-            return Cell(value, "formula", "oracle-checked")
+    if not out.ok:
         return Cell(value, "formula", f"cross-check unavailable ({out.failure})")
-    return Cell(value, "formula")
+    if out.value != value:
+        raise CrossCheckError(g, n, channel, value, out.value)
+    return Cell(value, "formula", "oracle-checked")
 
 
 # ---------------------------------------------------------------------------

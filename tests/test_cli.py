@@ -98,7 +98,7 @@ def test_zeta_bad_n():
     assert r.exit_code == 2
 
 
-# Like zeta's, every other --N, and --max, out of range is a usage error
+# Like zeta's, every other --N, --kmax and --max, out of range is a usage error
 # (exit 2), never a mathematical failure (exit 1) or a traceback.
 @pytest.mark.parametrize(
     "args",
@@ -107,6 +107,8 @@ def test_zeta_bad_n():
         ("table", "--d", "2", "--N", "1"),
         ("nonsimple", "J(2,0) (+) Q(1,1)", "--N", "0"),
         ("catalog", "--max", "-1"),
+        pytest.param(("table", "--d", "3", "--kmax", "-3", "--N", "3"), id="table-kmax"),
+        pytest.param(("nonsimple", "J(2,0) (+) Q(1,1)", "--kmax", "-1"), id="nonsimple-kmax"),
     ],
     ids=lambda args: args[0],
 )

@@ -12,6 +12,7 @@ from arczeta.engine import (
     DEFAULT_BUDGET,
     EQ,
     NEQ,
+    ArcSystem,
     ArcVar,
     beta_of,
     build_system,
@@ -115,6 +116,71 @@ def test_deep_balanced_cell_completes():
     out = beta_of(D4PM11, ("a", "b", "c", "c"), 6, 1)
     assert out.ok, out.detail
     assert out.value == 2 * u_pow(19) + u_pow(18) - u_pow(16)
+
+
+# A D-curve plus an isolated hyperbolic pair: x*y^2 + x^3 + z^2 - w^2 = 1.
+# (A plain quadric will not do: the diagonal rule recognizes it whole.)
+D_CURVE_PAIR = _v(0) * _v(1) ** 2 + _v(0) ** 3 + _v(2) ** 2 - _v(3) ** 2 - MPoly.const(1)
+
+
+def test_recognition_does_not_rotate():
+    """The rotation z^2 - w^2 = (z+w)(z-w) is the peel rule alone."""
+    assert engine._recognize(D_CURVE_PAIR, EQ) is None
+
+
+def test_rotation_is_a_traced_peel():
+    variables = [
+        ArcVar(vid=0, block="a", level=1, coord=1),
+        ArcVar(vid=1, block="b", level=1, coord=1),
+        ArcVar(vid=2, block="c", level=1, coord=1),
+        ArcVar(vid=3, block="c", level=1, coord=2),
+    ]
+    system = ArcSystem(
+        n=1,
+        target=1,
+        variables=variables,
+        constraints=[(D_CURVE_PAIR, EQ)],
+        names={v.vid: v.name for v in variables},
+    )
+    out = decompose(system, collect_trace=True)
+    assert out.ok, out.detail
+    assert out.value == u_pow(3)
+    assert any(line.startswith("[peel] c1^1^2-c1^2^2") for line in out.trace)
+    assert out.audit()
+
+
+# (value, strata) per channel of cells whose last rotation is a peel of a
+# D-curve suspension into two leaves; the "+ 2" counts those leaves.
+PEELED_CELLS = {
+    ("D(4,+,+) (+) Q(1,1)", 6): {
+        "plus": (2 * u_pow(19) - u_pow(18) + 2 * u_pow(17) - 2 * u_pow(16), 9 + 2),
+        "minus": (2 * u_pow(19) - u_pow(18) + 2 * u_pow(17) - 2 * u_pow(16), 9 + 2),
+        "naive": (
+            2 * u_pow(20) - 3 * u_pow(19) + 3 * u_pow(18) - 4 * u_pow(17) + 2 * u_pow(16),
+            9 + 2,
+        ),
+    },
+    ("D(6,+,-) (+) Q(1,1)", 8): {
+        "plus": (2 * u_pow(25) + u_pow(24) - 2 * u_pow(21) - u_pow(20), 13 + 2),
+        "minus": (2 * u_pow(25) + u_pow(24) - 2 * u_pow(21) - u_pow(20), 13 + 2),
+        "naive": (
+            2 * u_pow(26) - u_pow(25) - u_pow(24) - 2 * u_pow(22) + u_pow(21) + u_pow(20),
+            13 + 2,
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("cell", PEELED_CELLS, ids=lambda cell: f"{cell[0]}@{cell[1]}")
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_peeled_cells_are_pinned(cell, channel):
+    text, n = cell
+    poly, blocks = germ_poly(parse_germ(text))
+    out = beta_of(poly, blocks, n, TARGETS[channel], collect_trace=True)
+    assert out.ok, out.detail
+    assert (out.value, out.strata) == PEELED_CELLS[cell][channel]
+    assert any("[peel]" in line for line in out.trace)
+    assert out.audit()
 
 
 def test_unbalanced_deep_cell_fails_honestly():

@@ -266,6 +266,30 @@ def test_resolve_cell_sources():
         resolve_cell(g, 3, "plus", "best-effort")
 
 
+def test_unknown_source_raises_before_any_work(monkeypatch):
+    def never(*args):
+        raise AssertionError("consulted for an unknown source")
+
+    monkeypatch.setattr(germs, "formula_cell", never)
+    for n in (3, 4):  # covered by a formula, and not
+        with pytest.raises(ValueError, match="unknown source 'formula'"):
+            resolve_cell(A(2), n, "plus", "formula", oracle=never)
+
+
+@pytest.mark.parametrize("source", ["formulas", "oracle", "hybrid", "auto"])
+def test_resolve_cell_consults_the_oracle_at_most_once(source):
+    calls = []
+
+    def oracle(g, n, channel):
+        calls.append(n)
+        return oracle_cell(g, n, channel)
+
+    for n in (3, 4):  # covered by a formula, and not
+        resolve_cell(A(2), n, "plus", source, oracle=oracle)
+    expected = {"formulas": [], "oracle": [3, 4], "hybrid": [3, 4], "auto": [4]}
+    assert calls == expected[source]
+
+
 def test_resolve_cell_unavailable_when_everything_fails():
     g = D(4, 1, -1, (1, 0))  # deep definite-suspension cell: no formula, no oracle
     c = resolve_cell(g, 6, "plus", "auto")
