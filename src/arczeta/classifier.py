@@ -10,10 +10,11 @@ no out-of-band invariants enter the reports.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .formulas import (
+    GRID_SIGS,
+    OutOfCoverage,
     arc_E,
     arc_G,
     arc_Q_recursive,
@@ -26,8 +27,10 @@ from .germs import (
     CHANNELS,
     GermSpec,
     _csv,
+    _json,
     analytic_equiv,
     canonicalize,
+    formula_cell,
     oracle_cell,
     resolve_cell,
 )
@@ -281,7 +284,7 @@ class ClassificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return _json(self.to_json_dict())
 
     def to_csv(self) -> str:
         rows = []
@@ -479,7 +482,7 @@ class NonsimpleReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return _json(self.to_json_dict())
 
     def to_csv(self) -> str:
         rows = []
@@ -605,7 +608,7 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return _json(self.to_json_dict())
 
     def to_csv(self) -> str:
         rows = [[s.name, s.status, line] for s in self.sections for line in s.lines]
@@ -624,12 +627,9 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-_GRID_SIGS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))
-
-
 def _grid_specs() -> list[GermSpec]:
     out: list[GermSpec] = []
-    for sig in _GRID_SIGS:
+    for sig in GRID_SIGS:
         out.append(GermSpec("Q", sig))
         for k in range(2, 7):
             for s in (1, -1):
@@ -647,49 +647,26 @@ def _grid_specs() -> list[GermSpec]:
     return out
 
 
-def _variant_oracle_cell(vid: str, args: tuple) -> tuple[GermSpec, int, str]:
-    if vid == "quadra-even-terminal":
-        l, eps, sig = args
-        return GermSpec("Q", sig), l, CHANNEL_OF[eps]
-    if vid == "lem7-A3-first-term":
-        t, sig = args
-        return GermSpec("CUBE", sig), 3, CHANNEL_OF[t]
-    if vid == "lem2-Q-sign":
-        k, s, eps, sig = args
-        return GermSpec("AK", sig, k=k, signs=(s,)), k + 1, CHANNEL_OF[eps]
-    if vid == "lem4-display-set":
-        l, eps, sig = args
-        return GermSpec("G", sig), l, CHANNEL_OF[eps]
-    if vid == "lem5-keven-00":
-        k, e1, e2, eps = args
-        return GermSpec("DK", (0, 0), k=k, signs=(e1, e2)), k - 1, CHANNEL_OF[eps]
-    raise KeyError(vid)
-
-
 def _describe_cell(g: GermSpec, n: int, channel: str) -> str:
     return f"{g.render()} {_cell_id(n, channel)}"
 
 
+def _section(name: str, lines: list[str], failed: bool, flagged: bool = False) -> SuiteSection:
+    """The one status rule: a failure is FAIL, else a flag is flagged, else ok."""
+    status = "FAIL" if failed else ("flagged" if flagged else "ok")
+    return SuiteSection(name, status, tuple(lines))
+
+
 def _value_section(name: str, checks: list[tuple[str, UPoly, UPoly]]) -> SuiteSection:
     """One ``label = value [ok|FAIL]`` line per (label, got, want) check."""
-    lines = tuple(
+    lines = [
         f"{label} = {got} [{'ok' if got == want else 'FAIL'}]" for label, got, want in checks
-    )
-    bad = any(got != want for _, got, want in checks)
-    return SuiteSection(name, "FAIL" if bad else "ok", lines)
+    ]
+    return _section(name, lines, any(got != want for _, got, want in checks))
 
 
-def verify_paper_suite() -> SuiteReport:
-    """Run every adjudication the acceptance grid rests on.
-
-    Sections: the quadric catalog spot values, closed-vs-recursive
-    agreement for the quadric chain, the oracle-vs-formulas grid, the
-    frozen report values, the pairwise separation of the four cube-jet
-    classes, and the stated-vs-proof-derived variant adjudication.
-    """
-    sections: list[SuiteSection] = []
-
-    # quadric catalog spot values
+def _quadric_catalog() -> SuiteSection:
+    """Spot values of the quadric catalog."""
     u = u_pow(1)
     spot = [
         ("beta_Y(1,1)", beta_Y((1, 1)), 2 * u - 1),
@@ -697,9 +674,11 @@ def verify_paper_suite() -> SuiteReport:
         ("beta_Y_fiber((1,1),+1)", beta_Y_fiber((1, 1), 1), u - 1),
         ("beta_Y_fiber((2,1),+1)", beta_Y_fiber((2, 1), 1), u_pow(2) + u),
     ]
-    sections.append(_value_section("quadric-catalog", spot))
+    return _value_section("quadric-catalog", spot)
 
-    # closed form vs recursion on the quadric chain
+
+def _closed_vs_recursive() -> SuiteSection:
+    """The closed form against the recursion on the quadric chain."""
     mismatches = []
     count = 0
     for l in range(2, 13):
@@ -709,18 +688,15 @@ def verify_paper_suite() -> SuiteReport:
                     count += 1
                     if arc_Q_signed(l, eps, (p, q)) != arc_Q_recursive(l, eps, (p, q)):
                         mismatches.append(f"l={l} eps={eps} sig=({p},{q})")
-    sections.append(
-        SuiteSection(
-            "closed-vs-recursive",
-            "FAIL" if mismatches else "ok",
-            tuple([f"{count} cells compared, {len(mismatches)} mismatches"] + mismatches),
-        )
+    return _section(
+        "closed-vs-recursive",
+        [f"{count} cells compared, {len(mismatches)} mismatches"] + mismatches,
+        bool(mismatches),
     )
 
-    # oracle vs formulas on the acceptance grid
-    from .germs import formula_cell
-    from .formulas import OutOfCoverage
 
+def _oracle_vs_formulas() -> SuiteSection:
+    """The oracle against every covered closed-form cell of the acceptance grid."""
     per_family: dict[str, list[int]] = {}
     grid_mismatches: list[str] = []
     for g in _grid_specs():
@@ -739,20 +715,16 @@ def verify_paper_suite() -> SuiteReport:
                         f"{_describe_cell(g, n, channel)}: formula {f}, "
                         f"oracle {out.value if out.ok else out.failure}"
                     )
-    lines = []
-    total_bad = 0
-    for fam in sorted(per_family):
-        n_cells, n_bad = per_family[fam]
-        total_bad += n_bad
-        lines.append(f"{fam}: {n_cells} covered cells, {n_bad} mismatches")
-    lines.extend(grid_mismatches)
-    sections.append(
-        SuiteSection(
-            "oracle-vs-formulas", "FAIL" if total_bad else "ok", tuple(lines)
-        )
-    )
+    lines = [
+        f"{fam}: {n_cells} covered cells, {n_bad} mismatches"
+        for fam, (n_cells, n_bad) in sorted(per_family.items())
+    ]
+    return _section("oracle-vs-formulas", lines + grid_mismatches, bool(grid_mismatches))
 
-    # frozen report values
+
+def _report_values() -> SuiteSection:
+    """Frozen values of the report's curve fibers and low-order cells."""
+    u = u_pow(1)
     frozen = [
         ("curve fiber, odd k, aligned signs", beta_D_curve(5, 1, 1), 2 * u),
         ("curve fiber, even k, positive", beta_D_curve(4, 1, 1), u),
@@ -762,9 +734,11 @@ def verify_paper_suite() -> SuiteReport:
         ("E7 order-5 cell at (0,0)", arc_E("E7", 5, 1, (0, 0)), (u - 1) * u_pow(7)),
         ("E8 order-5 cell at (0,0)", arc_E("E8", 5, 1, (0, 0)), u_pow(8)),
     ]
-    sections.append(_value_section("report-values", frozen))
+    return _value_section("report-values", frozen)
 
-    # pairwise separation of the cube-jet classes (corank-2 normal forms)
+
+def _cube_jet_classes() -> SuiteSection:
+    """Pairwise separation of the cube-jet classes (corank-2 normal forms)."""
     e_germs = [
         GermSpec("E6", (0, 0), signs=(1,)),
         GermSpec("E6", (0, 0), signs=(-1,)),
@@ -781,11 +755,11 @@ def verify_paper_suite() -> SuiteReport:
             else:
                 bad += 1
                 lines.append(f"{dist.germ1} vs {dist.germ2}: NOT SEPARATED [FAIL]")
-    sections.append(
-        SuiteSection("cube-jet-classes", "FAIL" if bad else "ok", tuple(lines))
-    )
+    return _section("cube-jet-classes", lines, bool(bad))
 
-    # stated vs proof-derived adjudication
+
+def _variant_adjudication() -> SuiteSection:
+    """Each variant's stated and proof-derived forms against its engine cells."""
     lines = []
     any_fail = False
     any_flag = False
@@ -794,7 +768,8 @@ def verify_paper_suite() -> SuiteReport:
         stated_bad: list[str] = []
         derived_bad: list[str] = []
         for args in v.domain:
-            germ, n, channel = _variant_oracle_cell(vid, args)
+            fields, n, target = v.cell(*args)
+            germ, channel = GermSpec(**fields), CHANNEL_OF[target]
             out = oracle_cell(germ, n, channel)
             if not out.ok:
                 derived_bad.append(f"{_describe_cell(germ, n, channel)}: oracle {out.failure}")
@@ -822,7 +797,20 @@ def verify_paper_suite() -> SuiteReport:
                 f"{vid}: stated and proof-derived agree with the oracle on all "
                 f"{len(v.domain)} domain cells"
             )
-    status = "FAIL" if any_fail else ("flagged" if any_flag else "ok")
-    sections.append(SuiteSection("variant-adjudication", status, tuple(lines)))
+    return _section("variant-adjudication", lines, any_fail, any_flag)
 
-    return SuiteReport(tuple(sections))
+
+#: The suite's sections in report order; each adjudicates one claim.
+_SECTIONS = (
+    _quadric_catalog,
+    _closed_vs_recursive,
+    _oracle_vs_formulas,
+    _report_values,
+    _cube_jet_classes,
+    _variant_adjudication,
+)
+
+
+def verify_paper_suite() -> SuiteReport:
+    """Run every adjudication the acceptance grid rests on, one per ``_SECTIONS`` entry."""
+    return SuiteReport(tuple(section() for section in _SECTIONS))

@@ -8,27 +8,29 @@ Output is deterministic: identical invocations produce identical bytes.
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
 
 from .classifier import ade_table, distinguish, nonsimple_report, verify_paper_suite
-from .engine import EngineOutcome
+from .engine import EngineOutcome, beta_of
 from .germs import (
     CHANNELS,
+    SOURCES,
+    TARGETS,
     CrossCheckError,
     GermSpec,
     _csv,
+    _json,
     analytic_equiv,
-    oracle_cell,
+    germ_poly,
     zeta_table,
 )
 from .parser import GermParseError, parse_germ
 from .quadric import beta_Y, beta_Y_compl, beta_Y_fiber, beta_Y_star
 
 _FORMATS = click.Choice(["text", "csv", "json"])
-_SOURCES = click.Choice(["formulas", "oracle", "hybrid", "auto"])
+_SOURCES = click.Choice(SOURCES)
 #: Every --N: a table, a scan or a cube check needs at least the n=2 row.
 _ORDER = click.IntRange(min=2)
 #: Every --kmax: k = 2 is the least k of any family.
@@ -79,7 +81,7 @@ def zeta(germ_expr: str, n_max: int, fmt: str, source: str, out: str | None, tra
     traced: dict[tuple[int, str], EngineOutcome] = {}
 
     def traced_oracle(g: GermSpec, n: int, channel: str) -> EngineOutcome:
-        traced[n, channel] = oracle_cell(g, n, channel, collect_trace=True)
+        traced[n, channel] = beta_of(*germ_poly(g), n, TARGETS[channel], collect_trace=True)
         return traced[n, channel]
 
     try:
@@ -123,7 +125,7 @@ def distinguish_cmd(germ1: str, germ2: str, n_max: int, fmt: str, source: str, o
     if fmt == "json":
         payload = dist.to_json_dict()
         payload["analytic_equiv"] = equivalent
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json(payload) + "\n"
     elif fmt == "csv":
         text = _csv(
             ["germ1", "germ2", "verdict", "n", "channel", "value1", "value2"],
@@ -224,7 +226,7 @@ def catalog(top: int, fmt: str, out: str | None) -> None:
             )
     cols = ["p", "q", "beta_Y", "beta_Y_star", "fiber_plus", "fiber_minus", "complement"]
     if fmt == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        text = _json(rows) + "\n"
     elif fmt == "csv":
         text = _csv(cols, [[r[c] for c in cols] for r in rows])
     else:

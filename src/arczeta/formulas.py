@@ -16,7 +16,7 @@ Cells outside a formula's declared coverage raise :class:`OutOfCoverage`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .quadric import (
@@ -45,6 +45,7 @@ __all__ = [
     "arc_E",
     "arc_cube",
     "FormulaVariant",
+    "GRID_SIGS",
     "formula_variants",
     "variant_ids",
 ]
@@ -380,8 +381,10 @@ class FormulaVariant:
     description: str
     stated: Callable[..., UPoly]
     proof_derived: Callable[..., UPoly]
-    # sample (args tuple) grid on which the suite compares both against the oracle
-    domain: tuple[tuple, ...] = field(default=())
+    # the args tuples on which the suite compares both against the oracle
+    domain: tuple[tuple, ...]
+    # args -> (GermSpec fields, n, target) of the engine cell the args name
+    cell: Callable[..., tuple[dict, int, Target]]
 
 
 def _quadra_even_stated(l: int, eps: int, sig: Sig) -> UPoly:
@@ -449,112 +452,110 @@ def _lem5_keven_00_derived(k: int, e1: int, e2: int, eps: int) -> UPoly:
     return arc_Dk(k, e1, e2, k - 1, eps, (0, 0))
 
 
-_SIGS: tuple[Sig, ...] = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))
+#: The suspension signatures of the verification grid and the variant domains.
+GRID_SIGS: tuple[Sig, ...] = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))
 
-_REGISTRY: dict[str, FormulaVariant] = {}
-
-
-def _register(v: FormulaVariant) -> None:
-    _REGISTRY[v.id] = v
-
-
-_register(
-    FormulaVariant(
-        id="quadra-even-terminal",
-        description=(
-            "even-order signed quadric cells: stated terminal exponent "
-            "u^{n(p+q)+2n}*beta(Y^eps) vs proof-derived u^{n(p+q)}*beta(Y^eps)"
+_VARIANTS: dict[str, FormulaVariant] = {
+    v.id: v
+    for v in (
+        FormulaVariant(
+            id="quadra-even-terminal",
+            description=(
+                "even-order signed quadric cells: stated terminal exponent "
+                "u^{n(p+q)+2n}*beta(Y^eps) vs proof-derived u^{n(p+q)}*beta(Y^eps)"
+            ),
+            stated=_quadra_even_stated,
+            proof_derived=arc_Q_signed,
+            domain=tuple(
+                (l, eps, sig) for l in (4, 6) for eps in (1, -1) for sig in GRID_SIGS
+            ),
+            cell=lambda l, eps, sig: ({"family": "Q", "sig": sig}, l, eps),
         ),
-        stated=_quadra_even_stated,
-        proof_derived=arc_Q_signed,
-        domain=tuple(
-            (l, eps, sig) for l in (4, 6) for eps in (1, -1) for sig in _SIGS
+        FormulaVariant(
+            id="lem7-A3-first-term",
+            description=(
+                "order-3 cells of cube-jet corank-2 germs: stated first term "
+                "u^{2(p+q)+7}*beta(Y*) vs proof-derived u^{2(p+q)+5}*beta(Y*)"
+            ),
+            stated=_lem7_A3_stated,
+            proof_derived=_cube_jet_order3,
+            domain=tuple((t, sig) for t in (1, -1, "naive") for sig in GRID_SIGS),
+            cell=lambda t, sig: ({"family": "CUBE", "sig": sig}, 3, t),
         ),
-    )
-)
-
-_register(
-    FormulaVariant(
-        id="lem7-A3-first-term",
-        description=(
-            "order-3 cells of cube-jet corank-2 germs: stated first term "
-            "u^{2(p+q)+7}*beta(Y*) vs proof-derived u^{2(p+q)+5}*beta(Y*)"
+        FormulaVariant(
+            id="lem2-Q-sign",
+            description=(
+                "order-(k+1) cells of odd-k corank-1 germs: first term read with "
+                "the fixed +1 quadric fiber vs the eps-dependent fiber"
+            ),
+            stated=_lem2_odd_k_stated,
+            proof_derived=lambda k, s, eps, sig: arc_Ak(k, s, k + 1, eps, sig),
+            domain=tuple(
+                (k, s, eps, sig)
+                for k in (3, 5)
+                for s in (1, -1)
+                for eps in (1, -1)
+                for sig in GRID_SIGS
+            ),
+            cell=lambda k, s, eps, sig: (
+                {"family": "AK", "sig": sig, "k": k, "signs": (s,)},
+                k + 1,
+                eps,
+            ),
         ),
-        stated=_lem7_A3_stated,
-        proof_derived=_cube_jet_order3,
-        domain=tuple((t, sig) for t in (1, -1, "naive") for sig in _SIGS),
-    )
-)
-
-_register(
-    FormulaVariant(
-        id="lem2-Q-sign",
-        description=(
-            "order-(k+1) cells of odd-k corank-1 germs: first term read with "
-            "the fixed +1 quadric fiber vs the eps-dependent fiber"
+        FormulaVariant(
+            id="lem4-display-set",
+            description=(
+                "closed displays for the x1*x2^2 suspension cells: the stated "
+                "beta(Y*)-sum and middle-(u-1)-sum exponents disagree with the "
+                "unrolled recursion (they coincide only on small instances)"
+            ),
+            stated=_lem4_stated,
+            proof_derived=lambda l, eps, sig: arc_G(l, eps, sig),
+            # the displays assume a nonzero suspension exponent r = p+q
+            domain=tuple(
+                (l, eps, sig)
+                for l in (3, 4, 5, 6)
+                for eps in (1, -1)
+                for sig in GRID_SIGS
+                if sum(sig) >= 1
+            ),
+            cell=lambda l, eps, sig: ({"family": "G", "sig": sig}, l, eps),
         ),
-        stated=_lem2_odd_k_stated,
-        proof_derived=lambda k, s, eps, sig: arc_Ak(k, s, k + 1, eps, sig),
-        domain=tuple(
-            (k, s, eps, sig)
-            for k in (3, 5)
-            for s in (1, -1)
-            for eps in (1, -1)
-            for sig in _SIGS
-        ),
-    )
-)
-
-_register(
-    FormulaVariant(
-        id="lem4-display-set",
-        description=(
-            "closed displays for the x1*x2^2 suspension cells: the stated "
-            "beta(Y*)-sum and middle-(u-1)-sum exponents disagree with the "
-            "unrolled recursion (they coincide only on small instances)"
-        ),
-        stated=_lem4_stated,
-        proof_derived=lambda l, eps, sig: arc_G(l, eps, sig),
-        # the displays assume a nonzero suspension exponent r = p+q
-        domain=tuple(
-            (l, eps, sig)
-            for l in (3, 4, 5, 6)
-            for eps in (1, -1)
-            for sig in _SIGS
-            if sum(sig) >= 1
-        ),
-    )
-)
-
-_register(
-    FormulaVariant(
-        id="lem5-keven-00",
-        description=(
-            "order-(k-1) cells of even-k D-germs with empty suspension: stated "
-            "correction u^{3n-1} vs the general-form correction at (0,0)"
-        ),
-        stated=_lem5_keven_00_stated,
-        proof_derived=_lem5_keven_00_derived,
-        domain=tuple(
-            (k, e1, e2, eps)
-            for k in (4, 6)
-            for e1 in (1, -1)
-            for e2 in (1, -1)
-            for eps in (1, -1)
+        FormulaVariant(
+            id="lem5-keven-00",
+            description=(
+                "order-(k-1) cells of even-k D-germs with empty suspension: stated "
+                "correction u^{3n-1} vs the general-form correction at (0,0)"
+            ),
+            stated=_lem5_keven_00_stated,
+            proof_derived=_lem5_keven_00_derived,
+            domain=tuple(
+                (k, e1, e2, eps)
+                for k in (4, 6)
+                for e1 in (1, -1)
+                for e2 in (1, -1)
+                for eps in (1, -1)
+            ),
+            cell=lambda k, e1, e2, eps: (
+                {"family": "DK", "sig": (0, 0), "k": k, "signs": (e1, e2)},
+                k - 1,
+                eps,
+            ),
         ),
     )
-)
+}
 
 
 def formula_variants(fid: str) -> FormulaVariant:
     """Look up a registered stated-vs-derived closed-form pair."""
     try:
-        return _REGISTRY[fid]
+        return _VARIANTS[fid]
     except KeyError:
         raise KeyError(
-            f"unknown formula variant {fid!r}; known: {sorted(_REGISTRY)}"
+            f"unknown formula variant {fid!r}; known: {sorted(_VARIANTS)}"
         ) from None
 
 
 def variant_ids() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_VARIANTS))

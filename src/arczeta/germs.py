@@ -42,6 +42,7 @@ __all__ = [
     "CHANNELS",
     "TARGETS",
     "CHANNEL_OF",
+    "SOURCES",
     "GermSpec",
     "CrossCheckError",
     "germ_poly",
@@ -62,6 +63,8 @@ CHANNELS = ("plus", "minus", "naive")
 #: or merely nonzero.
 TARGETS: dict[str, int | str] = dict(zip(CHANNELS, (1, -1, "naive")))
 CHANNEL_OF: dict[int | str, str] = {t: ch for ch, t in TARGETS.items()}
+#: The cell sources of ``resolve_cell``.
+SOURCES = ("formulas", "oracle", "hybrid", "auto")
 _SIMPLE = frozenset({"AK", "DK", "E6", "E7", "E8"})
 
 _SIGNED = frozenset({1, -1})
@@ -74,6 +77,11 @@ def _csv(header: list[str], rows: list[list]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _json(obj) -> str:
+    """JSON text with sorted keys and two-space indents; every JSON output uses it."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _fmt_sign(s: int) -> str:
@@ -325,15 +333,10 @@ def canonicalize(g: GermSpec) -> GermSpec:
     """Canonical class representative under the family sign identities."""
     if g.family == "AK" and g.k % 2 == 0 and g.signs[0] == -1:
         return replace(g, signs=(1,))
-    if g.family == "DK":
-        e1, e2 = g.signs
-        if g.k % 2 == 1:
-            return replace(g, signs=(1, e2)) if e1 == -1 else g
-        best = min(
-            [(e1, e2), (-e1, -e2)],
-            key=lambda t: tuple(0 if s == 1 else 1 for s in t),
-        )
-        return replace(g, signs=best) if best != (e1, e2) else g
+    if g.family == "DK" and g.signs[0] == -1:
+        # x1 -> -x1 flips e1, and e2 too when k - 1 is odd
+        e2 = g.signs[1]
+        return replace(g, signs=(1, -e2 if g.k % 2 == 0 else e2))
     return g
 
 
@@ -439,14 +442,8 @@ def _orbit_order(cell: tuple[GermSpec, str]) -> tuple:
     return g.sig, g.signs, g.params, CHANNELS.index(channel)
 
 
-def oracle_cell(
-    g: GermSpec,
-    n: int,
-    channel: str,
-    budget: int | None = None,
-    collect_trace: bool = False,
-) -> EngineOutcome:
-    """Engine-computed cell value, cached unless a trace is requested.
+def oracle_cell(g: GermSpec, n: int, channel: str, budget: int | None = None) -> EngineOutcome:
+    """Engine-computed cell value, cached.
 
     The stratum budget is resolved (``budget``, else the environment)
     before the cache lookup and is part of its key, so an outcome
@@ -457,13 +454,9 @@ def oracle_cell(
     isomorphism, so its virtual Poincaré polynomial is the same.  Only a
     successful outcome is shared; if the representative fails, the
     requested cell is computed (and cached) itself, so a failure always
-    describes the cell's own system.  A traced call decomposes the
-    requested cell.
+    describes the cell's own system.
     """
     limit = effective_budget(budget)
-    if collect_trace:
-        poly, blocks = germ_poly(g)
-        return beta_of(poly, blocks, n, TARGETS[channel], budget=limit, collect_trace=True)
     rep, rep_channel = min(_orbit(g, n, channel), key=_orbit_order)
     out = _oracle_cached(rep, n, rep_channel, limit)
     return out if out.ok else _oracle_cached(g, n, channel, limit)
@@ -496,7 +489,7 @@ def resolve_cell(
     """
     if oracle is None:
         oracle = oracle_cell
-    if source not in ("formulas", "oracle", "hybrid", "auto"):
+    if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}")
     value = None
     if source != "oracle":
@@ -588,7 +581,7 @@ class ZetaTable:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return _json(self.to_json_dict())
 
     def to_csv(self) -> str:
         label = self.germ.render()

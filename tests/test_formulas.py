@@ -24,6 +24,7 @@ from arczeta.formulas import (
     formula_variants,
     variant_ids,
 )
+from arczeta.germs import CHANNEL_OF, GermSpec, formula_cell
 from arczeta.upoly import UPoly, u_pow
 
 U = u_pow(1)
@@ -251,6 +252,19 @@ def test_variant_derived_side_matches_public_formulas():
     v = formula_variants("lem5-keven-00")
     for k, e1, e2, eps in v.domain:
         assert v.proof_derived(k, e1, e2, eps) == arc_Dk(k, e1, e2, k - 1, eps, (0, 0))
+
+
+def test_variant_cells_are_the_derived_formula_cells():
+    """Each variant names the engine cell whose closed form is its derived side."""
+    for vid in variant_ids():
+        v = formula_variants(vid)
+        for args in v.domain:
+            fields, n, target = v.cell(*args)
+            germ = GermSpec(**fields)
+            assert formula_cell(germ, n, CHANNEL_OF[target]) == v.proof_derived(*args), (
+                vid,
+                args,
+            )
 
 
 def test_variant_quadra_even_terminal_sample():

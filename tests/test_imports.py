@@ -3,6 +3,9 @@
 A stdlib stand-in for a linter's unused-import rule, over the package
 and the tests.  ``from __future__`` imports and the names
 ``arczeta/__init__.py`` re-exports through ``__all__`` are exempt.
+
+The package also imports nothing inside a function: every dependency of
+a module shows in its import block.  Tests may import locally.
 """
 
 import ast
@@ -11,9 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "arczeta").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "arczeta").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -61,3 +63,36 @@ def test_no_unused_imports(path):
         exported = reexports(source)
         unused = [entry for entry in unused if entry.split(": ")[1] not in exported]
     assert unused == [], f"{path.name} imports names it never uses"
+
+
+def function_imports(source: str) -> list[str]:
+    """'line N: module' for each import made inside a function body."""
+    found: set[tuple[int, str]] = set()
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    found.update((node.lineno, a.name) for a in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    found.add((node.lineno, "." * node.level + (node.module or "")))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_checker_flags_imports_inside_functions_only():
+    source = (
+        "import os\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        import json\n"
+        "def f():\n"
+        "    def g():\n"
+        "        from .germs import formula_cell\n"
+        "    return os.sep\n"
+    )
+    assert function_imports(source) == ["line 4: json", "line 7: .germs"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_imports_inside_functions(path):
+    found = function_imports(path.read_text(encoding="utf-8"))
+    assert found == [], f"{path.name} imports inside a function"
