@@ -354,8 +354,13 @@ def _match_cusp_curve(
     return None
 
 
+@lru_cache(maxsize=256)
 def _T(p: MPoly, rel: str, assumed: frozenset[int], ambient: frozenset[int]) -> UPoly | None:
-    """beta of {p rel 0, v != 0 for v in assumed} inside R^ambient."""
+    """beta of {p rel 0, v != 0 for v in assumed} inside R^ambient.
+
+    A pure function of immutable arguments, memoised in a small LRU: the
+    strata of one cell ask for the same terminals many times.
+    """
     if assumed:
         v = min(assumed)
         rest = assumed - {v}

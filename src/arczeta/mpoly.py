@@ -14,6 +14,14 @@ after construction, so in particular never after ``summary()`` has been
 read.  Code that builds a polynomial term by term does so in a fresh
 dict and wraps it once (``_wrap``).
 
+Zeroings are kept the same way: ``subs_zero_many`` stores each result on
+the polynomial it came from, keyed by the zeroed variables that occur, so
+the engine's strata, which zero the same shared constraint again and
+again, get the identical object back, summary and all.  There is no
+global cache: the results live as long as their root polynomial, which
+is one of a germ's expansion coefficients (kept for the last two germs)
+or one cell's last constraint.
+
 Coefficients are Python ``int`` unless a ``Fraction`` enters through a
 constructor or a scalar factor: integer germs then stay on integer
 arithmetic, which is exact and much cheaper than ``Fraction``.  No
@@ -125,13 +133,14 @@ def _content(t: dict[Monomial, Coeff]) -> Monomial:
 
 
 class MPoly:
-    __slots__ = ("_t", "_s")
+    __slots__ = ("_t", "_s", "_z")
 
     def __init__(self, terms: dict[Monomial, Coeff] | None = None) -> None:
         self._t: dict[Monomial, Coeff] = (
             {m: c for m, c in terms.items() if c} if terms else {}
         )
         self._s: Summary | None = None
+        self._z: dict[frozenset[int], MPoly] | None = None
 
     @classmethod
     def _wrap(cls, terms: dict[Monomial, Coeff]) -> MPoly:
@@ -139,6 +148,7 @@ class MPoly:
         r = cls.__new__(cls)
         r._t = terms
         r._s = None
+        r._z = None
         return r
 
     # -- constructors ------------------------------------------------
@@ -287,19 +297,28 @@ class MPoly:
     def subs_zero_many(self, vs: Collection[int]) -> MPoly:
         """Set every variable in ``vs`` to zero, in one pass over the terms.
 
-        Returns ``self``, summary included, when no term involves ``vs``.
+        Returns ``self`` when no variable of ``vs`` occurs.  Otherwise the
+        result is kept on ``self``, keyed by the variables that occur, so
+        a repeated zeroing returns the identical polynomial, with its
+        summary and its own zeroings.
         """
-        s = self._s
-        if s is not None and s.vars.isdisjoint(vs):
+        key = self.vars().intersection(vs)
+        if not key:
             return self
-        out: dict[Monomial, Coeff] = {}
-        for m, c in self._t.items():
-            for w, _ in m:
-                if w in vs:
-                    break
-            else:
-                out[m] = c
-        return self if len(out) == len(self._t) else MPoly._wrap(out)
+        z = self._z
+        if z is None:
+            z = self._z = {}
+        r = z.get(key)
+        if r is None:
+            out: dict[Monomial, Coeff] = {}
+            for m, c in self._t.items():
+                for w, _ in m:
+                    if w in key:
+                        break
+                else:
+                    out[m] = c
+            r = z[key] = MPoly._wrap(out)
+        return r
 
     def subs_clear(self, v: int, a: MPoly, b: MPoly) -> MPoly:
         """Return self * a^deg_v with v replaced by -b/a (a a monomial unit)."""

@@ -266,7 +266,11 @@ U_MINUS_1 = U - 1
 
 def u_pow(k: int) -> UPoly:
     """The monomial u^k."""
-    return UPoly.monomial(1, k)
+    if not isinstance(k, int):
+        raise TypeError("exponents and coefficients must be int")
+    if k < 0:
+        raise ValueError(f"negative exponent {k}")
+    return _raw({k: 1})
 
 
 def geom_sum(step: int, terms: int) -> UPoly:

@@ -384,17 +384,38 @@ def _pinned_cells():
     return cells
 
 
+def _pinned_record(g, n: int, ch: str) -> tuple[bytes, bool]:
+    """Every outcome field of one traced cell, and whether it succeeded."""
+    poly, blocks = germ_poly(g)
+    out = beta_of(poly, blocks, n, TARGETS[ch], budget=DEFAULT_BUDGET, collect_trace=True)
+    record = [g.render(), str(n), ch, str(out.value), str(out.failure), out.detail]
+    record.append(str(out.strata))
+    record += [f"{path}: {value}" for path, value in out.leaves]
+    record += out.trace
+    return ("\n".join(record) + "\n\n").encode(), out.ok
+
+
 def test_decompose_behaviour_is_pinned():
     digest = hashlib.sha256()
     failures = 0
     for g, n, ch in _pinned_cells():
-        poly, blocks = germ_poly(g)
-        out = beta_of(poly, blocks, n, TARGETS[ch], budget=DEFAULT_BUDGET, collect_trace=True)
-        failures += not out.ok
-        record = [g.render(), str(n), ch, str(out.value), str(out.failure), out.detail]
-        record.append(str(out.strata))
-        record += [f"{path}: {value}" for path, value in out.leaves]
-        record += out.trace
-        digest.update(("\n".join(record) + "\n\n").encode())
+        record, ok = _pinned_record(g, n, ch)
+        failures += not ok
+        digest.update(record)
     assert failures == 24
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+def test_caches_never_change_an_answer():
+    """The germ expansions, the zeroings kept on them and the memo of _T
+    give the same outcomes from empty caches, from warm ones, and when the
+    cells are asked for in reverse order."""
+    cells = _pinned_cells()
+    engine._expansion.cache_clear()
+    engine._T.cache_clear()
+    cold = [_pinned_record(*cell)[0] for cell in cells]
+    warm = [_pinned_record(*cell)[0] for cell in cells]
+    backwards = {i: _pinned_record(*cells[i])[0] for i in reversed(range(len(cells)))}
+    reverse = [backwards[i] for i in range(len(cells))]
+    for records in (cold, warm, reverse):
+        assert hashlib.sha256(b"".join(records)).hexdigest() == PINNED_DIGEST

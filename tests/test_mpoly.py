@@ -161,3 +161,29 @@ def test_subs_zero_many_matches_one_at_a_time(p, vs):
     assert p.subs_zero_many(vs) == q
     if p.vars().isdisjoint(vs):
         assert p.subs_zero_many(vs) is p
+
+
+def ref_subs_zero(p: MPoly, vs) -> MPoly:
+    return MPoly({m: c for m, c in p.terms() if all(w not in vs for w, _ in m)})
+
+
+ABSENT = frozenset({len(VARS), len(VARS) + 1})  # variables no polynomial here has
+
+
+@given(polys(), st.frozensets(st.sampled_from(VARS)), st.frozensets(st.sampled_from(VARS)))
+def test_zeroings_are_kept_on_the_parent(p, vs, other):
+    fresh = MPoly(dict(p.terms()))
+    # Two keys on one parent, each asked twice: a kept result must answer
+    # only its own key, whatever else was asked before.
+    for key in (vs, other, vs):
+        q = p.subs_zero_many(key)
+        assert q == ref_subs_zero(p, key)
+        assert fields(q) == fields(MPoly(dict(q.terms())))
+        assert p.subs_zero_many(key) is q
+        assert p.subs_zero_many(key | ABSENT) is q
+        assert q.subs_zero_many(other) is q.subs_zero_many(other)
+        if p.vars().isdisjoint(key):
+            assert q is p
+    assert p.subs_zero_many(ABSENT) is p
+    assert dict(p.terms()) == dict(fresh.terms())
+    assert fields(p) == fields(fresh)

@@ -67,6 +67,15 @@ def test_pow():
         (U + 1) ** -1
 
 
+def test_u_pow_is_the_monomial():
+    for k in range(21):
+        assert u_pow(k) == UPoly.monomial(1, k)
+    with pytest.raises(ValueError):
+        u_pow(-1)
+    with pytest.raises(TypeError):
+        u_pow(1.5)
+
+
 def test_str_canonical_form():
     assert str(ZERO) == "0"
     assert str(ONE) == "1"
