@@ -11,6 +11,7 @@ no out-of-band invariants enter the reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .formulas import (
     GRID_SIGS,
@@ -25,6 +26,7 @@ from .formulas import (
 from .germs import (
     CHANNEL_OF,
     CHANNELS,
+    FAMILY,
     GermSpec,
     _csv,
     _json,
@@ -34,7 +36,7 @@ from .germs import (
     oracle_cell,
     resolve_cell,
 )
-from .quadric import beta_D_curve, beta_Y, beta_Y_fiber
+from .quadric import Sig, beta_D_curve, beta_Y, beta_Y_fiber
 from .upoly import UPoly, u_pow
 
 __all__ = [
@@ -201,28 +203,32 @@ def _sigs(total: int) -> list[tuple[int, int]]:
     return [(p, total - p) for p in range(total + 1)]
 
 
+def _family_specs(family: str, sig: Sig, kmax: int) -> list[GermSpec]:
+    """Every spec of one family at one signature: each k up to kmax, each sign tuple."""
+    fam = FAMILY[family]
+    ks = [None] if fam.kmin is None else range(fam.kmin, kmax + 1)
+    return [
+        GermSpec(family, sig, k=k, signs=signs)
+        for k in ks
+        for signs in product((1, -1), repeat=fam.nsigns)
+    ]
+
+
 def enumerate_simple(d: int, kmax: int = 8) -> list[GermSpec]:
     """Every simple germ spec with ambient dimension d, parameters <= kmax.
 
     Both members of each sign-equivalent pair are listed; canonical
     representatives are recovered with :func:`arczeta.germs.canonicalize`.
+    The specs come corank by corank, signature by signature.
     """
     if d < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {d}")
     specs: list[GermSpec] = []
-    for sig in _sigs(d - 1):
-        for k in range(2, kmax + 1):
-            for s in (1, -1):
-                specs.append(GermSpec("AK", sig, k=k, signs=(s,)))
-    for sig in _sigs(d - 2):
-        for k in range(4, kmax + 1):
-            for e1 in (1, -1):
-                for e2 in (1, -1):
-                    specs.append(GermSpec("DK", sig, k=k, signs=(e1, e2)))
-        for s in (1, -1):
-            specs.append(GermSpec("E6", sig, signs=(s,)))
-        specs.append(GermSpec("E7", sig))
-        specs.append(GermSpec("E8", sig))
+    for corank in sorted({fam.corank for fam in FAMILY.values() if fam.simple}):
+        for sig in _sigs(d - corank):
+            for family, fam in FAMILY.items():
+                if fam.simple and fam.corank == corank:
+                    specs += _family_specs(family, sig, kmax)
     return specs
 
 
@@ -628,23 +634,14 @@ class SuiteReport:
 
 
 def _grid_specs() -> list[GermSpec]:
-    out: list[GermSpec] = []
-    for sig in GRID_SIGS:
-        out.append(GermSpec("Q", sig))
-        for k in range(2, 7):
-            for s in (1, -1):
-                out.append(GermSpec("AK", sig, k=k, signs=(s,)))
-        out.append(GermSpec("G", sig))
-        for k in range(4, 7):
-            for e1 in (1, -1):
-                for e2 in (1, -1):
-                    out.append(GermSpec("DK", sig, k=k, signs=(e1, e2)))
-        for s in (1, -1):
-            out.append(GermSpec("E6", sig, signs=(s,)))
-        out.append(GermSpec("E7", sig))
-        out.append(GermSpec("E8", sig))
-        out.append(GermSpec("CUBE", sig))
-    return out
+    """Every spec with closed forms, k <= 6, at each grid signature."""
+    return [
+        spec
+        for sig in GRID_SIGS
+        for family, fam in FAMILY.items()
+        if fam.cells is not None
+        for spec in _family_specs(family, sig, 6)
+    ]
 
 
 def _describe_cell(g: GermSpec, n: int, channel: str) -> str:

@@ -190,10 +190,9 @@ def nonsimple(instances: tuple[str, ...], n_max: int, kmax: int, fmt: str, out: 
 
 
 @main.command()
-@click.option("--suite", type=click.Choice(["paper"]), default="paper", show_default=True)
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def verify(suite: str, fmt: str, out: str | None) -> None:
+def verify(fmt: str, out: str | None) -> None:
     """Run the verification suite: grids, frozen values, adjudications."""
     report = verify_paper_suite()
     _emit(_render(report, fmt), out)

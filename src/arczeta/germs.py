@@ -5,6 +5,14 @@ corank-1 chains, the corank-2 D/E families, the auxiliary cube and
 ``x1*x2^2`` models, the bare quadratic form, and the nonsimple ``J``
 instances — together with a quadratic suspension signature (p, q).
 
+:data:`FAMILY` is the one place a family is defined: its surface token,
+corank, least k, number of signs, whether it is simple, its core
+polynomial and its closed-form cells.  Validation, rendering,
+``germ_poly``, ``formula_cell``, ``_dual``, the parser and the
+classifier's enumerations all read it.  The rules that stay per family
+are real exceptions: J's ``i`` and moduli, A's optional sign at even k,
+and the A/D sign identities of ``canonicalize``.
+
 Tables are assembled from two independent paths: closed formulas where
 covered, and the stratification engine (the oracle) everywhere.  The
 hybrid source cross-checks the two and treats disagreement as a hard
@@ -24,21 +32,21 @@ from typing import Callable
 from .engine import EngineOutcome, beta_of, effective_budget
 from .formulas import (
     OutOfCoverage,
+    _arc_Q,
     arc_Ak,
     arc_cube,
     arc_Dk,
     arc_E,
     arc_G,
     arc_order2,
-    arc_Q_naive,
-    arc_Q_signed,
 )
 from .mpoly import MPoly
 from .quadric import Sig
 from .upoly import UPoly
 
 __all__ = [
-    "FAMILIES",
+    "FAMILY",
+    "Family",
     "CHANNELS",
     "TARGETS",
     "CHANNEL_OF",
@@ -57,7 +65,6 @@ __all__ = [
     "corank_index",
 ]
 
-FAMILIES = ("Q", "AK", "DK", "E6", "E7", "E8", "CUBE", "G", "JKI")
 CHANNELS = ("plus", "minus", "naive")
 #: The engine target of each channel: the leading coefficient is +1, -1,
 #: or merely nonzero.
@@ -65,7 +72,6 @@ TARGETS: dict[str, int | str] = dict(zip(CHANNELS, (1, -1, "naive")))
 CHANNEL_OF: dict[int | str, str] = {t: ch for ch, t in TARGETS.items()}
 #: The cell sources of ``resolve_cell``.
 SOURCES = ("formulas", "oracle", "hybrid", "auto")
-_SIMPLE = frozenset({"AK", "DK", "E6", "E7", "E8"})
 
 _SIGNED = frozenset({1, -1})
 
@@ -84,12 +90,86 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _fmt_sign(s: int) -> str:
-    return "+" if s == 1 else "-"
+_SIGN_TEXT = {1: "+", -1: "-"}
 
 
 def _fmt_coeff(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything that sets one germ family apart; see :data:`FAMILY`."""
+
+    token: str  # the family's name in germ expressions
+    corank: int  # d = p + q + corank
+    kmin: int | None  # the least k, or None when the family takes no k
+    nsigns: int  # the number of +-1 signs
+    simple: bool
+    #: The core polynomial, without its suspension, in x1 (and x2).
+    core: Callable[[GermSpec], MPoly]
+    #: The closed-form cell (germ, n, target) -> value, or None: no formulas.
+    cells: Callable[[GermSpec, int, int | str], UPoly] | None
+
+
+def _x(e: int = 1) -> MPoly:
+    return MPoly.var(0, e)
+
+
+def _y(e: int = 1) -> MPoly:
+    return MPoly.var(1, e)
+
+
+def _jki_core(g: GermSpec) -> MPoly:
+    k = g.k
+    if g.i == 0:
+        poly = _x(3) + _x(2) * _y(k) * g.param("b") + _y(3 * k) * g.param("c")
+        tail = MPoly.zero()
+        for m in range(0, k):
+            a = g.param(f"a{m}")
+            if a:
+                tail = tail + _y(2 * k + 1 + m) * a
+        return poly if tail.is_zero() else poly + _x() * tail
+    poly = _x(3) + _x(2) * _y(k) * g.param("s")
+    acc = MPoly.zero()
+    for m in range(0, k + 1):
+        a = g.param(f"a{m}")
+        if a:
+            acc = acc + _y(3 * k + g.i + m) * a
+    return poly + acc
+
+
+#: The one definition of each family, keyed by ``GermSpec.family``: token,
+#: corank, least k, number of signs, simple, core polynomial, closed forms.
+FAMILY: dict[str, Family] = {
+    "Q": Family("Q", 0, None, 0, False,
+                lambda g: MPoly.zero(),
+                lambda g, n, t: _arc_Q(n, t, g.sig)),
+    "AK": Family("A", 1, 2, 1, True,
+                 lambda g: _x(g.k + 1) * g.signs[0],
+                 lambda g, n, t: arc_Ak(g.k, g.signs[0], n, t, g.sig)),
+    "DK": Family("D", 2, 4, 2, True,
+                 lambda g: _x() * _y(2) * g.signs[0] + _x(g.k - 1) * g.signs[1],
+                 lambda g, n, t: arc_Dk(g.k, g.signs[0], g.signs[1], n, t, g.sig)),
+    "E6": Family("E6", 2, None, 1, True,
+                 lambda g: _x(3) + _y(4) * g.signs[0],
+                 lambda g, n, t: arc_E("E6+" if g.signs[0] == 1 else "E6-", n, t, g.sig)),
+    "E7": Family("E7", 2, None, 0, True,
+                 lambda g: _x(3) + _x() * _y(3),
+                 lambda g, n, t: arc_E("E7", n, t, g.sig)),
+    "E8": Family("E8", 2, None, 0, True,
+                 lambda g: _x(3) + _y(5),
+                 lambda g, n, t: arc_E("E8", n, t, g.sig)),
+    "CUBE": Family("CUBE", 2, None, 0, False,
+                   lambda g: _x(3),
+                   lambda g, n, t: arc_cube(n, t, g.sig)),
+    "G": Family("G", 2, None, 0, False,
+                lambda g: _x() * _y(2),
+                lambda g, n, t: arc_G(n, t, g.sig)),
+    "JKI": Family("J", 2, 2, 0, False,
+                  _jki_core,
+                  None),
+}
 
 
 @dataclass(frozen=True)
@@ -104,63 +184,48 @@ class GermSpec:
     params: tuple[tuple[str, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        fam = FAMILY.get(self.family)
+        if fam is None:
             raise ValueError(f"unknown family {self.family!r}")
         p, q = self.sig
         if p < 0 or q < 0:
             raise ValueError(f"signature entries must be >= 0, got {self.sig}")
-        fam = self.family
-        if fam == "AK":
-            if self.k is None or self.k < 2:
-                raise ValueError(f"A-family needs k >= 2, got {self.k}")
-            if len(self.signs) != 1 or self.signs[0] not in _SIGNED:
-                raise ValueError("A-family needs one sign")
-            if self.i is not None:
-                raise ValueError("A-family takes no i")
-        elif fam == "DK":
-            if self.k is None or self.k < 4:
-                raise ValueError(f"D-family needs k >= 4, got {self.k}")
-            if len(self.signs) != 2 or any(s not in _SIGNED for s in self.signs):
-                raise ValueError("D-family needs two signs")
-            if self.i is not None:
-                raise ValueError("D-family takes no i")
-        elif fam == "E6":
-            if len(self.signs) != 1 or self.signs[0] not in _SIGNED:
-                raise ValueError("E6 needs one sign")
-            if self.k is not None or self.i is not None:
-                raise ValueError("E6 takes no k or i")
-        elif fam == "JKI":
-            if self.k is None or self.k < 2:
-                raise ValueError(f"J-family needs k >= 2, got {self.k}")
+        if fam.kmin is None:
+            if self.k is not None:
+                raise ValueError(f"family {fam.token} takes no k, got {self.k}")
+        elif self.k is None or self.k < fam.kmin:
+            raise ValueError(f"family {fam.token} needs k >= {fam.kmin}, got {self.k}")
+        if len(self.signs) != fam.nsigns:
+            raise ValueError(
+                f"family {fam.token} takes {fam.nsigns} sign(s), got {len(self.signs)}"
+            )
+        if not _SIGNED.issuperset(self.signs):
+            raise ValueError(f"family {fam.token} signs must be +1 or -1, got {self.signs}")
+        if self.family == "JKI":
             if self.i is None or self.i < 0:
-                raise ValueError(f"J-family needs i >= 0, got {self.i}")
+                raise ValueError(f"family {fam.token} needs i >= 0, got {self.i}")
             object.__setattr__(
                 self, "params", _normalize_jki(self.k, self.i, dict(self.params))
             )
-        else:
-            if self.k is not None or self.i is not None or self.signs:
-                raise ValueError(f"family {fam} takes no parameters")
-        if fam != "JKI" and self.params:
-            raise ValueError(f"family {fam} takes no coefficient parameters")
+        elif self.i is not None:
+            raise ValueError(f"family {fam.token} takes no i, got {self.i}")
+        elif self.params:
+            raise ValueError(f"family {fam.token} takes no coefficient parameters")
 
     # -- derived data ---------------------------------------------------
 
     @property
     def d(self) -> int:
         p, q = self.sig
-        if self.family == "Q":
-            return p + q
-        if self.family == "AK":
-            return p + q + 1
-        return p + q + 2
+        return p + q + FAMILY[self.family].corank
 
     @property
     def corank(self) -> int:
-        return self.d - sum(self.sig)
+        return FAMILY[self.family].corank
 
     @property
     def is_simple(self) -> bool:
-        return self.family in _SIMPLE
+        return FAMILY[self.family].simple
 
     def param(self, name: str, default: Fraction | int = 0) -> Fraction:
         for n, v in self.params:
@@ -169,25 +234,21 @@ class GermSpec:
         return Fraction(default)
 
     def render(self) -> str:
+        """The germ expression, ``token(k,i,signs; params) (+) Q(p,q)``."""
+        k, signs = self.k, self.signs
+        if self.family == "AK" and k % 2 == 0 and signs == (1,):
+            signs = ()  # A's sign is optional at even k, and "+" is omitted
+        args = [_SIGN_TEXT[s] for s in signs]
+        if self.i is not None:
+            args.insert(0, str(self.i))
+        if k is not None:
+            args.insert(0, str(k))
+        inner = ",".join(args)
+        if self.params:
+            inner += "; " + ", ".join(f"{n}={_fmt_coeff(v)}" for n, v in self.params)
+        head = FAMILY[self.family].token
         p, q = self.sig
-        suffix = f" (+) Q({p},{q})"
-        fam = self.family
-        if fam == "AK":
-            if self.k % 2 == 0 and self.signs[0] == 1:
-                return f"A({self.k}){suffix}"
-            return f"A({self.k},{_fmt_sign(self.signs[0])}){suffix}"
-        if fam == "DK":
-            e1, e2 = self.signs
-            return f"D({self.k},{_fmt_sign(e1)},{_fmt_sign(e2)}){suffix}"
-        if fam == "E6":
-            return f"E6({_fmt_sign(self.signs[0])}){suffix}"
-        if fam == "JKI":
-            inner = f"{self.k},{self.i}"
-            if self.params:
-                body = ", ".join(f"{n}={_fmt_coeff(v)}" for n, v in self.params)
-                inner += f"; {body}"
-            return f"J({inner}){suffix}"
-        return f"{fam}{suffix}"
+        return f"{head}({inner}) (+) Q({p},{q})" if inner else f"{head} (+) Q({p},{q})"
 
 
 def _normalize_jki(
@@ -249,56 +310,9 @@ def _suspension(first_y: int, sig: Sig) -> MPoly:
 
 def germ_poly(g: GermSpec) -> tuple[MPoly, tuple[str, ...]]:
     """The germ as a polynomial in ambient variables, with block labels."""
-    p, q = g.sig
-    r = p + q
-    fam = g.family
-    if fam == "Q":
-        return _suspension(0, g.sig), ("c",) * r
-    if fam == "AK":
-        poly = MPoly.var(0, g.k + 1) * g.signs[0] + _suspension(1, g.sig)
-        return poly, ("a",) + ("c",) * r
-    blocks = ("a", "b") + ("c",) * r
-    susp = _suspension(2, g.sig)
-    if fam == "DK":
-        e1, e2 = g.signs
-        poly = MPoly.var(0) * MPoly.var(1, 2) * e1 + MPoly.var(0, g.k - 1) * e2
-    elif fam == "E6":
-        poly = MPoly.var(0, 3) + MPoly.var(1, 4) * g.signs[0]
-    elif fam == "E7":
-        poly = MPoly.var(0, 3) + MPoly.var(0) * MPoly.var(1, 3)
-    elif fam == "E8":
-        poly = MPoly.var(0, 3) + MPoly.var(1, 5)
-    elif fam == "CUBE":
-        poly = MPoly.var(0, 3)
-    elif fam == "G":
-        poly = MPoly.var(0) * MPoly.var(1, 2)
-    elif fam == "JKI":
-        k, i = g.k, g.i
-        if i == 0:
-            poly = (
-                MPoly.var(0, 3)
-                + MPoly.var(0, 2) * MPoly.var(1, k) * g.param("b")
-                + MPoly.var(1, 3 * k) * g.param("c")
-            )
-            tail = MPoly.zero()
-            for m in range(0, k):
-                a = g.param(f"a{m}")
-                if a:
-                    tail = tail + MPoly.var(1, 2 * k + 1 + m) * a
-            if not tail.is_zero():
-                poly = poly + MPoly.var(0) * tail
-        else:
-            poly = MPoly.var(0, 3) + MPoly.var(0, 2) * MPoly.var(1, k) * g.param("s")
-            acc = MPoly.zero()
-            for m in range(0, k + 1):
-                a = g.param(f"a{m}")
-                if a:
-                    exp = 3 * k + i + m
-                    acc = acc + MPoly.var(1, exp) * a
-            poly = poly + acc
-    else:  # pragma: no cover - families enumerated above
-        raise AssertionError(fam)
-    return poly + susp, blocks
+    fam = FAMILY[g.family]
+    blocks = ("a", "b")[: fam.corank] + ("c",) * sum(g.sig)
+    return fam.core(g) + _suspension(fam.corank, g.sig), blocks
 
 
 def apply_signed_permutation(
@@ -375,25 +389,10 @@ class CrossCheckError(RuntimeError):
 @lru_cache(maxsize=None)
 def formula_cell(g: GermSpec, n: int, channel: str) -> UPoly:
     """Closed-form cell value; raises OutOfCoverage beyond the formulas."""
-    t = TARGETS[channel]
-    fam = g.family
-    if fam == "Q":
-        if t == "naive":
-            return arc_Q_naive(n, g.sig)
-        return arc_Q_signed(n, t, g.sig)
-    if fam == "AK":
-        return arc_Ak(g.k, g.signs[0], n, t, g.sig)
-    if fam == "DK":
-        return arc_Dk(g.k, g.signs[0], g.signs[1], n, t, g.sig)
-    if fam == "E6":
-        return arc_E("E6+" if g.signs[0] == 1 else "E6-", n, t, g.sig)
-    if fam in ("E7", "E8"):
-        return arc_E(fam, n, t, g.sig)
-    if fam == "CUBE":
-        return arc_cube(n, t, g.sig)
-    if fam == "G":
-        return arc_G(n, t, g.sig)
-    raise OutOfCoverage(f"no closed forms for family {fam}")
+    cells = FAMILY[g.family].cells
+    if cells is None:
+        raise OutOfCoverage(f"no closed forms for family {g.family}")
+    return cells(g, n, TARGETS[channel])
 
 
 @lru_cache(maxsize=None)
@@ -409,19 +408,18 @@ def _dual(g: GermSpec) -> GermSpec:
     """The germ -g, up to a signed permutation of its variables.
 
     A_n^c(-g) = A_n^{-c}(g), so a cell of g is the swapped-channel cell
-    of its dual.  The signature swaps; A, D and E6 negate their signs;
-    J(k,0) negates b and c (x -> -x absorbs the rest) and J(k,i>0)
-    negates s and every a_m.  Q, E7, E8, CUBE and G are self-dual.
+    of its dual.  The signature swaps and every sign negates; J(k,0)
+    negates b and c (x -> -x absorbs the rest) and J(k,i>0) negates s
+    and every a_m.  Families without signs (Q, E7, E8, CUBE, G) are
+    self-dual.
     """
     sig = g.sig[::-1]
-    if g.family in ("AK", "DK", "E6"):
-        return replace(g, sig=sig, signs=tuple(-s for s in g.signs))
     if g.family == "JKI":
         params = tuple(
             (name, -v if g.i > 0 or name in ("b", "c") else v) for name, v in g.params
         )
         return replace(g, sig=sig, params=params)
-    return replace(g, sig=sig)
+    return replace(g, sig=sig, signs=tuple(-s for s in g.signs))
 
 
 def _orbit(g: GermSpec, n: int, channel: str) -> list[tuple[GermSpec, str]]:

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .germs import GermSpec
+from .germs import FAMILY, GermSpec
 
 __all__ = ["GermParseError", "parse_germ"]
 
-_FAMILY_TOKENS = {"A", "D", "E6", "E7", "E8", "CUBE", "G", "J", "Q"}
+#: The family key of each surface token.
+_FAMILY_OF = {fam.token: family for family, fam in FAMILY.items()}
 
 
 class GermParseError(ValueError):
@@ -117,45 +118,30 @@ class _Scanner:
 
 
 def _parse_family(s: _Scanner) -> dict:
+    """A family token and its arguments: k, then i, then signs, comma-separated."""
     s.skip_ws()
     start = s.pos
     name = s.word()
-    if name not in _FAMILY_TOKENS:
+    family = _FAMILY_OF.get(name)
+    if family is None:
         raise GermParseError(f"unknown family {name!r}", start)
-    if name == "A":
-        s.expect("(")
-        k = s.integer()
-        sgn = None
-        if s.peek_is(","):
+    fam = FAMILY[family]
+    jki = family == "JKI"  # J alone takes an i and coefficient parameters
+    numbers = ("k", "i")[: (fam.kmin is not None) + jki]
+    fields: dict = {"family": family}
+    if not numbers and not fam.nsigns:
+        return fields
+    s.expect("(")
+    args: list[int] = []
+    for pos in range(len(numbers) + fam.nsigns):
+        if pos:
+            if family == "AK" and not s.peek_is(","):
+                break  # A's sign may be omitted
             s.expect(",")
-            sgn = s.sign()
-        s.expect(")")
-        if sgn is None:
-            if k % 2:
-                raise GermParseError(
-                    f"A({k}) is ambiguous for odd k: give a sign", start, "semantic"
-                )
-            sgn = 1
-        return {"family": "AK", "k": k, "signs": (sgn,)}
-    if name == "D":
-        s.expect("(")
-        k = s.integer()
-        s.expect(",")
-        e1 = s.sign()
-        s.expect(",")
-        e2 = s.sign()
-        s.expect(")")
-        return {"family": "DK", "k": k, "signs": (e1, e2)}
-    if name == "E6":
-        s.expect("(")
-        sgn = s.sign()
-        s.expect(")")
-        return {"family": "E6", "signs": (sgn,)}
-    if name == "J":
-        s.expect("(")
-        k = s.integer()
-        s.expect(",")
-        i = s.integer()
+        args.append(s.integer() if pos < len(numbers) else s.sign())
+    fields.update(zip(numbers, args))
+    fields["signs"] = tuple(args[len(numbers) :])
+    if jki:
         params: list[tuple[str, Fraction]] = []
         if s.peek_is(";"):
             s.expect(";")
@@ -166,9 +152,15 @@ def _parse_family(s: _Scanner) -> dict:
                 if not s.peek_is(","):
                     break
                 s.expect(",")
-        s.expect(")")
-        return {"family": "JKI", "k": k, "i": i, "params": tuple(params)}
-    return {"family": {"E7": "E7", "E8": "E8", "CUBE": "CUBE", "G": "G", "Q": "Q"}[name]}
+        fields["params"] = tuple(params)
+    s.expect(")")
+    if family == "AK" and not fields["signs"]:
+        if fields["k"] % 2:
+            raise GermParseError(
+                f"A({fields['k']}) is ambiguous for odd k: give a sign", start, "semantic"
+            )
+        fields["signs"] = (1,)
+    return fields
 
 
 def parse_germ(text: str) -> GermSpec:

@@ -261,7 +261,7 @@ def test_nonsimple_csv():
 
 
 def test_verify_paper_suite_exit_0():
-    r = run("verify", "--suite", "paper")
+    r = run("verify")
     assert r.exit_code == 0
     assert "[ok] quadric-catalog" in r.output
     assert "[flagged] variant-adjudication" in r.output

@@ -3,14 +3,18 @@
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from arczeta import germs
 from arczeta.engine import BUDGET_ENV, DEFAULT_BUDGET, EngineOutcome
+from arczeta.formulas import OutOfCoverage, arc_order2
 from arczeta.germs import (
     CHANNELS,
+    FAMILY,
+    TARGETS,
     Cell,
     GermSpec,
     _dual,
@@ -26,6 +30,7 @@ from arczeta.germs import (
     zeta_table,
 )
 from arczeta.mpoly import MPoly
+from arczeta.parser import parse_germ
 from arczeta.upoly import u_pow
 
 
@@ -57,6 +62,59 @@ def test_spec_validation():
         GermSpec("E7", (1, 1), k=4)
     with pytest.raises(ValueError):
         GermSpec("CUBE", (-1, 0))
+
+
+# One valid spec per family, written out independently of the family table:
+# (surface token, GermSpec keywords).
+VALID_SPECS = {
+    "Q": ("Q", {}),
+    "AK": ("A", {"k": 2, "signs": (1,)}),
+    "DK": ("D", {"k": 4, "signs": (1, -1)}),
+    "E6": ("E6", {"signs": (-1,)}),
+    "E7": ("E7", {}),
+    "E8": ("E8", {}),
+    "CUBE": ("CUBE", {}),
+    "G": ("G", {}),
+    "JKI": ("J", {"k": 2, "i": 0}),
+}
+
+
+def _invalid_variants(family):
+    """(rule, keywords) pairs that each break exactly one rule of ``family``."""
+    _, valid = VALID_SPECS[family]
+    out = []
+    if "k" in valid:
+        out += [
+            ("k below its least", {**valid, "k": valid["k"] - 1}),
+            ("no k", {**valid, "k": None}),
+        ]
+    else:
+        out.append(("a k", {**valid, "k": 4}))
+    if family != "JKI":
+        out += [
+            ("an i", {**valid, "i": 0}),
+            ("params", {**valid, "params": (("b", Fraction(1)),)}),
+        ]
+    signs = valid.get("signs", ())
+    out.append(("one sign too many", {**valid, "signs": signs + (1,)}))
+    if signs:
+        out += [
+            ("one sign too few", {**valid, "signs": signs[:-1]}),
+            ("a sign outside +-1", {**valid, "signs": (0,) + signs[1:]}),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(VALID_SPECS))
+def test_every_family_validates_its_parameters(family):
+    token, valid = VALID_SPECS[family]
+    assert GermSpec(family, (1, 0), **valid).family == family
+    for rule, kwargs in _invalid_variants(family):
+        with pytest.raises(ValueError) as exc_info:
+            GermSpec(family, (1, 0), **kwargs)
+        # the message names the family, by its key or its surface token
+        message = str(exc_info.value)
+        assert re.search(rf"\b({family}|{token})\b", message), (rule, message)
 
 
 def test_jki_validation_and_defaults():
@@ -229,6 +287,32 @@ def test_dual_is_negation_up_to_a_signed_permutation():
     assert _dual(pool[10]).params == (("b", Fraction(-1, 2)), ("c", Fraction(-1)))
     assert dict(_dual(pool[11]).params)["a0"] == 2  # J(k,0) keeps its a_m
     assert dict(_dual(pool[12]).params) == {"a0": -Fraction(1, 2), "a1": -3, "s": -1}
+
+
+def _sample(family):
+    """One spec of ``family``, built from its FAMILY entry alone."""
+    fam = FAMILY[family]
+    i = 0 if family == "JKI" else None
+    return GermSpec(family, (2, 1), k=fam.kmin, i=i, signs=(-1, 1)[: fam.nsigns])
+
+
+@pytest.mark.parametrize("family", list(FAMILY))
+def test_every_family_entry_is_consistent(family):
+    fam = FAMILY[family]
+    g = _sample(family)
+    assert parse_germ(g.render()) == g
+    poly, blocks = germ_poly(g)
+    assert len(blocks) == g.d and g.corank == g.d - sum(g.sig) == fam.corank
+    assert fam.core(g).vars() <= set(range(fam.corank))
+    assert poly.vars() <= set(range(g.d))
+    assert _dual(_dual(g)) == g
+    for ch in CHANNELS:
+        if fam.cells is None:
+            with pytest.raises(OutOfCoverage):
+                formula_cell(g, 2, ch)
+        else:
+            # the order-2 cells see only the quadratic suspension
+            assert formula_cell(g, 2, ch) == arc_order2(g.d, g.sig, TARGETS[ch])
 
 
 # -- cell resolution -----------------------------------------------------------
