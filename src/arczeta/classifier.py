@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 from .formulas import (
     GRID_SIGS,
@@ -30,7 +31,6 @@ from .germs import (
     GermSpec,
     _csv,
     _json,
-    analytic_equiv,
     canonicalize,
     formula_cell,
     oracle_cell,
@@ -121,27 +121,37 @@ def distinguish(
             f"cannot compare germs of different ambient dimension: "
             f"{g1.d} vs {g2.d} (tables omit the u^(-n*d) normalization)"
         )
+    return _scan(
+        g1.render(),
+        g2.render(),
+        lambda n, channel: resolve_cell(g1, n, channel, source).value,
+        lambda n, channel: resolve_cell(g2, n, channel, source).value,
+        N,
+        source,
+    )
+
+
+# A cell lookup for the pair scan: (n, channel) -> value, or None if unavailable.
+CellLookup = Callable[[int, str], UPoly | None]
+
+
+def _scan(
+    germ1: str, germ2: str, cell1: CellLookup, cell2: CellLookup, N: int, source: str
+) -> Distinguisher:
+    """The one pair scan: the first cell, in scan order up to N, where the lookups differ."""
     unavailable: list[str] = []
     for n in range(2, N + 1):
         for channel in CHANNELS:
-            c1 = resolve_cell(g1, n, channel, source)
-            c2 = resolve_cell(g2, n, channel, source)
-            if c1.value is None or c2.value is None:
+            v1 = cell1(n, channel)
+            v2 = cell2(n, channel)
+            if v1 is None or v2 is None:
                 unavailable.append(_cell_id(n, channel))
                 continue
-            if c1.value != c2.value:
+            if v1 != v2:
                 return Distinguisher(
-                    g1.render(),
-                    g2.render(),
-                    N,
-                    source,
-                    n,
-                    channel,
-                    c1.value,
-                    c2.value,
-                    tuple(unavailable),
+                    germ1, germ2, N, source, n, channel, v1, v2, tuple(unavailable)
                 )
-    return Distinguisher(g1.render(), g2.render(), N, source, unavailable=tuple(unavailable))
+    return Distinguisher(germ1, germ2, N, source, unavailable=tuple(unavailable))
 
 
 def audit_scan_minimality(
@@ -354,24 +364,42 @@ class ClassificationReport:
         return "\n".join(lines) + "\n"
 
 
+def _row(g: GermSpec, source: str) -> CellLookup:
+    """The cell lookup of one spec: each cell resolved on its first lookup, then kept."""
+    values: dict[tuple[int, str], UPoly | None] = {}
+
+    def cell(n: int, channel: str) -> UPoly | None:
+        key = (n, channel)
+        if key not in values:
+            values[key] = resolve_cell(g, n, channel, source).value
+        return values[key]
+
+    return cell
+
+
 def ade_table(
     d: int, kmax: int = 8, N: int = 9, source: str = "auto"
 ) -> ClassificationReport:
     """Pairwise classification of every simple germ at ambient dimension d.
 
-    Every pair goes through :func:`distinguish`.  Equivalent pairs (same
-    canonical form) must come out unseparated, agreeing on every available
-    cell up to N; all other pairs must be separated at some n <= N.
-    Violations land in ``failures``; a broken equivalent pair is reported
-    at its first disagreeing cell.
+    Every pair goes through the scan of :func:`distinguish`, over rows
+    that resolve each (spec, n, channel) at most once per table, and
+    only when a pair's scan reaches it.  Equivalent pairs (same
+    canonical form) must come out unseparated, agreeing on every
+    available cell up to N; all other pairs must be separated at some
+    n <= N.  Violations land in ``failures``; a broken equivalent pair
+    is reported at its first disagreeing cell.
     """
     specs = enumerate_simple(d, kmax)
+    names = [g.render() for g in specs]
+    canonical = [canonicalize(g).render() for g in specs]
+    rows = [_row(g, source) for g in specs]
     entries: list[PairEntry] = []
     failures: list[str] = []
-    for i, g1 in enumerate(specs):
-        for g2 in specs[i + 1 :]:
-            dist = distinguish(g1, g2, N, source)
-            if not analytic_equiv(g1, g2):
+    for i in range(len(specs)):
+        for j in range(i + 1, len(specs)):
+            dist = _scan(names[i], names[j], rows[i], rows[j], N, source)
+            if canonical[i] != canonical[j]:
                 if not dist.separated:
                     failures.append(
                         f"no distinguisher at n <= {N} for {dist.germ1} vs "
@@ -400,20 +428,13 @@ def ade_table(
                     scanned - len(dist.unavailable),
                 )
             )
-    seen: set[str] = set()
-    classes: list[str] = []
-    for g in specs:
-        c = canonicalize(g).render()
-        if c not in seen:
-            seen.add(c)
-            classes.append(c)
     return ClassificationReport(
         d,
         kmax,
         N,
         source,
-        tuple(g.render() for g in specs),
-        tuple(classes),
+        tuple(names),
+        tuple(dict.fromkeys(canonical)),
         tuple(entries),
         tuple(failures),
     )

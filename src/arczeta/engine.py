@@ -23,7 +23,7 @@ exhausted stratum budget yields an explicit failure outcome.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -487,10 +487,25 @@ def decompose(
     )
 
 
-def _child(st: _Stratum, step: str, constraints: list, **changes) -> _Stratum:
-    """A sub-stratum of ``st`` one level down, its path extended by ``step``."""
-    return replace(
-        st, constraints=constraints, depth=st.depth + 1, path=f"{st.path} / {step}", **changes
+def _child(
+    st: _Stratum,
+    step: str,
+    constraints: list,
+    assumed: frozenset[int] | None = None,
+    alive: frozenset[int] | None = None,
+    prefactor: UPoly | None = None,
+) -> _Stratum:
+    """A sub-stratum of ``st`` one level down, its path extended by ``step``.
+
+    ``assumed``, ``alive`` and ``prefactor`` default to those of ``st``.
+    """
+    return _Stratum(
+        constraints,
+        st.assumed if assumed is None else assumed,
+        st.alive if alive is None else alive,
+        st.prefactor if prefactor is None else prefactor,
+        st.depth + 1,
+        f"{st.path} / {step}",
     )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -85,9 +85,51 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _json(obj) -> str:
-    """JSON text with sorted keys and two-space indents; every JSON output uses it."""
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """JSON text with sorted keys and two-space indents; every JSON output uses it.
+
+    The text is byte for byte ``json.dumps(obj, indent=2, sort_keys=True)``,
+    written in one pass (``json.dumps`` with ``indent`` never uses the C
+    encoder).  Only str, int, bool, None, lists and dicts with str keys
+    are written, each of exactly that type; anything else raises
+    ``TypeError``.
+    """
+    return _json_value(obj, "\n")
+
+
+def _json_value(obj, indent: str) -> str:
+    """``obj`` as JSON, its nested lines starting with ``indent`` (a newline and spaces)."""
+    t = type(obj)
+    if t is str:
+        return _encode_str(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key in sorted(obj):  # raises TypeError on mixed key types
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            value = obj[key]
+            # most values are strings: encode them without a call of this function
+            text = _encode_str(value) if type(value) is str else _json_value(value, inner)
+            items.append(_encode_str(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if t is list:
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_json_value(x, inner) for x in obj]) + indent + "]"
+    if t is int:
+        return int.__repr__(obj)
+    if t is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 _SIGN_TEXT = {1: "+", -1: "-"}
@@ -346,11 +388,11 @@ def apply_signed_permutation(
 def canonicalize(g: GermSpec) -> GermSpec:
     """Canonical class representative under the family sign identities."""
     if g.family == "AK" and g.k % 2 == 0 and g.signs[0] == -1:
-        return replace(g, signs=(1,))
+        return GermSpec(g.family, g.sig, g.k, g.i, (1,), g.params)
     if g.family == "DK" and g.signs[0] == -1:
         # x1 -> -x1 flips e1, and e2 too when k - 1 is odd
         e2 = g.signs[1]
-        return replace(g, signs=(1, -e2 if g.k % 2 == 0 else e2))
+        return GermSpec(g.family, g.sig, g.k, g.i, (1, -e2 if g.k % 2 == 0 else e2), g.params)
     return g
 
 
@@ -418,8 +460,8 @@ def _dual(g: GermSpec) -> GermSpec:
         params = tuple(
             (name, -v if g.i > 0 or name in ("b", "c") else v) for name, v in g.params
         )
-        return replace(g, sig=sig, params=params)
-    return replace(g, sig=sig, signs=tuple(-s for s in g.signs))
+        return GermSpec(g.family, sig, g.k, g.i, g.signs, params)
+    return GermSpec(g.family, sig, g.k, g.i, tuple(-s for s in g.signs), g.params)
 
 
 def _orbit(g: GermSpec, n: int, channel: str) -> list[tuple[GermSpec, str]]:

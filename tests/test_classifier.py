@@ -212,6 +212,24 @@ def test_ade_table_reports_an_unseparated_distinct_pair(monkeypatch):
     assert e.relation == "distinct" and not e.certificate.separated
 
 
+def test_ade_table_resolves_each_cell_once_and_scans_as_distinguish(monkeypatch):
+    calls: dict[tuple, int] = {}
+
+    def counting(g, n, channel, source, oracle=None):
+        calls[g, n, channel] = calls.get((g, n, channel), 0) + 1
+        return resolve_cell(g, n, channel, source, oracle)
+
+    monkeypatch.setattr(classifier, "resolve_cell", counting)
+    rep = ade_table(2, N=6)
+    assert calls and set(calls.values()) == {1}
+    monkeypatch.setattr(classifier, "resolve_cell", resolve_cell)
+    spec = {g.render(): g for g in enumerate_simple(2)}
+    distinct = [e for e in rep.entries if e.relation == "distinct"]
+    assert distinct
+    for e in distinct:
+        assert e.certificate == distinguish(spec[e.germ1], spec[e.germ2], 6, "auto")
+
+
 # -- nonsimple instances ---------------------------------------------------------
 
 
