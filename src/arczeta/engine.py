@@ -25,7 +25,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .mpoly import Coeff, MPoly
 from .quadric import (
@@ -97,13 +98,26 @@ class ArcVar:
 
 @dataclass
 class ArcSystem:
-    """Constraint system for one arc-space cell."""
+    """Constraint system for one arc-space cell.
+
+    ``rank`` orders the variable ids by ``split_key`` and ``alive`` holds
+    them all.  ``build_system`` passes the shared, read-only ones of its
+    layout; a system built without them derives both from ``variables``.
+    """
 
     n: int
     target: int | str
-    variables: list[ArcVar]
+    variables: Sequence[ArcVar]
     constraints: list[tuple[MPoly, str]]
-    names: dict[int, str]
+    names: Mapping[int, str]
+    rank: Mapping[int, int] | None = None
+    alive: frozenset[int] | None = None
+
+    def __post_init__(self) -> None:
+        if self.rank is None:
+            self.rank = _split_rank(self.variables)
+        if self.alive is None:
+            self.alive = frozenset(v.vid for v in self.variables)
 
     @property
     def total_vars(self) -> int:
@@ -205,6 +219,39 @@ def _expansion(germ: MPoly) -> _Series:
     return _Series(coeff, min(series.order for series, _ in parts) if parts else 0)
 
 
+def _split_rank(variables: Sequence[ArcVar]) -> dict[int, int]:
+    """Each variable id's position in ``split_key`` order."""
+    ordered = sorted(variables, key=lambda v: v.split_key)
+    return {v.vid: r for r, v in enumerate(ordered)}
+
+
+@lru_cache(maxsize=128)
+def _layout(
+    blocks: tuple[str, ...], n: int
+) -> tuple[tuple[ArcVar, ...], Mapping[int, str], Mapping[int, int], frozenset[int]]:
+    """The variables of a cell over ``blocks`` at order n, their names,
+    split ranks and ids, built once.
+
+    Every system over the same (blocks, n) shares them, so the mappings
+    are read-only views.
+    """
+    coord_of: list[int] = []
+    counts: dict[str, int] = {}
+    for block in blocks:
+        if block not in _BLOCK_RANK:
+            raise ValueError(f"unknown block {block!r}")
+        counts[block] = counts.get(block, 0) + 1
+        coord_of.append(counts[block])
+    variables = tuple(
+        ArcVar(vid=j * _LEVEL_STRIDE + s - 1, block=block, level=s, coord=coord_of[j])
+        for j, block in enumerate(blocks)
+        for s in range(1, n + 1)
+    )
+    names = MappingProxyType({v.vid: v.name for v in variables})
+    rank = MappingProxyType(_split_rank(variables))
+    return variables, names, rank, frozenset(v.vid for v in variables)
+
+
 def build_system(
     germ: MPoly, blocks: Sequence[str], n: int, target: int | str
 ) -> ArcSystem:
@@ -219,8 +266,11 @@ def build_system(
     The expansion is computed once per germ and extended on demand (see
     ``_expansion``), so every order and channel shares it; only the last
     constraint is built per call.  Variable ids are keyed by (coordinate,
-    level), independent of n.  Integer germs keep ``int`` coefficients;
-    ``Fraction`` appears only where the germ has one.
+    level), independent of n.  The variables, their names, split ranks and
+    the initial ``alive`` set come from one read-only layout per
+    (blocks, n) (see ``_layout``), shared by every system over it.
+    Integer germs keep ``int`` coefficients; ``Fraction`` appears only
+    where the germ has one.
     """
     if n < 2:
         raise ValueError(f"arc order must be >= 2, got {n}")
@@ -228,22 +278,10 @@ def build_system(
         raise ValueError(f"arc order must be <= {_LEVEL_STRIDE}, got {n}")
     if target not in (1, -1, "naive"):
         raise ValueError(f"target must be +1, -1 or 'naive', got {target!r}")
+    variables, names, rank, alive = _layout(tuple(blocks), n)
     d = len(blocks)
-    coord_of: list[int] = []
-    counts: dict[str, int] = {}
-    for block in blocks:
-        if block not in _BLOCK_RANK:
-            raise ValueError(f"unknown block {block!r}")
-        counts[block] = counts.get(block, 0) + 1
-        coord_of.append(counts[block])
     if any(j >= d for j in germ.vars()):
         raise ValueError(f"germ has variables beyond the {d} blocks")
-    variables = [
-        ArcVar(vid=j * _LEVEL_STRIDE + s - 1, block=blocks[j], level=s, coord=coord_of[j])
-        for j in range(d)
-        for s in range(1, n + 1)
-    ]
-    names = {v.vid: v.name for v in variables}
 
     tpoly = _expansion(germ)
     if not tpoly[0].is_zero() or not tpoly[1].is_zero():
@@ -255,7 +293,13 @@ def build_system(
     else:
         constraints.append((tpoly[n] - MPoly.const(target), EQ))
     return ArcSystem(
-        n=n, target=target, variables=variables, constraints=constraints, names=names
+        n=n,
+        target=target,
+        variables=variables,
+        constraints=constraints,
+        names=names,
+        rank=rank,
+        alive=alive,
     )
 
 
@@ -432,6 +476,12 @@ def decompose(
     budget: int | None = None,
     collect_trace: bool = False,
 ) -> EngineOutcome:
+    """Stratify ``system`` and add up its leaves.
+
+    Splits and peels choose variables by the system's ``rank`` and the
+    root stratum starts from its ``alive`` set, both shared with every
+    system over the same layout; nothing here writes to them.
+    """
     limit = effective_budget(budget)
     names = system.names
     trace: list[str] = []
@@ -447,14 +497,13 @@ def decompose(
     root = _Stratum(
         constraints=list(system.constraints),
         assumed=frozenset(),
-        alive=frozenset(v.vid for v in system.variables),
+        alive=system.alive,
         prefactor=ONE,
         depth=0,
         path="root",
     )
     stack = [root]
-    ordered = sorted(system.variables, key=lambda v: v.split_key)
-    rank = {v.vid: r for r, v in enumerate(ordered)}
+    rank = system.rank
 
     try:
         while stack:
@@ -603,11 +652,14 @@ def _simplify(st, rank, names, log):
             if v is None:
                 continue
             if rel == EQ:
-                a, b = p.linear_split(v)
+                # v = -b/a is needed only where a later constraint has v
+                split = None
                 new_cons = cons[:i]
                 for q, qrel in cons[i + 1 :]:
                     if v in q.vars():
-                        q = q.subs_clear(v, a, b)
+                        if split is None:
+                            split = p.linear_split(v)
+                        q = q.subs_clear(v, *split)
                     new_cons.append((q, qrel))
                 st.constraints = new_cons
                 st.alive = st.alive - {v}

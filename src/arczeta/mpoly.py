@@ -31,7 +31,7 @@ operation divides coefficients, so an ``int`` never turns into a float.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Collection, Iterator
+from typing import Collection, Iterator, Mapping
 
 __all__ = ["Coeff", "Monomial", "MPoly", "Summary"]
 
@@ -71,34 +71,46 @@ class Summary:
       (0 if there is no such term), else None.
 
     The mappings are shared with every reader and must not be mutated.
+
+    One pass over the terms records, per variable, the number of terms it
+    occurs in, its least exponent and the first term it occurs in; the
+    first four fields are read off those records.
     """
 
     __slots__ = ("vars", "content", "pivots", "squares", "definite")
 
     def __init__(self, t: dict[Monomial, Coeff]) -> None:
-        first: dict[int, Monomial] = {}
-        repeated: set[int] = set()
+        # v -> [terms with v, least exponent of v, first term with v]
+        seen: dict[int, list] = {}
         for m in t:
-            for v, _ in m:
-                if v in first:
-                    repeated.add(v)
+            for v, e in m:
+                r = seen.get(v)
+                if r is None:
+                    seen[v] = [1, e, m]
                 else:
-                    first[v] = m
+                    r[0] += 1
+                    if e < r[1]:
+                        r[1] = e
         pivots: dict[int, Monomial] = {}
         squares: dict[int, Coeff] = {}
-        for v, m in first.items():
-            if v in repeated:
+        for v, (count, e, m) in seen.items():
+            if count != 1:
                 continue
-            if len(m) == 1:
-                e = m[0][1]
-                if e == 1:
+            if e == 1:
+                if len(m) == 1:
                     pivots[v] = _ONE_M
-                elif e == 2:
-                    squares[v] = t[m]
-            elif dict(m)[v] == 1:
-                pivots[v] = tuple(f for f in m if f[0] != v)
-        self.vars: frozenset[int] = frozenset(first)
-        self.content: Monomial = _content(t)
+                else:
+                    i = m.index((v, 1))
+                    pivots[v] = m[:i] + m[i + 1 :]
+            elif e == 2 and len(m) == 1:
+                squares[v] = t[m]
+        content = _ONE_M
+        if t:
+            # a variable of the content occurs in every term, the first included
+            size = len(t)
+            content = tuple([(v, seen[v][1]) for v, _ in next(iter(t)) if seen[v][0] == size])
+        self.vars: frozenset[int] = frozenset(seen)
+        self.content: Monomial = content
         self.pivots = pivots
         self.squares = squares
         self.definite = _definite_shape(t)
@@ -117,19 +129,6 @@ def _definite_shape(t: dict[Monomial, Coeff]) -> tuple[int, frozenset[int]] | No
         elif s != sign:
             return None
     return sign, frozenset(m[0][0] for m in t if m)
-
-
-def _content(t: dict[Monomial, Coeff]) -> Monomial:
-    if not t or _ONE_M in t:
-        return _ONE_M
-    it = iter(t)
-    content = dict(next(it))
-    for m in it:
-        exps = dict(m)
-        content = {v: min(e, exps[v]) for v, e in content.items() if v in exps}
-        if not content:
-            return _ONE_M
-    return tuple(content.items())
 
 
 class MPoly:
@@ -355,7 +354,7 @@ class MPoly:
 
     # -- display -------------------------------------------------------
 
-    def text(self, names: dict[int, str] | None = None) -> str:
+    def text(self, names: Mapping[int, str] | None = None) -> str:
         if not self._t:
             return "0"
         def varname(v: int) -> str:

@@ -149,6 +149,78 @@ def test_rotation_is_a_traced_peel():
     assert out.audit()
 
 
+def _hand_built(variables, constraints) -> ArcSystem:
+    return ArcSystem(
+        n=1,
+        target=1,
+        variables=variables,
+        constraints=constraints,
+        names={v.vid: v.name for v in variables},
+    )
+
+
+def _counting_linear_split(monkeypatch) -> list:
+    calls = []
+    split = MPoly.linear_split
+
+    def counting(self, v):
+        calls.append(v)
+        return split(self, v)
+
+    monkeypatch.setattr(MPoly, "linear_split", counting)
+    return calls
+
+
+def test_pivot_substitutes_into_later_constraints(monkeypatch):
+    """eq#0's pivot v0 occurs in eq#1 and eq#2, which have no pivot of their
+    own: the rule solves v0 = -v1^2 once and clears it from both."""
+    v0, v1, v2, v3 = (_v(j) for j in range(4))
+    one = MPoly.const(1)
+    variables = [ArcVar(vid=j, block="c", level=1, coord=j + 1) for j in range(4)]
+    calls = _counting_linear_split(monkeypatch)
+    out = decompose(
+        _hand_built(
+            variables,
+            [(v0 + v1**2, EQ), (v0**2 + v2**2 - one, EQ), (v0 * v3 - one, NEQ)],
+        ),
+        collect_trace=True,
+    )
+    assert calls == [0]
+    assert out.ok, out.detail
+    assert any(line.startswith("[pivot] c1^1 from eq#0") for line in out.trace)
+    by_hand = decompose(
+        _hand_built(variables[1:], [(v1**4 + v2**2 - one, EQ), (-(v1**2) * v3 - one, NEQ)])
+    )
+    assert by_hand.ok, by_hand.detail
+    assert out.value == by_hand.value
+    assert out.audit()
+
+
+def test_pivot_without_later_occurrence_splits_nothing(monkeypatch):
+    calls = _counting_linear_split(monkeypatch)
+    out = beta_of(D4PM11, ("a", "b", "c", "c"), 6, 1, collect_trace=True)
+    assert any("[pivot]" in line and "from eq#" in line for line in out.trace)
+    assert calls == []
+
+
+def test_systems_share_one_read_only_layout():
+    engine._layout.cache_clear()
+    first = build_system(Q21, ("c", "c", "c"), 4, 1)
+    again = build_system(_v(0) ** 3 + _v(1) ** 2 - _v(2) ** 2, ("c", "c", "c"), 4, "naive")
+    other = build_system(Q21, ("c", "c", "c"), 5, 1)
+    assert again.variables is first.variables and again.names is first.names
+    assert again.rank is first.rank and again.alive is first.alive
+    assert other.variables is not first.variables
+    with pytest.raises(TypeError):
+        first.names[0] = "x"
+    with pytest.raises(TypeError):
+        first.rank[0] = 0
+    # a hand-built system over the same variables derives the same rank and alive set
+    hand = _hand_built(list(first.variables), first.constraints)
+    assert hand.rank == first.rank
+    assert hand.alive == first.alive == frozenset(v.vid for v in first.variables)
+
+
 # (value, strata) per channel of cells whose last rotation is a peel of a
 # D-curve suspension into two leaves; the "+ 2" counts those leaves.
 PEELED_CELLS = {
@@ -407,11 +479,12 @@ def test_decompose_behaviour_is_pinned():
 
 
 def test_caches_never_change_an_answer():
-    """The germ expansions, the zeroings kept on them and the memo of _T
-    give the same outcomes from empty caches, from warm ones, and when the
+    """The germ expansions, the zeroings kept on them, the shared variable
+    layouts and the memo of _T give the same outcomes from empty caches, from warm ones, and when the
     cells are asked for in reverse order."""
     cells = _pinned_cells()
     engine._expansion.cache_clear()
+    engine._layout.cache_clear()
     engine._T.cache_clear()
     cold = [_pinned_record(*cell)[0] for cell in cells]
     warm = [_pinned_record(*cell)[0] for cell in cells]

@@ -7,7 +7,7 @@ must agree with them on random sparse polynomials.
 
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from arczeta.engine import _definite
@@ -116,6 +116,43 @@ def ref_definite(p: MPoly, assumed: frozenset[int]):
     return None
 
 
+def ref_summary_fields(t: dict) -> tuple:
+    """Summary's fields by their per-field definitions: a scan for first
+    occurrences and repeats, a dict per multi-factor pivot term, and a
+    running intersection of the terms for the content."""
+    first, repeated = {}, set()
+    for m in t:
+        for v, _ in m:
+            if v in first:
+                repeated.add(v)
+            else:
+                first[v] = m
+    pivots, squares = {}, {}
+    for v, m in first.items():
+        if v in repeated:
+            continue
+        if len(m) == 1:
+            if m[0][1] == 1:
+                pivots[v] = ()
+            elif m[0][1] == 2:
+                squares[v] = t[m]
+        elif dict(m)[v] == 1:
+            pivots[v] = tuple(f for f in m if f[0] != v)
+    content = ()
+    if t and () not in t:
+        it = iter(t)
+        common = dict(next(it))
+        for m in it:
+            exps = dict(m)
+            common = {v: min(e, exps[v]) for v, e in common.items() if v in exps}
+        content = tuple(common.items())
+    definite = None
+    signs = {1 if c > 0 else -1 for m, c in t.items() if m}
+    if all(len(m) == 1 and m[0][1] % 2 == 0 for m in t if m) and len(signs) <= 1:
+        definite = (signs.pop() if signs else 0, frozenset(m[0][0] for m in t if m))
+    return (frozenset(first), content, pivots, squares, definite)
+
+
 def fields(p: MPoly) -> tuple:
     s = p.summary()
     return (s.vars, s.content, s.pivots, s.squares, s.definite)
@@ -133,6 +170,20 @@ def test_summary_matches_term_scans(p, assumed):
     assert pivots == ref_pivots(p, assumed)
     assert s.squares == ref_squares(p)
     assert _definite(p, assumed) == ref_definite(p, assumed)
+
+
+@given(polys())
+@example(MPoly())
+@example(MPoly.const(Fraction(-3, 2)))
+@example(MPoly({((0, 2), (1, 1)): Fraction(1, 2), ((0, 3), (2, 1)): -1, ((1, 2),): 3}))
+@example(MPoly({((0, 1), (3, 2)): 2, ((0, 2), (1, 1), (3, 4)): Fraction(1, 3)}))
+def test_summary_equals_its_per_field_definitions(p):
+    """The one-pass summary is the per-field one, the content's order included."""
+    terms = dict(p.terms())
+    s = MPoly(terms).summary()
+    ref = ref_summary_fields(terms)
+    assert (s.vars, s.content, s.pivots, s.squares, s.definite) == ref
+    assert list(s.pivots) == list(ref[2]) and list(s.squares) == list(ref[3])
 
 
 @given(polys())
