@@ -19,8 +19,8 @@ from .formulas import (
     OutOfCoverage,
     arc_E,
     arc_G,
+    arc_Q,
     arc_Q_recursive,
-    arc_Q_signed,
     formula_variants,
     variant_ids,
 )
@@ -704,7 +704,7 @@ def _closed_vs_recursive() -> SuiteSection:
             for q in range(5):
                 for eps in (1, -1):
                     count += 1
-                    if arc_Q_signed(l, eps, (p, q)) != arc_Q_recursive(l, eps, (p, q)):
+                    if arc_Q(l, eps, (p, q)) != arc_Q_recursive(l, eps, (p, q)):
                         mismatches.append(f"l={l} eps={eps} sig=({p},{q})")
     return _section(
         "closed-vs-recursive",

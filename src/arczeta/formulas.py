@@ -8,7 +8,13 @@ authoritative, and the as-stated forms are kept in the
 :func:`formula_variants` registry for the verification suite.
 
 Targets: ``+1`` / ``-1`` select the signed cells A_n^{±1} (the order-n
-coefficient equals ±1); ``"naive"`` selects A_n (order exactly n).
+coefficient equals ±1); ``"naive"`` selects A_n (order exactly n).  The
+three cells differ only in the target set of that coefficient, {+1},
+{-1} or R*, and each formula is written once over it: the target enters
+only through ``_lead`` (a free leading coefficient), ``_Y_at`` (the
+quadric), ``_power_at`` (the power-plus-quadric) and ``_curve_at`` (the
+D-curve).  E6's order-4 cell, closed only for the naive target, is the
+one coverage rule that reads the target itself.
 
 Cells outside a formula's declared coverage raise :class:`OutOfCoverage`
 ("use the stratification oracle"); formulas never extrapolate.
@@ -29,21 +35,19 @@ from .quadric import (
     beta_Y_fiber,
     beta_Y_star,
 )
-from .upoly import U_MINUS_1, UPoly, ZERO, geom_sum, u_pow
+from .upoly import ONE, U_MINUS_1, UPoly, ZERO, geom_sum, u_pow
 
 __all__ = [
     "Target",
     "OutOfCoverage",
-    "arc_Q_signed",
+    "arc_Q",
     "arc_Q_recursive",
-    "arc_Q_naive",
     "arc_order2",
     "arc_Ak",
     "arc_G",
     "arc_Dk",
     "arc_D4_order4",
     "arc_E",
-    "arc_cube",
     "FormulaVariant",
     "GRID_SIGS",
     "formula_variants",
@@ -70,35 +74,55 @@ def _check_l(l: int, low: int = 2) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The target sets: {t} for t = +1, -1 and R* for naive
+# ---------------------------------------------------------------------------
+
+
+def _lead(t: Target) -> UPoly:
+    """beta of the target set of a free leading coefficient."""
+    return U_MINUS_1 if _check_target(t) == "naive" else ONE
+
+
+def _Y_at(sig: Sig, t: Target) -> UPoly:
+    """beta of {Q_{p,q} in the target set}."""
+    return beta_Y_compl(sig) if t == "naive" else beta_Y_fiber(sig, t)
+
+
+def _power_at(m: int, s: int, sig: Sig, t: Target) -> UPoly:
+    """beta of {s*x^m + Q_{p,q}(y) in the target set} in R^{p+q+1}."""
+    if t == "naive":
+        return u_pow(sum(sig) + 1) - beta_power_zero(m, s, sig)
+    return beta_power_fiber(m, s, sig, t)
+
+
+def _curve_at(k: int, s: int, t: Target) -> UPoly:
+    """beta of {x1*x2^2 + s*x1^(k-1) in the target set} in R^2."""
+    return u_pow(2) - beta_D_curve_zero(k, s) if t == "naive" else beta_D_curve(k, s, t)
+
+
+# ---------------------------------------------------------------------------
 # Quadratic suspensions Q_{p,q}
 # ---------------------------------------------------------------------------
 
 
-def arc_Q_signed(l: int, eps: int, sig: Sig) -> UPoly:
-    """Signed cell for the pure quadratic form, any order l >= 2."""
+def arc_Q(l: int, t: Target, sig: Sig) -> UPoly:
+    """Cell of order l >= 2 for the pure quadratic form Q_{p,q}."""
+    lead = _lead(t)
     _check_l(l)
-    p, q = sig
+    r = sum(sig)
+    n, odd = divmod(l, 2)
+    total = ZERO if odd else u_pow(n * r) * _Y_at(sig, t)
     star = beta_Y_star(sig)
-    if l % 2 == 1:
-        n = (l - 1) // 2
-        if star.is_zero():
-            return ZERO
-        total = ZERO
-        for s in range(1, n + 1):
-            total += u_pow((2 * n + 1 - s) * (p + q - 1) + s)
-        return star * total
-    n = l // 2
-    total = u_pow(n * (p + q)) * beta_Y_fiber(sig, eps)
-    if not star.is_zero():
-        acc = ZERO
-        for s in range(1, n):
-            acc += u_pow((2 * n - s) * (p + q - 1) + s)
-        total += star * acc
-    return total
+    if star.is_zero():
+        return total
+    acc = ZERO
+    for s in range(1, n + odd):
+        acc += u_pow((l - s) * (r - 1) + s)
+    return total + lead * star * acc
 
 
 def arc_Q_recursive(l: int, eps: int, sig: Sig) -> UPoly:
-    """Same cells by the two-step peeling recursion (base l = 2, 3)."""
+    """Same signed cells by the two-step peeling recursion (base l = 2, 3)."""
     _check_l(l)
     p, q = sig
     star = beta_Y_star(sig)
@@ -112,40 +136,24 @@ def arc_Q_recursive(l: int, eps: int, sig: Sig) -> UPoly:
     return head + u_pow(p + q) * arc_Q_recursive(l - 2, eps, sig)
 
 
-def arc_Q_naive(l: int, sig: Sig) -> UPoly:
-    """Order-exactly-l cell for the pure quadratic form."""
-    _check_l(l)
-    p, q = sig
-    star = beta_Y_star(sig)
-    if l % 2 == 1:
-        return ZERO if star.is_zero() else U_MINUS_1 * arc_Q_signed(l, +1, sig)
-    n = l // 2
-    total = u_pow(n * (p + q)) * beta_Y_compl(sig)
-    if not star.is_zero():
-        acc = ZERO
-        for s in range(1, n):
-            acc += u_pow((2 * n - s) * (p + q - 1) + s)
-        total += U_MINUS_1 * star * acc
-    return total
-
-
-def _arc_Q(l: int, t: Target, sig: Sig) -> UPoly:
-    return arc_Q_naive(l, sig) if t == "naive" else arc_Q_signed(l, t, sig)
-
-
 def arc_order2(d: int, sig: Sig, t: Target) -> UPoly:
     """The order-2 cell of any germ with quadratic part Q_{p,q} in ambient R^d."""
     _check_target(t)
-    p, q = sig
-    if d < p + q:
-        raise ValueError(f"ambient dimension {d} below rank {p + q}")
-    fiber = beta_Y_compl(sig) if t == "naive" else beta_Y_fiber(sig, t)
-    return u_pow(2 * d - (p + q)) * fiber
+    r = sum(sig)
+    if d < r:
+        raise ValueError(f"ambient dimension {d} below rank {r}")
+    return u_pow(2 * d - r) * _Y_at(sig, t)
 
 
 # ---------------------------------------------------------------------------
 # A_k: s*x^(k+1) + Q_{p,q}(y)
 # ---------------------------------------------------------------------------
+
+
+def _power_step(m: int, s: int, sig: Sig, t: Target) -> UPoly:
+    """The correction where the power s*x^m first enters an even-order cell
+    (A_k at l = k+1 and D_k at l = k-1, for odd k)."""
+    return _power_at(m, s, sig, t) - u_pow(1) * _Y_at(sig, t)
 
 
 def arc_Ak(k: int, s: int, l: int, t: Target, sig: Sig) -> UPoly:
@@ -158,32 +166,20 @@ def arc_Ak(k: int, s: int, l: int, t: Target, sig: Sig) -> UPoly:
         raise ValueError(f"k must be >= 2, got {k}")
     if s not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {s!r}")
-    _check_target(t)
+    lead = _lead(t)
     _check_l(l)
-    p, q = sig
+    r = sum(sig)
     if l == 2:
-        return arc_order2(p + q + 1, sig, t)
+        return arc_order2(r + 1, sig, t)
     if l > k + 1:
         raise OutOfCoverage(f"A_k cell l={l} > k+1={k + 1}: use the oracle")
+    base = u_pow(l) * arc_Q(l, t, sig)
     if l <= k:
-        return u_pow(l) * _arc_Q(l, t, sig)
-    # l == k + 1
-    if k % 2 == 0:
-        n = k // 2  # l = 2n+1 odd; the extra top-power term is sign-free
-        base = u_pow(2 * n + 1) * _arc_Q(2 * n + 1, t, sig)
-        term = u_pow((n + 1) * (p + q) + 2 * n)
-        return base + (U_MINUS_1 * term if t == "naive" else term)
-    n = (k + 1) // 2  # l = 2n even
-    base = u_pow(2 * n) * _arc_Q(2 * n, t, sig)
-    if t == "naive":
-        corr = (
-            u_pow(p + q + 1)
-            - beta_power_zero(k + 1, s, sig)
-            - u_pow(1) * beta_Y_compl(sig)
-        )
-    else:
-        corr = beta_power_fiber(k + 1, s, sig, t) - u_pow(1) * beta_Y_fiber(sig, t)
-    return base + u_pow(n * (p + q) + 2 * n - 1) * corr
+        return base
+    n = l // 2
+    if k % 2 == 0:  # l = 2n+1 odd; the extra top-power term is sign-free
+        return base + lead * u_pow((n + 1) * r + 2 * n)
+    return base + u_pow(n * r + 2 * n - 1) * _power_step(k + 1, s, sig, t)
 
 
 # ---------------------------------------------------------------------------
@@ -193,34 +189,21 @@ def arc_Ak(k: int, s: int, l: int, t: Target, sig: Sig) -> UPoly:
 
 def arc_G(l: int, t: Target, sig: Sig) -> UPoly:
     """Cell of order l >= 2 for G = x1*x2^2 + Q_{p,q}(y)."""
-    _check_target(t)
+    lead = _lead(t)
     _check_l(l)
-    p, q = sig
+    r = sum(sig)
     if l == 2:
-        return arc_order2(p + q + 2, sig, t)
+        return arc_order2(r + 2, sig, t)
     star = beta_Y_star(sig)
-    naive = t == "naive"
-    r = p + q
-    if l % 2 == 1:
-        n = (l - 1) // 2
-        total = ZERO
-        for m in range(1, n + 1):
-            level = u_pow(2 * m * r + 2 * m + 3) * star + U_MINUS_1 * u_pow(
-                2 * m * r + 2 * m + 2
-            )
-            total += u_pow((n - m) * (r + 3)) * level
-        return U_MINUS_1 * total if naive else total
-    n = l // 2
+    n, odd = divmod(l, 2)
     total = ZERO
-    for m in range(2, n + 1):
-        level = u_pow((2 * m - 1) * r + 2 * m + 2) * star + U_MINUS_1 * u_pow(
-            (2 * m - 1) * r + 2 * m + 1
-        )
-        if naive:
-            level = U_MINUS_1 * level
+    for m in range(2 - odd, n + 1):  # the peeling levels: from 1 at odd l, 2 at even
+        e = (2 * m - 1 + odd) * r + 2 * m + 1 + odd
+        level = u_pow(e + 1) * star + U_MINUS_1 * u_pow(e)
         total += u_pow((n - m) * (r + 3)) * level
-    tail = beta_Y_compl(sig) if naive else beta_Y_fiber(sig, t)
-    return total + u_pow(n * r + 3 * n + 1) * tail
+    if odd:
+        return lead * total
+    return lead * total + u_pow(n * r + 3 * n + 1) * _Y_at(sig, t)
 
 
 def arc_Dk(k: int, e1: int, e2: int, l: int, t: Target, sig: Sig) -> UPoly:
@@ -235,137 +218,86 @@ def arc_Dk(k: int, e1: int, e2: int, l: int, t: Target, sig: Sig) -> UPoly:
     for name, v in (("e1", e1), ("e2", e2)):
         if v not in (1, -1):
             raise ValueError(f"{name} must be +1 or -1, got {v!r}")
-    _check_target(t)
+    lead = _lead(t)
     _check_l(l)
-    p, q = sig
-    r = p + q
+    r = sum(sig)
     if l == 2:
         return arc_order2(r + 2, sig, t)
     if l == k == 4:
         return arc_D4_order4(e1 * e2, t, sig)
     if l >= k:
         raise OutOfCoverage(f"D_k cell l={l} >= k={k}: use the oracle")
-    if l < k - 1:
-        return arc_G(l, t, sig)
-    # l == k - 1
     base = arc_G(l, t, sig)
+    if l < k - 1:
+        return base
+    # l == k - 1
     if k % 2 == 0:
         n = (k - 2) // 2
-        shift = u_pow((n + 1) * r + 3 * n + 1)
-        if t == "naive":
-            corr = (u_pow(2) - beta_D_curve_zero(k, e1 * e2)) - U_MINUS_1 * U_MINUS_1
-        else:
-            corr = beta_D_curve(k, e1 * e2, t) - U_MINUS_1
-        return base + shift * corr
+        corr = _curve_at(k, e1 * e2, t) - lead * U_MINUS_1
+        return base + u_pow((n + 1) * r + 3 * n + 1) * corr
     n = (k - 1) // 2
-    shift = u_pow(n * r + 3 * n)
-    if t == "naive":
-        corr = (
-            u_pow(r + 1)
-            - beta_power_zero(k - 1, e2, sig)
-            - u_pow(1) * beta_Y_compl(sig)
-        )
-    else:
-        corr = beta_power_fiber(k - 1, e2, sig, t) - u_pow(1) * beta_Y_fiber(sig, t)
-    return base + shift * corr
+    return base + u_pow(n * r + 3 * n) * _power_step(k - 1, e2, sig, t)
 
 
 def arc_D4_order4(cls: int, t: Target, sig: Sig) -> UPoly:
     """The order-4 cell of g_4, by equivalence class sign cls = e1*e2."""
     if cls not in (1, -1):
         raise ValueError(f"class sign must be +1 or -1, got {cls!r}")
-    _check_target(t)
-    p, q = sig
-    r = p + q
+    lead = _lead(t)
+    r = sum(sig)
     alpha = 1 if cls == 1 else 3
-    star = beta_Y_star(sig)
-    if t == "naive":
-        return (
-            U_MINUS_1 * u_pow(3 * r + 6) * star
-            + alpha * U_MINUS_1 * U_MINUS_1 * u_pow(3 * r + 5)
-            + u_pow(2 * r + 6) * beta_Y_compl(sig)
-        )
-    return (
-        u_pow(3 * r + 6) * star
-        + alpha * U_MINUS_1 * u_pow(3 * r + 5)
-        + u_pow(2 * r + 6) * beta_Y_fiber(sig, t)
-    )
+    head = u_pow(3 * r + 6) * beta_Y_star(sig) + alpha * U_MINUS_1 * u_pow(3 * r + 5)
+    return lead * head + u_pow(2 * r + 6) * _Y_at(sig, t)
 
 
 # ---------------------------------------------------------------------------
 # E6/E7/E8 and the bare cube x1^3 + Q_{p,q}(y)
 # ---------------------------------------------------------------------------
 
-_E_NAMES = ("E6+", "E6-", "E7", "E8")
+_E_NAMES = ("E6+", "E6-", "E7", "E8", "CUBE")
 
 
 def _cube_jet_order3(t: Target, sig: Sig) -> UPoly:
     """Order-3 cell shared by every corank-2 germ whose 3-jet is x1^3 + Q."""
-    star = beta_Y_star(sig)
-    p, q = sig
-    signed = u_pow(2 * (p + q) + 5) * (star + 1)
-    return U_MINUS_1 * signed if t == "naive" else signed
+    return _lead(t) * u_pow(2 * sum(sig) + 5) * (beta_Y_star(sig) + 1)
 
 
 def arc_E(which: str, l: int, t: Target, sig: Sig) -> UPoly:
-    """Covered cells for the E-family germs.
+    """Covered cells for the E-family germs and the bare cube ("CUBE").
 
-    Coverage: l=3 both channels for all four germs; l=4 naive for all
-    four and signed for E7/E8 only; l=5 for E7/E8 only.
+    Coverage: l=3 all targets for every germ; l=4 naive for all and
+    signed for E7/E8/CUBE only; l=5 for E7/E8/CUBE only.
     """
     if which not in _E_NAMES:
         raise ValueError(f"unknown E germ {which!r}")
-    _check_target(t)
+    lead = _lead(t)
     _check_l(l)
     p, q = sig
     r = p + q
     if l == 2:
         return arc_order2(r + 2, sig, t)
-    star = beta_Y_star(sig)
     if l == 3:
         return _cube_jet_order3(t, sig)
+    star = beta_Y_star(sig)
     if l == 4:
         if which in ("E6+", "E6-"):
             if t != "naive":
                 raise OutOfCoverage("signed order-4 cell for E6: use the oracle")
             shifted = (p + 1, q) if which == "E6+" else (p, q + 1)
-            return U_MINUS_1 * u_pow(3 * r + 6) * star + u_pow(2 * r + 6) * beta_Y_compl(
-                shifted
-            )
-        if t == "naive":
-            return U_MINUS_1 * u_pow(3 * r + 6) * star + u_pow(2 * r + 7) * beta_Y_compl(
-                sig
-            )
-        return u_pow(3 * r + 6) * star + u_pow(2 * r + 7) * beta_Y_fiber(sig, t)
-    if l == 5 and which in ("E7", "E8"):
-        common = star * (u_pow(4 * r + 7) + u_pow(3 * r + 8))
-        extra = U_MINUS_1 * u_pow(3 * r + 7) if which == "E7" else u_pow(3 * r + 8)
-        signed = common + extra
-        return U_MINUS_1 * signed if t == "naive" else signed
+            tail = u_pow(2 * r + 6) * _Y_at(shifted, t)
+        else:
+            tail = u_pow(2 * r + 7) * _Y_at(sig, t)
+        return lead * u_pow(3 * r + 6) * star + tail
+    if l == 5 and which in ("E7", "E8", "CUBE"):
+        top = star * (u_pow(4 * r + 7) + u_pow(3 * r + 8))
+        if which == "E7":
+            top += U_MINUS_1 * u_pow(3 * r + 7)
+        elif which == "E8":
+            top += u_pow(3 * r + 8)
+        return lead * top
+    if which == "CUBE":
+        raise OutOfCoverage(f"cube cell l={l} > 5: use the oracle")
     raise OutOfCoverage(f"E cell ({which}, l={l}, {t!r}): use the oracle")
-
-
-def arc_cube(l: int, t: Target, sig: Sig) -> UPoly:
-    """Covered cells (l <= 5) for the bare cube x1^3 + Q_{p,q}(y)."""
-    _check_target(t)
-    _check_l(l)
-    p, q = sig
-    r = p + q
-    if l == 2:
-        return arc_order2(r + 2, sig, t)
-    star = beta_Y_star(sig)
-    if l == 3:
-        return _cube_jet_order3(t, sig)
-    if l == 4:
-        if t == "naive":
-            return U_MINUS_1 * u_pow(3 * r + 6) * star + u_pow(2 * r + 7) * beta_Y_compl(
-                sig
-            )
-        return u_pow(3 * r + 6) * star + u_pow(2 * r + 7) * beta_Y_fiber(sig, t)
-    if l == 5:
-        signed = star * (u_pow(4 * r + 7) + u_pow(3 * r + 8))
-        return U_MINUS_1 * signed if t == "naive" else signed
-    raise OutOfCoverage(f"cube cell l={l} > 5: use the oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +333,15 @@ def _quadra_even_stated(l: int, eps: int, sig: Sig) -> UPoly:
 
 
 def _lem7_A3_stated(t: Target, sig: Sig) -> UPoly:
-    p, q = sig
-    signed = u_pow(2 * (p + q) + 7) * beta_Y_star(sig) + u_pow(2 * (p + q) + 5)
-    return U_MINUS_1 * signed if t == "naive" else signed
+    r = sum(sig)
+    return _lead(t) * (u_pow(2 * r + 7) * beta_Y_star(sig) + u_pow(2 * r + 5))
 
 
 def _lem2_odd_k_stated(k: int, s: int, eps: int, sig: Sig) -> UPoly:
     # first term read with the fixed +1 fiber instead of the eps-dependent one
-    p, q = sig
     n = (k + 1) // 2
-    base = u_pow(2 * n) * arc_Q_signed(2 * n, +1, sig)
-    corr = beta_power_fiber(k + 1, s, sig, eps) - u_pow(1) * beta_Y_fiber(sig, eps)
-    return base + u_pow(n * (p + q) + 2 * n - 1) * corr
+    base = u_pow(2 * n) * arc_Q(2 * n, +1, sig)
+    return base + u_pow(n * sum(sig) + 2 * n - 1) * _power_step(k + 1, s, sig, eps)
 
 
 def _lem4_odd_stated(l: int, eps: int, sig: Sig) -> UPoly:
@@ -465,7 +394,7 @@ _VARIANTS: dict[str, FormulaVariant] = {
                 "u^{n(p+q)+2n}*beta(Y^eps) vs proof-derived u^{n(p+q)}*beta(Y^eps)"
             ),
             stated=_quadra_even_stated,
-            proof_derived=arc_Q_signed,
+            proof_derived=arc_Q,
             domain=tuple(
                 (l, eps, sig) for l in (4, 6) for eps in (1, -1) for sig in GRID_SIGS
             ),

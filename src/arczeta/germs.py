@@ -32,13 +32,12 @@ from typing import Callable
 from .engine import EngineOutcome, beta_of, effective_budget
 from .formulas import (
     OutOfCoverage,
-    _arc_Q,
     arc_Ak,
-    arc_cube,
     arc_Dk,
     arc_E,
     arc_G,
     arc_order2,
+    arc_Q,
 )
 from .mpoly import MPoly
 from .quadric import Sig
@@ -186,7 +185,7 @@ def _jki_core(g: GermSpec) -> MPoly:
 FAMILY: dict[str, Family] = {
     "Q": Family("Q", 0, None, 0, False,
                 lambda g: MPoly.zero(),
-                lambda g, n, t: _arc_Q(n, t, g.sig)),
+                lambda g, n, t: arc_Q(n, t, g.sig)),
     "AK": Family("A", 1, 2, 1, True,
                  lambda g: _x(g.k + 1) * g.signs[0],
                  lambda g, n, t: arc_Ak(g.k, g.signs[0], n, t, g.sig)),
@@ -204,7 +203,7 @@ FAMILY: dict[str, Family] = {
                  lambda g, n, t: arc_E("E8", n, t, g.sig)),
     "CUBE": Family("CUBE", 2, None, 0, False,
                    lambda g: _x(3),
-                   lambda g, n, t: arc_cube(n, t, g.sig)),
+                   lambda g, n, t: arc_E("CUBE", n, t, g.sig)),
     "G": Family("G", 2, None, 0, False,
                 lambda g: _x() * _y(2),
                 lambda g, n, t: arc_G(n, t, g.sig)),
@@ -482,12 +481,12 @@ def _orbit_order(cell: tuple[GermSpec, str]) -> tuple:
     return g.sig, g.signs, g.params, CHANNELS.index(channel)
 
 
-def oracle_cell(g: GermSpec, n: int, channel: str, budget: int | None = None) -> EngineOutcome:
+def oracle_cell(g: GermSpec, n: int, channel: str) -> EngineOutcome:
     """Engine-computed cell value, cached.
 
-    The stratum budget is resolved (``budget``, else the environment)
-    before the cache lookup and is part of its key, so an outcome
-    computed under one budget is never served under another.
+    The stratum budget is resolved from the environment before the cache
+    lookup and is part of its key, so an outcome computed under one
+    budget is never served under another.
 
     The cache is keyed on the least cell of the symmetry orbit
     (``_orbit``): every cell in it is the same set up to a linear
@@ -496,7 +495,7 @@ def oracle_cell(g: GermSpec, n: int, channel: str, budget: int | None = None) ->
     requested cell is computed (and cached) itself, so a failure always
     describes the cell's own system.
     """
-    limit = effective_budget(budget)
+    limit = effective_budget()
     rep, rep_channel = min(_orbit(g, n, channel), key=_orbit_order)
     out = _oracle_cached(rep, n, rep_channel, limit)
     return out if out.ok else _oracle_cached(g, n, channel, limit)

@@ -29,6 +29,9 @@ from .germs import FAMILY, GermSpec
 
 __all__ = ["GermParseError", "parse_germ"]
 
+#: ``str.isdigit`` also holds for "²" and "٣", which ``int`` rejects or reads.
+_DIGITS = frozenset("0123456789")
+
 #: The family key of each surface token.
 _FAMILY_OF = {fam.token: family for family, fam in FAMILY.items()}
 
@@ -75,9 +78,7 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        if not self._digits():
             raise GermParseError("expected an integer", start)
         return int(self.text[start : self.pos])
 
@@ -107,8 +108,9 @@ class _Scanner:
             raise GermParseError(str(exc), start) from exc
 
     def _digits(self) -> bool:
+        """Skip a run of ASCII digits, the grammar's ``int``; True if any."""
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         return self.pos > start
 

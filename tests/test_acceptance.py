@@ -15,8 +15,8 @@ from arczeta.formulas import (
     OutOfCoverage,
     arc_E,
     arc_G,
+    arc_Q,
     arc_Q_recursive,
-    arc_Q_signed,
 )
 from arczeta.germs import (
     CHANNELS,
@@ -54,9 +54,7 @@ def test_criterion_2_closed_form_equals_recursion():
             for q in range(5):
                 for eps in (1, -1):
                     sig = (p, q)
-                    assert arc_Q_signed(order, eps, sig) == arc_Q_recursive(
-                        order, eps, sig
-                    )
+                    assert arc_Q(order, eps, sig) == arc_Q_recursive(order, eps, sig)
                     cells += 1
     elapsed = time.monotonic() - t0
     assert cells == 550

@@ -91,6 +91,10 @@ def test_zeta_parse_error_is_exit_2():
     r = run("zeta", "A(2) + Q(1,1)")
     assert r.exit_code == 2
     assert "position" in r.output
+    for text in ("A(²,+) (+) Q(1,0)", "A(3,+) (+) Q(1,٣)"):
+        r = run("zeta", text)
+        assert r.exit_code == 2
+        assert "expected an integer" in r.output
 
 
 def test_zeta_bad_n():

@@ -19,7 +19,7 @@ from arczeta.engine import (
     decompose,
     effective_budget,
 )
-from arczeta.formulas import arc_Ak, arc_cube, arc_D4_order4, arc_Q_signed
+from arczeta.formulas import arc_Ak, arc_D4_order4, arc_E, arc_Q
 from arczeta.germs import CHANNELS, TARGETS, GermSpec, germ_poly
 from arczeta.mpoly import MPoly
 from arczeta.parser import parse_germ
@@ -81,7 +81,7 @@ def test_arcvar_naming_and_split_order():
 def test_quadric_cell_matches_closed_form():
     out = beta_of(Q21, ("c", "c", "c"), 4, 1)
     assert out.ok
-    assert out.value == arc_Q_signed(4, 1, (2, 1)) == u_pow(9) + u_pow(8)
+    assert out.value == arc_Q(4, 1, (2, 1)) == u_pow(9) + u_pow(8)
     assert out.audit()
 
 
@@ -90,7 +90,7 @@ def test_cube_cells_match_closed_form():
         out = beta_of(CUBE11, CUBE_BLOCKS, n, target)
         assert out.ok, out.detail
         t = target if target == "naive" else target
-        assert out.value == arc_cube(n, t, (1, 1))
+        assert out.value == arc_E("CUBE", n, t, (1, 1))
     assert beta_of(CUBE11, CUBE_BLOCKS, 3, 1).value == 2 * u_pow(10) - u_pow(9)
 
 
@@ -342,7 +342,7 @@ def test_decompose_accepts_prebuilt_system():
     sys = build_system(Q21, ("c", "c", "c"), 2, -1)
     out = decompose(sys)
     assert out.ok
-    assert out.value == arc_Q_signed(2, -1, (2, 1))
+    assert out.value == arc_Q(2, -1, (2, 1))
 
 
 # -- the shared arc expansion --------------------------------------------------

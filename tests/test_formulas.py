@@ -5,26 +5,30 @@ hand, the rest were cross-checked against the stratification engine on a
 large grid before being written down here.
 """
 
+import ast
+import hashlib
+import itertools
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import arczeta.formulas
 from arczeta.formulas import (
     OutOfCoverage,
     arc_Ak,
-    arc_cube,
     arc_D4_order4,
     arc_Dk,
     arc_E,
     arc_G,
     arc_order2,
-    arc_Q_naive,
+    arc_Q,
     arc_Q_recursive,
-    arc_Q_signed,
     formula_variants,
     variant_ids,
 )
-from arczeta.germs import CHANNEL_OF, GermSpec, formula_cell
+from arczeta.germs import CHANNEL_OF, FAMILY, GermSpec, formula_cell
 from arczeta.upoly import UPoly, u_pow
 
 U = u_pow(1)
@@ -37,9 +41,7 @@ def test_quadric_cells_closed_equals_recursive():
         for p in range(0, 5):
             for q in range(0, 5):
                 for eps in (1, -1):
-                    assert arc_Q_signed(l, eps, (p, q)) == arc_Q_recursive(
-                        l, eps, (p, q)
-                    )
+                    assert arc_Q(l, eps, (p, q)) == arc_Q_recursive(l, eps, (p, q))
 
 
 @given(
@@ -48,21 +50,21 @@ def test_quadric_cells_closed_equals_recursive():
     st.tuples(st.integers(0, 5), st.integers(0, 5)),
 )
 def test_quadric_closed_form_satisfies_recursion(l, eps, sig):
-    assert arc_Q_signed(l, eps, sig) == arc_Q_recursive(l, eps, sig)
+    assert arc_Q(l, eps, sig) == arc_Q_recursive(l, eps, sig)
 
 
 def test_quadric_values():
-    assert arc_Q_signed(3, 1, (1, 1)) == 2 * u_pow(4) - 2 * u_pow(3)
-    assert arc_Q_signed(3, -1, (1, 1)) == 2 * u_pow(4) - 2 * u_pow(3)
-    assert arc_Q_signed(4, 1, (2, 1)) == u_pow(9) + u_pow(8)
-    assert arc_Q_signed(2, 1, (2, 1)) == u_pow(5) + u_pow(4)
-    assert arc_Q_naive(3, (1, 1)) == 2 * u_pow(5) - 4 * u_pow(4) + 2 * u_pow(3)
-    assert arc_Q_naive(4, (1, 1)) == 3 * u_pow(6) - 6 * u_pow(5) + 3 * u_pow(4)
+    assert arc_Q(3, 1, (1, 1)) == 2 * u_pow(4) - 2 * u_pow(3)
+    assert arc_Q(3, -1, (1, 1)) == 2 * u_pow(4) - 2 * u_pow(3)
+    assert arc_Q(4, 1, (2, 1)) == u_pow(9) + u_pow(8)
+    assert arc_Q(2, 1, (2, 1)) == u_pow(5) + u_pow(4)
+    assert arc_Q(3, "naive", (1, 1)) == 2 * u_pow(5) - 4 * u_pow(4) + 2 * u_pow(3)
+    assert arc_Q(4, "naive", (1, 1)) == 3 * u_pow(6) - 6 * u_pow(5) + 3 * u_pow(4)
     # degenerate-direction-free signatures have no odd-order cells
     for l in (3, 5, 7):
-        assert arc_Q_signed(l, 1, (1, 0)).is_zero()
-        assert arc_Q_signed(l, 1, (0, 0)).is_zero()
-        assert arc_Q_naive(l, (0, 2)).is_zero()
+        assert arc_Q(l, 1, (1, 0)).is_zero()
+        assert arc_Q(l, 1, (0, 0)).is_zero()
+        assert arc_Q(l, "naive", (0, 2)).is_zero()
 
 
 def test_order2_cell():
@@ -167,15 +169,15 @@ def test_cube_jet_cells_are_shared():
     """Every corank-2 germ with 3-jet x^3 + Q has the same order-3 cell."""
     for t in (1, -1, "naive"):
         for sig in SIGS:
-            ref = arc_cube(3, t, sig)
+            ref = arc_E("CUBE", 3, t, sig)
             for which in ("E6+", "E6-", "E7", "E8"):
                 assert arc_E(which, 3, t, sig) == ref
-    assert arc_cube(3, 1, (1, 1)) == 2 * u_pow(10) - u_pow(9)
-    assert arc_cube(3, "naive", (1, 1)) == 2 * u_pow(11) - 3 * u_pow(10) + u_pow(9)
+    assert arc_E("CUBE", 3, 1, (1, 1)) == 2 * u_pow(10) - u_pow(9)
+    assert arc_E("CUBE", 3, "naive", (1, 1)) == 2 * u_pow(11) - 3 * u_pow(10) + u_pow(9)
     # the D4(+,+) order-3 correction happens to cancel exactly against the
     # cube-jet value, so that one non-cube germ shares the cell too
-    assert arc_Dk(4, 1, 1, 3, 1, (1, 1)) == arc_cube(3, 1, (1, 1))
-    assert arc_Dk(4, 1, -1, 3, 1, (1, 1)) != arc_cube(3, 1, (1, 1))
+    assert arc_Dk(4, 1, 1, 3, 1, (1, 1)) == arc_E("CUBE", 3, 1, (1, 1))
+    assert arc_Dk(4, 1, -1, 3, 1, (1, 1)) != arc_E("CUBE", 3, 1, (1, 1))
 
 
 def test_e_family_values():
@@ -191,9 +193,9 @@ def test_e_family_values():
 
 
 def test_cube_values():
-    assert arc_cube(5, 1, (1, 1)) == 2 * u_pow(16) - 2 * u_pow(14)
-    assert arc_cube(5, -1, (1, 1)) == 2 * u_pow(16) - 2 * u_pow(14)
-    assert arc_cube(4, 1, (0, 0)) == arc_E("E7", 4, 1, (0, 0))
+    assert arc_E("CUBE", 5, 1, (1, 1)) == 2 * u_pow(16) - 2 * u_pow(14)
+    assert arc_E("CUBE", 5, -1, (1, 1)) == 2 * u_pow(16) - 2 * u_pow(14)
+    assert arc_E("CUBE", 4, 1, (0, 0)) == arc_E("E7", 4, 1, (0, 0))
 
 
 def test_e_and_cube_coverage_boundary():
@@ -204,7 +206,7 @@ def test_e_and_cube_coverage_boundary():
     with pytest.raises(OutOfCoverage):
         arc_E("E7", 6, 1, (0, 0))
     with pytest.raises(OutOfCoverage):
-        arc_cube(6, 1, (0, 0))
+        arc_E("CUBE", 6, 1, (0, 0))
     with pytest.raises(ValueError):
         arc_E("E9", 3, 1, (0, 0))
 
@@ -248,7 +250,7 @@ def test_variants_agree_on_some_small_instance():
 def test_variant_derived_side_matches_public_formulas():
     v = formula_variants("quadra-even-terminal")
     for args in v.domain:
-        assert v.proof_derived(*args) == arc_Q_signed(*args)
+        assert v.proof_derived(*args) == arc_Q(*args)
     v = formula_variants("lem5-keven-00")
     for k, e1, e2, eps in v.domain:
         assert v.proof_derived(k, e1, e2, eps) == arc_Dk(k, e1, e2, k - 1, eps, (0, 0))
@@ -280,3 +282,106 @@ def test_variant_quadra_even_terminal_sample():
 def test_values_are_upoly():
     assert isinstance(arc_G(4, 1, (1, 1)), UPoly)
     assert isinstance(arc_Ak(5, -1, 6, "naive", (0, 2)), UPoly)
+
+
+# -- every closed-form cell, pinned ------------------------------------------
+
+#: sha256 of every closed-form cell over l = 2..14, p, q <= 4, k = 2..13 (from
+#: each family's least k), every sign and all three targets, then both sides of
+#: every variant on its domain: the value, or OutOfCoverage and its message.
+#: Recorded before the closed forms were rewritten over their target.
+PINNED_CELLS_DIGEST = "51ea4730e1dc51009bb2b649b947b618aacb8f8fcb4e29f76a82d307d688fece"
+
+
+def _cell_text(compute) -> str:
+    try:
+        return str(compute())
+    except OutOfCoverage as oc:
+        return f"OutOfCoverage: {oc}"
+
+
+def _closed_form_records():
+    for family, fam in sorted(FAMILY.items()):
+        if fam.cells is None:
+            continue
+        ks = [None] if fam.kmin is None else range(fam.kmin, 14)
+        for k in ks:
+            for signs in itertools.product((1, -1), repeat=fam.nsigns):
+                for sig in itertools.product(range(5), repeat=2):
+                    g = GermSpec(family, sig, k, signs=signs)
+                    for n in range(2, 15):
+                        for t in (1, -1, "naive"):
+                            text = _cell_text(lambda: fam.cells(g, n, t))
+                            yield f"{family} {k} {signs} {sig} {n} {t!r}: {text}"
+    for vid in variant_ids():
+        v = formula_variants(vid)
+        for args in v.domain:
+            for side in (v.stated, v.proof_derived):
+                yield f"{vid} {args!r}: {_cell_text(lambda: side(*args))}"
+
+
+def test_every_closed_form_cell_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for record in _closed_form_records():
+        digest.update(record.encode() + b"\n")
+        count += 1
+    assert count == 69_517
+    assert digest.hexdigest() == PINNED_CELLS_DIGEST
+
+
+# -- the target enters in one place ------------------------------------------
+
+#: The functions of ``formulas`` that may compare with "naive": the target
+#: check and the four target-set helpers.  Every other formula is written
+#: once over its target and reaches it through them.
+TARGET_READERS = {"_check_target", "_lead", "_Y_at", "_power_at", "_curve_at"}
+
+
+def _is_coverage_rule(node: ast.If) -> bool:
+    """``if <test>: raise OutOfCoverage(...)`` and nothing else."""
+    return (
+        len(node.body) == 1
+        and isinstance(node.body[0], ast.Raise)
+        and isinstance(node.body[0].exc, ast.Call)
+        and getattr(node.body[0].exc.func, "id", None) == "OutOfCoverage"
+        and not node.orelse
+    )
+
+
+def naive_forks(source: str) -> list[str]:
+    """'line N: owner' for each comparison with "naive" outside the target
+    readers, allowing arc_E one coverage rule (E6's naive-only order 4)."""
+    forks = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        if owner in TARGET_READERS:
+            continue
+        rules = [
+            node.test
+            for node in ast.walk(top)
+            if owner == "arc_E" and isinstance(node, ast.If) and _is_coverage_rule(node)
+        ]
+        compares = [
+            node
+            for node in ast.walk(top)
+            if isinstance(node, ast.Compare)
+            and any(getattr(c, "value", None) == "naive" for c in ast.walk(node))
+        ]
+        allowed = [c for c in compares if c in rules][:1]
+        forks += [f"line {c.lineno}: {owner}" for c in compares if c not in allowed]
+    return forks
+
+
+def test_formulas_read_the_target_only_through_its_helpers():
+    assert naive_forks(Path(arczeta.formulas.__file__).read_text()) == []
+
+
+def test_naive_forks_finds_a_fork():
+    fork = 'def arc_X(t):\n    return 1 if t == "naive" else 2\n'
+    assert naive_forks(fork) == ["line 2: arc_X"]
+    rule = 'def arc_E(t):\n    if t != "naive":\n        raise OutOfCoverage("x")\n'
+    assert naive_forks(rule) == []
+    second = '    if t == "naive":\n        raise OutOfCoverage("y")\n'
+    assert naive_forks(rule + second) == ["line 4: arc_E"]
+    assert naive_forks('def _lead(t):\n    return t == "naive"\n') == []

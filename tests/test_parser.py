@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from arczeta.germs import GermSpec
@@ -109,6 +109,22 @@ def test_zero_denominator_is_a_parse_error():
     assert e.position == 9
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("A(²,+) (+) Q(1,0)", 2),  # isdigit, but int() rejects it
+        ("A(3,+) (+) Q(1,٣)", 15),  # isdigit, and int() reads it as 3
+        ("J(2,0; b=٣) (+) Q(0,0)", 9),
+        ("J(2,0; b=1/٣) (+) Q(0,0)", 11),
+    ],
+)
+def test_only_ascii_digits_are_digits(text, position):
+    with pytest.raises(GermParseError) as exc:
+        parse_germ(text)
+    assert exc.value.kind == "syntax"
+    assert exc.value.position == position
+
+
 def test_error_message_format():
     e = _err("A(3,+) Q(1,1)")
     assert str(e) == "syntax error at position 7: expected '(+)'"
@@ -167,7 +183,8 @@ def test_render_parse_round_trip(g):
     assert parse_germ(text).render() == text
 
 
-@given(germ_specs(), st.integers(0, 60), st.characters(codec="ascii"))
+@given(germ_specs(), st.integers(0, 60), st.characters())
+@example(GermSpec("AK", (1, 0), k=3, signs=(1,)), 2, "²")
 def test_mutations_fail_cleanly(g, pos, ch):
     """Any single-character edit either parses to some germ or raises the
 
