@@ -30,6 +30,7 @@ from .germs import (
     FAMILY,
     GermSpec,
     _csv,
+    _encode_str,
     _json,
     canonicalize,
     formula_cell,
@@ -242,6 +243,18 @@ def enumerate_simple(d: int, kmax: int = 8) -> list[GermSpec]:
     return specs
 
 
+# The line starts of nesting depths 1, 3 and 4 in ``_json``'s two-space indents.
+_DEPTH1, _DEPTH3, _DEPTH4 = "\n  ", "\n      ", "\n        "
+
+
+def _json_strs(items: tuple[str, ...], indent: str) -> str:
+    """A list of strings as ``_json`` writes it at nesting ``indent`` (a newline and spaces)."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(map(_encode_str, items)) + indent + "]"
+
+
 @dataclass(frozen=True)
 class PairEntry:
     germ1: str
@@ -250,19 +263,6 @@ class PairEntry:
     certificate: Distinguisher | None
     unavailable: tuple[str, ...]
     agreed_cells: int
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "germ1": self.germ1,
-            "germ2": self.germ2,
-            "relation": self.relation,
-            "unavailable": list(self.unavailable),
-        }
-        if self.relation == "equivalent":
-            out["agreed_cells"] = self.agreed_cells
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_json_dict()
-        return out
 
 
 @dataclass(frozen=True)
@@ -286,21 +286,49 @@ class ClassificationReport:
                 return e
         return None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "kmax": self.kmax,
-            "N": self.N,
-            "source": self.source,
-            "specs": list(self.specs),
-            "classes": list(self.classes),
-            "pairs": [e.to_json_dict() for e in self.entries],
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
-
     def to_json(self) -> str:
-        return _json(self.to_json_dict())
+        """The report as ``_json`` writes it, straight from the fields in one pass.
+
+        Each key is written in ``_json``'s sorted order, so no dict is
+        built and no keys are sorted per pair.  A pair holds ``agreed_cells``
+        when equivalent and its ``Distinguisher`` (as ``to_json_dict``
+        gives it) under ``certificate`` when it has one.
+        """
+        enc = _encode_str
+        pairs = []
+        for e in self.entries:
+            text = "{\n      "
+            if e.relation == "equivalent":
+                text += f'"agreed_cells": {e.agreed_cells},\n      '
+            c = e.certificate
+            if c is not None:
+                text += f'"certificate": {{\n        "N": {c.N},\n        '
+                if c.separated:
+                    text += (
+                        f'"certificate": {{\n          "channel": {enc(c.channel)},'
+                        f'\n          "n": {c.n},'
+                        f'\n          "value1": {enc(str(c.value1))},'
+                        f'\n          "value2": {enc(str(c.value2))}\n        }},\n        '
+                    )
+                text += (
+                    f'"germ1": {enc(c.germ1)},\n        "germ2": {enc(c.germ2)},'
+                    f'\n        "source": {enc(c.source)},'
+                    f'\n        "unavailable": {_json_strs(c.unavailable, _DEPTH4)},'
+                    f'\n        "verdict": {enc(c.verdict)}\n      }},\n      '
+                )
+            pairs.append(
+                f'{text}"germ1": {enc(e.germ1)},\n      "germ2": {enc(e.germ2)},'
+                f'\n      "relation": {enc(e.relation)},'
+                f'\n      "unavailable": {_json_strs(e.unavailable, _DEPTH3)}\n    }}'
+            )
+        pairs_text = "[\n    " + ",\n    ".join(pairs) + "\n  ]" if pairs else "[]"
+        return (
+            f'{{\n  "N": {self.N},\n  "classes": {_json_strs(self.classes, _DEPTH1)},'
+            f'\n  "d": {self.d},\n  "failures": {_json_strs(self.failures, _DEPTH1)},'
+            f'\n  "kmax": {self.kmax},\n  "ok": {"true" if self.ok else "false"},'
+            f'\n  "pairs": {pairs_text},\n  "source": {enc(self.source)},'
+            f'\n  "specs": {_json_strs(self.specs, _DEPTH1)}\n}}'
+        )
 
     def to_csv(self) -> str:
         rows = []

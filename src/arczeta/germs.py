@@ -88,7 +88,11 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _json(obj) -> str:
-    """JSON text with sorted keys and two-space indents; every JSON output uses it.
+    """JSON text with sorted keys and two-space indents.
+
+    Every JSON output but the classification table's is written by it;
+    ``ClassificationReport.to_json`` writes the same format straight from
+    its pair records, without building the dict tree.
 
     The text is byte for byte ``json.dumps(obj, indent=2, sort_keys=True)``,
     written in one pass (``json.dumps`` with ``indent`` never uses the C
@@ -427,13 +431,25 @@ class CrossCheckError(RuntimeError):
         self.oracle = oracle
 
 
-@lru_cache(maxsize=None)
 def formula_cell(g: GermSpec, n: int, channel: str) -> UPoly:
     """Closed-form cell value; raises OutOfCoverage beyond the formulas."""
+    value = _formula_outcome(g, n, channel)
+    if type(value) is str:
+        # a fresh exception per call: a stored one would grow its traceback
+        raise OutOfCoverage(value)
+    return value
+
+
+@lru_cache(maxsize=None)
+def _formula_outcome(g: GermSpec, n: int, channel: str) -> UPoly | str:
+    """The closed-form value of a cell, or the message of its OutOfCoverage."""
     cells = FAMILY[g.family].cells
     if cells is None:
-        raise OutOfCoverage(f"no closed forms for family {g.family}")
-    return cells(g, n, TARGETS[channel])
+        return f"no closed forms for family {g.family}"
+    try:
+        return cells(g, n, TARGETS[channel])
+    except OutOfCoverage as exc:
+        return str(exc)
 
 
 @lru_cache(maxsize=None)

@@ -20,9 +20,14 @@ NEG_INFINITY = float("-inf")
 
 
 class UPoly:
-    """An immutable polynomial in u with integer coefficients."""
+    """An immutable polynomial in u with integer coefficients.
 
-    __slots__ = ("_c",)
+    ``_c`` maps each exponent to its nonzero coefficient.  ``_text`` holds
+    the rendering once ``str`` has been asked for it; until then the slot
+    is empty, so building a polynomial never pays for its text.
+    """
+
+    __slots__ = ("_c", "_text")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -161,6 +166,14 @@ class UPoly:
     # -- rendering / parsing ----------------------------------------------
 
     def __str__(self) -> str:
+        try:
+            return self._text
+        except AttributeError:
+            text = self._render()
+            object.__setattr__(self, "_text", text)
+            return text
+
+    def _render(self) -> str:
         if not self._c:
             return "0"
         parts: list[str] = []

@@ -212,6 +212,71 @@ def test_ade_table_reports_an_unseparated_distinct_pair(monkeypatch):
     assert e.relation == "distinct" and not e.certificate.separated
 
 
+def _assert_canonical_json(rep):
+    """The table's JSON is ``json.dumps(..., indent=2, sort_keys=True)`` of its fields."""
+    text = rep.to_json()
+    data = json.loads(text)
+    assert text == json.dumps(data, indent=2, sort_keys=True)
+    pairs = []
+    for e in rep.entries:
+        pair = {
+            "germ1": e.germ1,
+            "germ2": e.germ2,
+            "relation": e.relation,
+            "unavailable": list(e.unavailable),
+        }
+        if e.relation == "equivalent":
+            pair["agreed_cells"] = e.agreed_cells
+        if e.certificate is not None:
+            pair["certificate"] = e.certificate.to_json_dict()
+        pairs.append(pair)
+    assert data == {
+        "d": rep.d,
+        "kmax": rep.kmax,
+        "N": rep.N,
+        "source": rep.source,
+        "specs": list(rep.specs),
+        "classes": list(rep.classes),
+        "pairs": pairs,
+        "failures": list(rep.failures),
+        "ok": rep.ok,
+    }
+
+
+def test_ade_table_json_is_canonical(monkeypatch):
+    rep = ade_table(2, kmax=4, N=6)
+    kinds = {(e.relation, e.certificate is not None) for e in rep.entries}
+    assert kinds == {("equivalent", False), ("distinct", True)} and rep.ok
+    _assert_canonical_json(rep)
+    # no entries; strings that JSON must escape
+    _assert_canonical_json(
+        dataclasses.replace(
+            rep, specs=(), classes=(), entries=(), failures=('a "quote", é\n\\', "")
+        )
+    )
+
+    # E8 answers with E7's cells, and neither has n=3/naive
+    e7 = GermSpec("E7", (0, 0))
+
+    def rewrite(spec, n, channel, cell):
+        if spec.family in ("E7", "E8") and (n, channel) == (3, "naive"):
+            return dataclasses.replace(cell, value=None)
+        if spec.family == "E8":
+            return resolve_cell(e7, n, channel, "auto")
+        return cell
+
+    _patch_cells(monkeypatch, rewrite)
+    rep = ade_table(2, kmax=4, N=5)
+    e = rep.certificate_for("E7 (+) Q(0,0)", "E8 (+) Q(0,0)")
+    assert e.relation == "distinct" and not e.certificate.separated
+    assert e.unavailable == ("n=3/naive",) and not rep.ok
+    assert any(
+        x.certificate is not None and x.certificate.separated and x.unavailable
+        for x in rep.entries
+    )
+    _assert_canonical_json(rep)
+
+
 def test_ade_table_resolves_each_cell_once_and_scans_as_distinguish(monkeypatch):
     calls: dict[tuple, int] = {}
 

@@ -1,6 +1,7 @@
 """Germ specifications, cell resolution policies, and zeta tables."""
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -324,6 +325,27 @@ def test_every_family_entry_is_consistent(family):
 def test_formula_cell_matches_closed_forms():
     assert formula_cell(A(2), 3, "plus") == 2 * u_pow(7) - u_pow(6)
     assert formula_cell(GermSpec("E8", (0, 0)), 5, "plus") == u_pow(8)
+
+
+def test_formula_cell_keeps_out_of_coverage(monkeypatch):
+    family = FAMILY["AK"]
+    calls = []
+
+    def counting(g, n, t):
+        calls.append((g, n, t))
+        return family.cells(g, n, t)
+
+    monkeypatch.setitem(FAMILY, "AK", dataclasses.replace(family, cells=counting))
+    germs._formula_outcome.cache_clear()
+    raised = []
+    for _ in range(2):
+        with pytest.raises(OutOfCoverage) as info:
+            formula_cell(A(2), 4, "plus")  # coverage ends at n = k+1 = 3
+        raised.append(info.value)
+    assert [str(e) for e in raised] == ["A_k cell l=4 > k+1=3: use the oracle"] * 2
+    assert raised[0] is not raised[1]  # a fresh exception, its traceback not grown
+    assert len(calls) == 1
+    germs._formula_outcome.cache_clear()
 
 
 def test_resolve_cell_sources():

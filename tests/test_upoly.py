@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from arczeta.upoly import ONE, U, ZERO, UPoly, geom_sum, u_pow
 
-polys = st.dictionaries(
+coefficient_maps = st.dictionaries(
     st.integers(min_value=0, max_value=12),
     st.integers(min_value=-50, max_value=50),
     max_size=6,
-).map(UPoly)
+)
+polys = coefficient_maps.map(UPoly)
 
 
 @given(polys, polys, polys)
@@ -89,6 +90,19 @@ def test_str_canonical_form():
 @given(polys)
 def test_parse_round_trips_str(p):
     assert UPoly.parse(str(p)) == p
+
+
+@given(coefficient_maps)
+def test_kept_text_is_the_text_of_a_fresh_polynomial(m):
+    p = UPoly(m)
+    first = str(p)
+    assert str(p) is first  # rendered once, then kept on the polynomial
+    assert first == str(UPoly(m)) == str(-(-p)) == str(p + U - U)
+    assert UPoly.parse(first) == p
+    for name in ("_c", "_text", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, first)
+    assert str(p) is first and p == UPoly(m)
 
 
 def test_parse_rejects_garbage():
