@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from .formulas import (
@@ -30,7 +31,6 @@ from .germs import (
     FAMILY,
     GermSpec,
     _csv,
-    _encode_str,
     _json,
     canonicalize,
     formula_cell,
@@ -252,7 +252,7 @@ def _json_strs(items: tuple[str, ...], indent: str) -> str:
     if not items:
         return "[]"
     inner = indent + "  "
-    return "[" + inner + ("," + inner).join(map(_encode_str, items)) + indent + "]"
+    return "[" + inner + ("," + inner).join(map(encode_basestring_ascii, items)) + indent + "]"
 
 
 @dataclass(frozen=True)
@@ -289,12 +289,13 @@ class ClassificationReport:
     def to_json(self) -> str:
         """The report as ``_json`` writes it, straight from the fields in one pass.
 
-        Each key is written in ``_json``'s sorted order, so no dict is
-        built and no keys are sorted per pair.  A pair holds ``agreed_cells``
-        when equivalent and its ``Distinguisher`` (as ``to_json_dict``
-        gives it) under ``certificate`` when it has one.
+        The text is byte for byte ``json.dumps(indent=2, sort_keys=True)``
+        of the report's dict, but no dict is built and no keys are sorted
+        per pair: each key is written in sorted order.  A pair holds
+        ``agreed_cells`` when equivalent and its ``Distinguisher`` (as
+        ``to_json_dict`` gives it) under ``certificate`` when it has one.
         """
-        enc = _encode_str
+        enc = encode_basestring_ascii
         pairs = []
         for e in self.entries:
             text = "{\n      "
@@ -528,16 +529,9 @@ class NonsimpleReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "entries": [e.to_json_dict() for e in self.entries],
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
-
     def to_json(self) -> str:
-        return _json(self.to_json_dict())
+        entries = [e.to_json_dict() for e in self.entries]
+        return _json(dict(N=self.N, entries=entries, failures=list(self.failures), ok=self.ok))
 
     def to_csv(self) -> str:
         rows = []
@@ -653,17 +647,9 @@ class SuiteReport:
                 return s
         raise KeyError(name)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sections": [
-                {"name": s.name, "status": s.status, "lines": list(s.lines)}
-                for s in self.sections
-            ],
-            "ok": self.ok,
-        }
-
     def to_json(self) -> str:
-        return _json(self.to_json_dict())
+        sections = [dict(name=s.name, status=s.status, lines=list(s.lines)) for s in self.sections]
+        return _json(dict(sections=sections, ok=self.ok))
 
     def to_csv(self) -> str:
         rows = [[s.name, s.status, line] for s in self.sections for line in s.lines]

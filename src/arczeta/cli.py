@@ -75,6 +75,8 @@ def main() -> None:
 @click.option("--trace", is_flag=True, help="Append engine traces for oracle-computed cells.")
 def zeta(germ_expr: str, n_max: int, fmt: str, source: str, out: str | None, trace: bool) -> None:
     """Zeta table of one germ expression up to order N."""
+    if trace and fmt != "text":
+        raise click.UsageError("--trace appends text lines, so it needs --format text")
     g = _parse(germ_expr)
     # With --trace every engine run collects its trace, so each cell is
     # decomposed once; the oracle cache, which holds no traces, is bypassed.

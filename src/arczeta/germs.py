@@ -84,55 +84,15 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
 def _json(obj) -> str:
-    """JSON text with sorted keys and two-space indents.
+    """JSON text with sorted keys and two-space indents: the one JSON format.
 
     Every JSON output but the classification table's is written by it;
-    ``ClassificationReport.to_json`` writes the same format straight from
-    its pair records, without building the dict tree.
-
-    The text is byte for byte ``json.dumps(obj, indent=2, sort_keys=True)``,
-    written in one pass (``json.dumps`` with ``indent`` never uses the C
-    encoder).  Only str, int, bool, None, lists and dicts with str keys
-    are written, each of exactly that type; anything else raises
-    ``TypeError``.
+    ``ClassificationReport.to_json`` writes the same text straight from
+    its pair records.  A value object (``UPoly``, ``Fraction``) raises
+    ``TypeError``, so each is rendered with ``str`` first.
     """
-    return _json_value(obj, "\n")
-
-
-def _json_value(obj, indent: str) -> str:
-    """``obj`` as JSON, its nested lines starting with ``indent`` (a newline and spaces)."""
-    t = type(obj)
-    if t is str:
-        return _encode_str(obj)
-    if t is dict:
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        items = []
-        for key in sorted(obj):  # raises TypeError on mixed key types
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            value = obj[key]
-            # most values are strings: encode them without a call of this function
-            text = _encode_str(value) if type(value) is str else _json_value(value, inner)
-            items.append(_encode_str(key) + ": " + text)
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if t is list:
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join([_json_value(x, inner) for x in obj]) + indent + "]"
-    if t is int:
-        return int.__repr__(obj)
-    if t is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 _SIGN_TEXT = {1: "+", -1: "-"}
@@ -614,7 +574,7 @@ class ZetaTable:
         note = f"   [no value at T^{','.join(map(str, skipped))}]" if skipped else ""
         return f"Z(T) = {body} + O(T^{self.N + 1}){note}"
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
         rows = []
         for n, cells in self.rows:
             row: dict = {"n": n}
@@ -627,16 +587,8 @@ class ZetaTable:
                     prov[ch] += f" ({cell.note})"
             row["provenance"] = prov
             rows.append(row)
-        return {
-            "germ": self.germ.render(),
-            "d": self.d,
-            "N": self.N,
-            "source": self.source,
-            "rows": rows,
-        }
-
-    def to_json(self) -> str:
-        return _json(self.to_json_dict())
+        germ = self.germ.render()
+        return _json(dict(germ=germ, d=self.d, N=self.N, source=self.source, rows=rows))
 
     def to_csv(self) -> str:
         label = self.germ.render()
@@ -659,7 +611,7 @@ class ZetaTable:
                     return f"<{cell.provenance}>"
                 return str(cell.value)
             lines.append(f"{n:>3}  {show('plus'):<34.34}{show('minus'):<34.34}{show('naive')}")
-        return "\n".join(lines)
+        return "\n".join(lines) + "\n"
 
 
 def zeta_table(

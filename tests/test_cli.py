@@ -56,10 +56,20 @@ def test_zeta_source_and_trace():
     assert r.exit_code == 0
     assert "# trace n=2/plus (ok," in r.output
     assert "[leaf]" in r.output or "[split]" in r.output
+    # every header starts its own line: the table's last row ends in a newline
+    assert r.output.count("\n# trace n=") == r.output.count("# trace n=") == 9
     # formula-only tables have nothing to trace
     r = run("zeta", "A(2) (+) Q(1,1)", "--N", "3", "--source", "formulas", "--trace")
     assert r.exit_code == 0
     assert "# trace" not in r.output
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_zeta_trace_needs_text_format(fmt):
+    # the trace lines would break the JSON document and the CSV's \r\n line ends
+    r = run("zeta", "A(2) (+) Q(1,1)", "--N", "3", "--trace", "--format", fmt)
+    assert r.exit_code == 2
+    assert "--format text" in r.output
 
 
 def test_zeta_trace_decomposes_each_cell_once(monkeypatch):
@@ -324,21 +334,19 @@ def test_help_lists_commands():
         assert cmd in r.output
 
 
-# -- CSV line ends ---------------------------------------------------------------------------
+# -- line ends ---------------------------------------------------------------------------
+
+EVERY_COMMAND = [
+    ("zeta", "A(3,+) (+) Q(1,1)", "--N", "3"),
+    ("distinguish", "A(3,+) (+) Q(1,1)", "A(3,-) (+) Q(1,1)", "--N", "4"),
+    ("table", "--d", "2", "--kmax", "3", "--N", "4"),
+    ("nonsimple", "J(2,0) (+) Q(0,0)", "--N", "5"),
+    ("verify",),
+    ("catalog", "--max", "1"),
+]
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("zeta", "A(3,+) (+) Q(1,1)", "--N", "3"),
-        ("distinguish", "A(3,+) (+) Q(1,1)", "A(3,-) (+) Q(1,1)", "--N", "4"),
-        ("table", "--d", "2", "--kmax", "3", "--N", "4"),
-        ("nonsimple", "J(2,0) (+) Q(0,0)", "--N", "5"),
-        ("verify",),
-        ("catalog", "--max", "1"),
-    ],
-    ids=lambda args: args[0],
-)
+@pytest.mark.parametrize("args", EVERY_COMMAND, ids=lambda args: args[0])
 def test_every_csv_ends_lines_with_crlf(args):
     out = run(*args, "--format", "csv").stdout_bytes
     lines = out.split(b"\r\n")
@@ -346,12 +354,19 @@ def test_every_csv_ends_lines_with_crlf(args):
     assert not any(b"\n" in line for line in lines)
 
 
+@pytest.mark.parametrize("args", EVERY_COMMAND, ids=lambda args: args[0])
+def test_every_text_ends_in_one_newline(args):
+    out = run(*args, "--format", "text").output
+    assert out.endswith("\n") and not out.endswith("\n\n")
+
+
 # -- output bytes ---------------------------------------------------------------------------
 
 # sha256 over the exit codes and exact stdout bytes of these commands in every
 # format.  A refactor of the renderers must keep it; a deliberate change of
 # output must record a new digest.  Re-recorded when the zeta CSV took the
-# \r\n line ends of every other CSV; no other byte changed.
+# \r\n line ends of every other CSV, and again when the zeta text took the
+# final newline of every other text output; no other byte changed either time.
 PINNED_OUTPUT = [
     ("table", "--d", "2"),
     ("distinguish", "A(3,+) (+) Q(1,1)", "A(3,-) (+) Q(1,1)"),
@@ -361,7 +376,7 @@ PINNED_OUTPUT = [
     ("catalog", "--max", "2"),
     ("zeta", "A(3,+) (+) Q(1,1)", "--N", "5"),
 ]
-PINNED_OUTPUT_DIGEST = "b1486892aedb490646175e4b904cad0555d2f2ecb7a56d17368f5724e971a675"
+PINNED_OUTPUT_DIGEST = "1f7f8bfd59d3e07846c5d6efc43f4ae6aa273bb39c795d1fd53206a5cd5d7ac9"
 
 
 def test_output_bytes_are_pinned():
