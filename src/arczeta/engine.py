@@ -171,14 +171,9 @@ def _cauchy(a: _Series, b: _Series) -> _Series:
     """The product series: (a*b)[m] = sum over i of a[i] * b[m-i]."""
 
     def coeff(m: int) -> MPoly:
-        out = _ZERO_POLY
-        for i in range(a.order, m - b.order + 1):
-            ai = a[i]
-            if ai:
-                bi = b[m - i]
-                if bi:
-                    out = out + ai * bi
-        return out
+        return MPoly.sum_of_products(
+            (ai, b[m - i]) for i in range(a.order, m - b.order + 1) if (ai := a[i])
+        )
 
     return _Series(coeff, a.order + b.order)
 
@@ -308,9 +303,15 @@ def build_system(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _punctured(k: int) -> UPoly:
+    """(u-1)^k, the class of (R minus 0)^k; leaves and peels reuse each power."""
+    return U_MINUS_1**k
+
+
 def _torus_fiber(exps: tuple[int, ...], positive: bool) -> UPoly:
     if any(e % 2 for e in exps):
-        return U_MINUS_1 ** (len(exps) - 1)
+        return _punctured(len(exps) - 1)
     if not positive:
         return ZERO
     half = tuple(e // 2 for e in exps)
@@ -339,7 +340,7 @@ def _recognize(p: MPoly, rel: str) -> UPoly | None:
         mono, c = terms[0]
         k = len(mono)
         if e == 0:
-            return u_pow(k) - U_MINUS_1**k
+            return u_pow(k) - _punctured(k)
         exps = tuple(ex for _, ex in mono)
         # c*m = -e has a solution with m > 0 iff e and c differ in sign
         return _torus_fiber(exps, (e > 0) != (c > 0))
@@ -484,15 +485,11 @@ def decompose(
     """
     limit = effective_budget(budget)
     names = system.names
-    trace: list[str] = []
+    # None when untraced: every trace line is guarded, so none is formatted
+    trace: list[str] | None = [] if collect_trace else None
     leaves: list[tuple[str, UPoly]] = []
     total = ZERO
     processed = 0
-
-    # A trace line is formatted only when traces are collected.
-    def log(depth: int, fmt: str, *args) -> None:
-        if collect_trace:
-            trace.append("  " * depth + fmt % args)
 
     root = _Stratum(
         constraints=list(system.constraints),
@@ -514,11 +511,13 @@ def decompose(
                     "depth-exceeded",
                     f"stratum budget {limit} exhausted (set {BUDGET_ENV} to raise it)",
                 )
-            fate = _simplify(st, rank, names, log)
+            fate = _simplify(st, rank, names, trace)
             if fate is None:
-                log(st.depth, "[empty]")
+                if trace is not None:
+                    _log(trace, st.depth, "[empty]")
             elif isinstance(fate, UPoly):
-                log(st.depth, "[leaf] %s", fate)
+                if trace is not None:
+                    _log(trace, st.depth, "[leaf] %s", fate)
                 leaves.append((st.path, fate))
                 total += fate
             else:
@@ -532,8 +531,13 @@ def decompose(
         detail=detail,
         strata=processed,
         leaves=leaves,
-        trace=trace,
+        trace=[] if trace is None else trace,
     )
+
+
+def _log(trace: list[str], depth: int, fmt: str, *args) -> None:
+    """Append one trace line, indented by ``depth``."""
+    trace.append("  " * depth + fmt % args)
 
 
 def _child(
@@ -558,7 +562,7 @@ def _child(
     )
 
 
-def _simplify(st, rank, names, log):
+def _simplify(st, rank, names, trace):
     """Run the rewrite rules to quiescence; return the stratum's fate.
 
     Returns None for an empty stratum, the value of a leaf, or the two
@@ -566,90 +570,101 @@ def _simplify(st, rank, names, log):
     terminal is unmatched and nothing can be split.
 
     Rules read each constraint's cached ``MPoly.summary()``; ``rank``
-    orders variables by their ``split_key``.
+    orders variables by their ``split_key``.  Trace lines go to
+    ``trace``, which is None when the run is untraced.
     """
+    cleanup = True
     while True:
-        changed = False
+        if cleanup:
+            changed = False
 
-        # trivial constants
-        kept: list[tuple[MPoly, str]] = []
-        for p, rel in st.constraints:
-            if p.is_zero():
-                if rel == NEQ:
-                    return None
-                changed = True
-                continue
-            if p.is_const():
-                if rel == EQ:
-                    return None
-                changed = True
-                continue
-            kept.append((p, rel))
-        st.constraints = kept
-
-        # nonzero-factor reduction
-        for i, (p, rel) in enumerate(st.constraints):
-            content = p.summary().content
-            if not content:
-                continue
-            if rel == NEQ:
-                fresh = [v for v, _ in content if v not in st.assumed]
-                if fresh:
-                    st.assumed = st.assumed | frozenset(fresh)
-                st.constraints[i] = (p.divide_by(dict(content)), rel)
-                changed = True
-            else:
-                div = {v: e for v, e in content if v in st.assumed}
-                if div:
-                    st.constraints[i] = (p.divide_by(div), rel)
+            # trivial constants
+            kept: list[tuple[MPoly, str]] = []
+            for p, rel in st.constraints:
+                if p.is_zero():
+                    if rel == NEQ:
+                        return None
                     changed = True
-        if changed:
-            continue
+                    continue
+                if p.is_const():
+                    if rel == EQ:
+                        return None
+                    changed = True
+                    continue
+                kept.append((p, rel))
+            st.constraints = kept
 
-        # forced zeros
-        forced: set[int] = set()
-        for p, rel in st.constraints:
-            if rel != EQ:
+            # nonzero-factor reduction
+            for i, (p, rel) in enumerate(st.constraints):
+                content = p.summary().content
+                if not content:
+                    continue
+                if rel == NEQ:
+                    fresh = [v for v, _ in content if v not in st.assumed]
+                    if fresh:
+                        st.assumed = st.assumed | frozenset(fresh)
+                    st.constraints[i] = (p.divide_by(dict(content)), rel)
+                    changed = True
+                else:
+                    div = {v: e for v, e in content if v in st.assumed}
+                    if div:
+                        st.constraints[i] = (p.divide_by(div), rel)
+                        changed = True
+            if changed:
                 continue
-            single = p.single_term()
-            if single is not None and len(single[0]) == 1:
-                forced.add(single[0][0][0])
+
+            # forced zeros
+            forced: set[int] = set()
+            for p, rel in st.constraints:
+                if rel != EQ:
+                    continue
+                single = p.single_term()
+                if single is not None and len(single[0]) == 1:
+                    forced.add(single[0][0][0])
+                    continue
+                verdict = _definite(p, st.assumed)
+                if verdict == "empty":
+                    return None
+                if verdict:
+                    forced |= verdict
+            if forced:
+                if forced & st.assumed:
+                    return None
+                st.constraints = [(p.subs_zero_many(forced), rel) for p, rel in st.constraints]
+                st.alive = st.alive - forced
                 continue
-            verdict = _definite(p, st.assumed)
-            if verdict == "empty":
-                return None
-            if verdict:
-                forced |= verdict
-        if forced:
-            if forced & st.assumed:
-                return None
-            st.constraints = [(p.subs_zero_many(forced), rel) for p, rel in st.constraints]
-            st.alive = st.alive - forced
-            continue
 
         # pivot discharges, deepest constraint first: a variable is a pivot
         # of constraint i if it occurs in no earlier constraint (and, for a
-        # neq, in no later one either)
+        # neq, in no later one either).  The cleanup rules read only each
+        # constraint and the assumptions, so they re-run only after a
+        # substitution.  Discharging the deepest constraint leaves every
+        # other pivot set as it was, so the scan goes on one constraint up
+        # with the same prefix unions; any other discharge restarts it.
         cons = st.constraints
         earlier = [_NO_VARS]
         for p, _ in cons[:-1]:
             earlier.append(earlier[-1] | p.vars())
-        for i in range(len(cons) - 1, -1, -1):
+        assumed = st.assumed
+        i = len(cons) - 1
+        while i >= 0:
             p, rel = cons[i]
+            before = earlier[i]
             later = _NO_VARS
             if rel == NEQ:
                 later = later.union(*(q.vars() for q, _ in cons[i + 1 :]))
             v = None
             for w, rest in p.summary().pivots.items():
                 if (
-                    w not in earlier[i]
+                    w not in before
                     and w not in later
-                    and w not in st.assumed
-                    and all(x in st.assumed for x, _ in rest)
+                    and w not in assumed
+                    and rest <= assumed
                     and (v is None or rank[w] < rank[v])
                 ):
                     v = w
             if v is None:
+                i -= 1
                 continue
             if rel == EQ:
                 # v = -b/a is needed only where a later constraint has v
@@ -663,13 +678,20 @@ def _simplify(st, rank, names, log):
                     new_cons.append((q, qrel))
                 st.constraints = new_cons
                 st.alive = st.alive - {v}
-                log(st.depth, "[pivot] %s from eq#%s", names[v], i)
+                cleanup = split is not None
+                if trace is not None:
+                    _log(trace, st.depth, "[pivot] %s from eq#%s", names[v], i)
             else:
                 st.constraints = cons[:i] + cons[i + 1 :]
                 st.alive = st.alive - {v}
                 st.prefactor = st.prefactor * U_MINUS_1
-                log(st.depth, "[pivot] %s from neq#%s (factor u-1)", names[v], i)
-            break
+                cleanup = False
+                if trace is not None:
+                    _log(trace, st.depth, "[pivot] %s from neq#%s (factor u-1)", names[v], i)
+            if i < len(cons) - 1:
+                break
+            cons = st.constraints
+            i -= 1
         else:
             break
 
@@ -694,7 +716,7 @@ def _simplify(st, rank, names, log):
     if not blocked:
         free = len(st.alive.difference(st.assumed, occurs))
         loose = len((st.alive & st.assumed).difference(occurs))
-        value = st.prefactor * u_pow(free) * (U_MINUS_1**loose)
+        value = st.prefactor * u_pow(free) * _punctured(loose)
         for val in values:
             value = value * val
         return value
@@ -706,13 +728,14 @@ def _simplify(st, rank, names, log):
             continue
         z, w = pair
         zn, wn = names[z], names[w]
-        log(st.depth, "[peel] %s^2-%s^2 in #%s", zn, wn, i)
+        if trace is not None:
+            _log(trace, st.depth, "[peel] %s^2-%s^2 in #%s", zn, wn, i)
         reduced = MPoly({m: c for m, c in p.terms() if m not in (((z, 2),), ((w, 2),))})
         # With a = z+w, b = z-w the constraint is ab + r: a != 0 solves for b
         # (factor u-1, or (u-1)^2 for a neq), a = 0 leaves r with b free (u).
         tag, alive = f"peel({zn},{wn})", st.alive - {z, w}
         before, after = st.constraints[:i], st.constraints[i + 1 :]
-        drop = st.prefactor * (U_MINUS_1 if rel == EQ else U_MINUS_1 * U_MINUS_1)
+        drop = st.prefactor * _punctured(1 if rel == EQ else 2)
         kept = before + [(reduced, rel)] + after
         return [
             _child(st, f"{tag}-solve", before + after, alive=alive, prefactor=drop),
@@ -723,7 +746,8 @@ def _simplify(st, rank, names, log):
         if splittable:
             v = min(splittable, key=rank.__getitem__)
             vn = names[v]
-            log(st.depth, "[split] %s", vn)
+            if trace is not None:
+                _log(trace, st.depth, "[split] %s", vn)
             zeroed = [(p.subs_zero(v), rel) for p, rel in st.constraints]
             return [
                 _child(st, f"{vn}=0", zeroed, alive=st.alive - {v}),
@@ -744,6 +768,8 @@ def _peelable_pair(
     coordinates (z+w, z-w) then split the stratum algebraically.
     """
     squares = p.summary().squares
+    if len(squares) < 2:
+        return None
     order = sorted(
         (v for v in squares if occurs[v] == 1 and v not in assumed), key=rank.__getitem__
     )

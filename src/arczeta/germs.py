@@ -313,8 +313,13 @@ def _suspension(first_y: int, sig: Sig) -> MPoly:
     return poly
 
 
+@lru_cache(maxsize=None)
 def germ_poly(g: GermSpec) -> tuple[MPoly, tuple[str, ...]]:
-    """The germ as a polynomial in ambient variables, with block labels."""
+    """The germ as a polynomial in ambient variables, with block labels.
+
+    Built once per spec: every cell of a germ asks for it, and an
+    ``MPoly`` never changes, so all of them share it.
+    """
     fam = FAMILY[g.family]
     blocks = ("a", "b")[: fam.corank] + ("c",) * sum(g.sig)
     return fam.core(g) + _suspension(fam.corank, g.sig), blocks

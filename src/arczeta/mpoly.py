@@ -31,7 +31,7 @@ operation divides coefficients, so an ``int`` never turns into a float.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Collection, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 __all__ = ["Coeff", "Monomial", "MPoly", "Summary"]
 
@@ -39,6 +39,7 @@ Monomial = tuple[tuple[int, int], ...]
 Coeff = int | Fraction
 
 _ONE_M: Monomial = ()
+_NO_VARS: frozenset[int] = frozenset()
 
 
 def _mmul(a: Monomial, b: Monomial) -> Monomial:
@@ -52,6 +53,20 @@ def _mmul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+def _add_product(
+    out: dict[Monomial, Coeff], a: dict[Monomial, Coeff], b: dict[Monomial, Coeff]
+) -> None:
+    """Add the product of the term maps ``a`` and ``b`` into ``out``."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _mmul(m1, m2)
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+
+
 def _coerce(c: Coeff) -> Coeff:
     return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
@@ -63,7 +78,7 @@ class Summary:
     * ``content``: the per-variable minimum exponent over all terms, as a
       sorted monomial; empty if there is a constant term.
     * ``pivots``: each variable that occurs in exactly one term, with
-      exponent 1, mapped to that term's other factors.
+      exponent 1, mapped to the set of that term's other variables.
     * ``squares``: each variable whose only occurrence is a bare
       ``c*v^2`` term, mapped to ``c``.
     * ``definite``: ``(sign, involved)`` when every non-constant term is
@@ -91,17 +106,16 @@ class Summary:
                     r[0] += 1
                     if e < r[1]:
                         r[1] = e
-        pivots: dict[int, Monomial] = {}
+        pivots: dict[int, frozenset[int]] = {}
         squares: dict[int, Coeff] = {}
         for v, (count, e, m) in seen.items():
             if count != 1:
                 continue
             if e == 1:
                 if len(m) == 1:
-                    pivots[v] = _ONE_M
+                    pivots[v] = _NO_VARS
                 else:
-                    i = m.index((v, 1))
-                    pivots[v] = m[:i] + m[i + 1 :]
+                    pivots[v] = frozenset([w for w, _ in m if w != v])
             elif e == 2 and len(m) == 1:
                 squares[v] = t[m]
         content = _ONE_M
@@ -240,17 +254,18 @@ class MPoly:
             c0 = _coerce(other)
             return MPoly._wrap({m: c * c0 for m, c in self._t.items()})
         out: dict[Monomial, Coeff] = {}
-        for m1, c1 in self._t.items():
-            for m2, c2 in other._t.items():
-                m = _mmul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+        _add_product(out, self._t, other._t)
         return MPoly._wrap(out)
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(cls, pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
+        """The sum of a*b over ``pairs``, added up in one dict."""
+        out: dict[Monomial, Coeff] = {}
+        for a, b in pairs:
+            _add_product(out, a._t, b._t)
+        return cls._wrap(out)
 
     def __pow__(self, k: int) -> MPoly:
         if k < 0:

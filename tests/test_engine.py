@@ -203,6 +203,98 @@ def test_pivot_without_later_occurrence_splits_nothing(monkeypatch):
     assert calls == []
 
 
+CIRCLE = _v(0) ** 2 + _v(1) ** 2 - MPoly.const(1)  # beta = u + 1
+FIVE_VARS = [ArcVar(vid=j, block="c", level=1, coord=j + 1) for j in range(5)]
+
+
+def _counting_definite(monkeypatch) -> list:
+    """Record each call of the forced-zero rule's definite-form test."""
+    calls = []
+    definite = engine._definite
+
+    def counting(p, assumed):
+        calls.append(p)
+        return definite(p, assumed)
+
+    monkeypatch.setattr(engine, "_definite", counting)
+    return calls
+
+
+def test_deepest_pivots_are_discharged_in_one_round(monkeypatch):
+    """Each discharge empties the deepest constraint and substitutes nothing,
+    so the scan goes on one constraint up: the cleanup rules run once, over
+    the three equations, where a restart after every pivot would run them
+    four times."""
+    v0, v1, v2, v3, v4 = (_v(j) for j in range(5))
+    calls = _counting_definite(monkeypatch)
+    out = decompose(
+        _hand_built(
+            FIVE_VARS,
+            [(CIRCLE, EQ), (v2 + v0**2, EQ), (v3 + v2**2 + v1, EQ), (v4 + v3, NEQ)],
+        ),
+        collect_trace=True,
+    )
+    assert out.ok, out.detail
+    assert out.trace == [
+        "[pivot] c1^5 from neq#3 (factor u-1)",
+        "[pivot] c1^4 from eq#2",
+        "[pivot] c1^3 from eq#1",
+        "[leaf] u^2 - 1",
+    ]
+    assert len(calls) == 3
+    # v4 ranges over a punctured line, v3 and v2 over graphs, (v0, v1) the circle
+    assert out.value == (u_pow(1) - 1) * (u_pow(1) + 1)
+
+
+def test_shallower_discharge_restarts_the_scan():
+    """v2 is linear in the deepest equation but also occurs in the neq above
+    it; once the neq's own pivot v3 removes it, v2 is the deepest
+    constraint's pivot and is taken next, before the circle is tried."""
+    v2, v3 = _v(2), _v(3)
+    out = decompose(
+        _hand_built(FIVE_VARS[:4], [(CIRCLE, EQ), (v3 + v2, NEQ), (v2 + _v(1) ** 2, EQ)]),
+        collect_trace=True,
+    )
+    assert out.ok, out.detail
+    assert out.trace == [
+        "[pivot] c1^4 from neq#1 (factor u-1)",
+        "[pivot] c1^3 from eq#1",
+        "[leaf] u^2 - 1",
+    ]
+    assert out.value == (u_pow(1) - 1) * (u_pow(1) + 1)
+
+
+def test_substituting_pivot_is_followed_by_cleanup(monkeypatch):
+    """Clearing v0 = -v1^2 from a later equation can leave a constant or a
+    single term, which the cleanup rules, not the terminal catalog, take."""
+    v0, v1, v2 = _v(0), _v(1), _v(2)
+    # the later equation becomes 1 = 0: the stratum is empty, not a zero leaf
+    out = decompose(
+        _hand_built(FIVE_VARS[:2], [(v0 + v1**2, EQ), (v0 + v1**2 + MPoly.const(1), EQ)]),
+        collect_trace=True,
+    )
+    assert out.ok, out.detail
+    assert out.trace == ["[pivot] c1^1 from eq#0", "[empty]"]
+    assert out.value == 0 and out.leaves == []
+    # the later equation becomes v2^2 = 0: the forced-zero rule sets v2 = 0
+    zeroed = []
+    subs_zero_many = MPoly.subs_zero_many
+
+    def recording(self, vs):
+        zeroed.append(set(vs))
+        return subs_zero_many(self, vs)
+
+    monkeypatch.setattr(MPoly, "subs_zero_many", recording)
+    out = decompose(
+        _hand_built(FIVE_VARS[:3], [(v0 + v1**2, EQ), (v0 + v1**2 + v2**2, EQ)]),
+        collect_trace=True,
+    )
+    assert out.ok, out.detail
+    assert out.trace == ["[pivot] c1^1 from eq#0", "[leaf] u"]
+    assert zeroed == [{2}]
+    assert out.value == u_pow(1)
+
+
 def test_systems_share_one_read_only_layout():
     engine._layout.cache_clear()
     first = build_system(Q21, ("c", "c", "c"), 4, 1)
@@ -330,12 +422,21 @@ def test_untraced_run_formats_no_trace_line(monkeypatch):
         return to_str(self)
 
     monkeypatch.setattr(UPoly, "__str__", counting)
+    logged = []
+    log = engine._log
+
+    def logging(trace, depth, fmt, *args):
+        logged.append(fmt)
+        log(trace, depth, fmt, *args)
+
+    monkeypatch.setattr(engine, "_log", logging)
     # leaves, splits and a peel, as in the traced run below
     out = beta_of(D4PM11, ("a", "b", "c", "c"), 4, 1)
     assert out.ok and len(out.leaves) > 1
-    assert rendered == []
+    assert rendered == [] and logged == []
     traced = beta_of(D4PM11, ("a", "b", "c", "c"), 4, 1, collect_trace=True)
     assert len(rendered) == len(traced.leaves)
+    assert len(logged) == len(traced.trace)
 
 
 def test_decompose_accepts_prebuilt_system():
@@ -492,3 +593,21 @@ def test_caches_never_change_an_answer():
     reverse = [backwards[i] for i in range(len(cells))]
     for records in (cold, warm, reverse):
         assert hashlib.sha256(b"".join(records)).hexdigest() == PINNED_DIGEST
+
+
+def test_traced_and_untraced_runs_agree():
+    """Collecting a trace changes nothing else about an outcome."""
+    for g, n, ch in _pinned_cells():
+        poly, blocks = germ_poly(g)
+        plain, traced = (
+            beta_of(poly, blocks, n, TARGETS[ch], budget=DEFAULT_BUDGET, collect_trace=flag)
+            for flag in (False, True)
+        )
+        assert plain.trace == [] and traced.trace
+        assert (plain.value, plain.failure, plain.detail, plain.strata, plain.leaves) == (
+            traced.value,
+            traced.failure,
+            traced.detail,
+            traced.strata,
+            traced.leaves,
+        ), (g.render(), n, ch)
