@@ -606,16 +606,20 @@ class ZetaTable:
         return _csv(["germ", "d", "n", "channel", "value", "provenance"], rows)
 
     def to_text(self) -> str:
+        def show(cell: Cell) -> str:
+            return f"<{cell.provenance}>" if cell.value is None else str(cell.value)
+
+        rows = [(n, {ch: show(cells[ch]) for ch in CHANNELS}) for n, cells in self.rows]
+        # 34 wide, or wider where a value needs it: two spaces always follow one
+        plus, minus = (
+            max([34] + [len(shown[ch]) + 2 for _, shown in rows]) for ch in ("plus", "minus")
+        )
         lines = [f"germ: {self.germ.render()}   d={self.d}   source={self.source}"]
-        header = f"{'n':>3}  {'plus':<34}{'minus':<34}{'naive'}"
-        lines.append(header)
-        for n, cells in self.rows:
-            def show(ch: str) -> str:
-                cell = cells[ch]
-                if cell.value is None:
-                    return f"<{cell.provenance}>"
-                return str(cell.value)
-            lines.append(f"{n:>3}  {show('plus'):<34.34}{show('minus'):<34.34}{show('naive')}")
+        lines.append(f"{'n':>3}  {'plus':<{plus}}{'minus':<{minus}}naive")
+        for n, shown in rows:
+            lines.append(
+                f"{n:>3}  {shown['plus']:<{plus}}{shown['minus']:<{minus}}{shown['naive']}"
+            )
         return "\n".join(lines) + "\n"
 
 

@@ -31,6 +31,27 @@ def test_zeta_text():
     assert "2*u^9 - u^8 - u^7" in r.output
 
 
+def test_zeta_text_shows_every_value_whole():
+    """Values longer than the 34-character columns widen them, and never
+    run into the next column: at n=6 plus and minus differ only in the sign
+    of their last term, past the 34th character."""
+    germ = "D(5,-,+) (+) Q(2,1)"
+    text = run("zeta", germ, "--N", "7").output.splitlines()
+    rows = json.loads(run("zeta", germ, "--N", "7", "--format", "json").output)["rows"]
+    header, lines = text[1], text[2:]
+    assert len(lines) == len(rows)
+    at_minus, at_naive = header.index("minus"), header.index("naive")
+    assert max(len(row["plus"]) for row in rows) > 34
+    for line, row in zip(lines, rows):
+        assert line[:5] == f"{row['n']:>3}  "
+        assert line[5:at_minus].rstrip() == row["plus"]
+        assert line[at_minus:at_naive].rstrip() == row["minus"]
+        assert line[at_naive:] == row["naive"]
+        assert line[at_minus - 2 : at_minus] == line[at_naive - 2 : at_naive] == "  "
+    sixth = next(row for row in rows if row["n"] == 6)
+    assert sixth["plus"] != sixth["minus"] and sixth["plus"][:34] == sixth["minus"][:34]
+
+
 def test_zeta_json():
     r = run("zeta", "E8 (+) Q(0,0)", "--N", "5", "--format", "json")
     assert r.exit_code == 0
