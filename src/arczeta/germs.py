@@ -11,7 +11,7 @@ polynomial and its closed-form cells.  Validation, rendering,
 ``germ_poly``, ``formula_cell``, ``_dual``, the parser and the
 classifier's enumerations all read it.  The rules that stay per family
 are real exceptions: J's ``i`` and moduli, A's optional sign at even k,
-and the A/D sign identities of ``canonicalize``.
+and the A/D sign identity of ``_flip``.
 
 Tables are assembled from two independent paths: closed formulas where
 covered, and the stratification engine (the oracle) everywhere.  The
@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -353,15 +353,25 @@ def apply_signed_permutation(
 # ---------------------------------------------------------------------------
 
 
+def _flip(g: GermSpec) -> GermSpec:
+    """The normal form of g(-x1, x2, ...): the A/D sign identity.
+
+    x1 -> -x1 flips A_k's sign at even k, and D_k's e1, with e2 too when
+    k - 1 is odd.  Every other germ is returned as it is.
+    """
+    if g.family == "AK" and g.k % 2 == 0:
+        signs = (-g.signs[0],)
+    elif g.family == "DK":
+        e1, e2 = g.signs
+        signs = (-e1, -e2 if g.k % 2 == 0 else e2)
+    else:
+        return g
+    return GermSpec(g.family, g.sig, g.k, g.i, signs, g.params)
+
+
 def canonicalize(g: GermSpec) -> GermSpec:
-    """Canonical class representative under the family sign identities."""
-    if g.family == "AK" and g.k % 2 == 0 and g.signs[0] == -1:
-        return GermSpec(g.family, g.sig, g.k, g.i, (1,), g.params)
-    if g.family == "DK" and g.signs[0] == -1:
-        # x1 -> -x1 flips e1, and e2 too when k - 1 is odd
-        e2 = g.signs[1]
-        return GermSpec(g.family, g.sig, g.k, g.i, (1, -e2 if g.k % 2 == 0 else e2), g.params)
-    return g
+    """Canonical class representative under the x1 -> -x1 sign identity."""
+    return _flip(g) if g.signs and g.signs[0] == -1 else g
 
 
 def analytic_equiv(g1: GermSpec, g2: GermSpec) -> bool:
@@ -419,8 +429,12 @@ def _formula_outcome(g: GermSpec, n: int, channel: str) -> UPoly | str:
 
 @lru_cache(maxsize=None)
 def _oracle_cached(g: GermSpec, n: int, channel: str, budget: int) -> EngineOutcome:
+    """The engine outcome of one cell; a failure's detail names the cell."""
     poly, blocks = germ_poly(g)
-    return beta_of(poly, blocks, n, TARGETS[channel], budget=budget)
+    out = beta_of(poly, blocks, n, TARGETS[channel], budget=budget)
+    if out.ok:
+        return out
+    return replace(out, detail=f"on {g.render()} n={n} {channel}: {out.detail}")
 
 
 _SWAP = {"plus": "minus", "minus": "plus", "naive": "naive"}
@@ -447,10 +461,12 @@ def _dual(g: GermSpec) -> GermSpec:
 def _orbit(g: GermSpec, n: int, channel: str) -> list[tuple[GermSpec, str]]:
     """The cells whose value equals cell (g, n, channel) by a sign symmetry.
 
-    Negation maps (g, c) to (dual g, -c); at odd n, t -> -t maps the
-    plus cell of a germ to its minus cell.
+    Negation maps (g, c) to (dual g, -c); x1 -> -x1 maps g to ``_flip(g)``
+    in the same channel; at odd n, t -> -t maps the plus cell of a germ to
+    its minus cell.
     """
     cells = [(g, channel), (_dual(g), _SWAP[channel])]
+    cells += [(_flip(h), ch) for h, ch in cells]
     if n % 2 and channel != "naive":
         cells += [(h, _SWAP[ch]) for h, ch in cells]
     return cells
@@ -462,6 +478,12 @@ def _orbit_order(cell: tuple[GermSpec, str]) -> tuple:
     return g.sig, g.signs, g.params, CHANNELS.index(channel)
 
 
+@lru_cache(maxsize=None)
+def _representative(g: GermSpec, n: int, channel: str) -> tuple[GermSpec, str]:
+    """The least cell of the orbit of (g, n, channel): its oracle cache key."""
+    return min(_orbit(g, n, channel), key=_orbit_order)
+
+
 def oracle_cell(g: GermSpec, n: int, channel: str) -> EngineOutcome:
     """Engine-computed cell value, cached.
 
@@ -471,15 +493,13 @@ def oracle_cell(g: GermSpec, n: int, channel: str) -> EngineOutcome:
 
     The cache is keyed on the least cell of the symmetry orbit
     (``_orbit``): every cell in it is the same set up to a linear
-    isomorphism, so its virtual Poincaré polynomial is the same.  Only a
-    successful outcome is shared; if the representative fails, the
-    requested cell is computed (and cached) itself, so a failure always
-    describes the cell's own system.
+    automorphism of the truncated arcs, so its virtual Poincaré
+    polynomial is the same.  The whole orbit shares that one outcome,
+    a failure included, so the engine runs once per orbit; a failure's
+    detail names the cell it ran on, which may be another member's.
     """
-    limit = effective_budget()
-    rep, rep_channel = min(_orbit(g, n, channel), key=_orbit_order)
-    out = _oracle_cached(rep, n, rep_channel, limit)
-    return out if out.ok else _oracle_cached(g, n, channel, limit)
+    rep, rep_channel = _representative(g, n, channel)
+    return _oracle_cached(rep, n, rep_channel, effective_budget())
 
 
 # An engine-outcome source for resolve_cell: (germ, n, channel) -> outcome.

@@ -111,8 +111,9 @@ def test_zeta_trace_decomposes_each_cell_once(monkeypatch):
     calls.clear()
     plain = run("zeta", "D(4,+,-) (+) Q(1,1)", "--N", "6")
     assert r.output.startswith(plain.output)
-    # the minus cells at n=3 and n=5 are the plus cells (t -> -t)
-    assert calls == [False] * 13
+    # D(4,+,-) (+) Q(1,1) is its own negation up to x1 -> -x1, so each
+    # minus cell is the plus cell at every n (and by t -> -t at odd n)
+    assert calls == [False] * 10
 
 
 def test_zeta_parse_error_is_exit_2():

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from arczeta import germs
-from arczeta.engine import BUDGET_ENV, EngineOutcome
+from arczeta.classifier import enumerate_simple
+from arczeta.engine import BUDGET_ENV, EngineOutcome, beta_of
 from arczeta.formulas import OutOfCoverage, arc_order2
 from arczeta.germs import (
     CHANNELS,
@@ -19,8 +20,10 @@ from arczeta.germs import (
     Cell,
     GermSpec,
     _dual,
+    _flip,
     _json,
     _oracle_cached,
+    _representative,
     analytic_equiv,
     apply_signed_permutation,
     canonicalize,
@@ -227,8 +230,6 @@ def test_signed_permutation_invariance():
     perm, flips = [2, 0, 1], [1, -1, -1]
     poly2, blocks2 = apply_signed_permutation(poly, blocks, perm, flips)
     assert sorted(blocks2) == sorted(blocks)
-    from arczeta.engine import beta_of
-
     for n in (2, 3, 4):
         for target in (1, -1, "naive"):
             a = beta_of(poly, blocks, n, target)
@@ -289,6 +290,23 @@ def test_dual_is_negation_up_to_a_signed_permutation():
     assert _dual(pool[10]).params == (("b", Fraction(-1, 2)), ("c", Fraction(-1)))
     assert dict(_dual(pool[11]).params)["a0"] == 2  # J(k,0) keeps its a_m
     assert dict(_dual(pool[12]).params) == {"a0": -Fraction(1, 2), "a1": -3, "s": -1}
+
+
+def test_flip_is_x1_negation():
+    for d in (2, 3):
+        for g in enumerate_simple(d):
+            if g.family not in ("AK", "DK"):
+                continue  # no sign identity: _flip leaves the germ as it is
+            poly, blocks = germ_poly(g)
+            flips = [-1] + [1] * (g.d - 1)
+            assert apply_signed_permutation(poly, blocks, list(range(g.d)), flips) == germ_poly(
+                _flip(g)
+            ), g.render()
+            assert _flip(_flip(g)) == g
+    assert _flip(A(2, 1)) == A(2, -1) and _flip(A(3, 1)) == A(3, 1)
+    assert _flip(D(4, 1, -1)) == D(4, -1, 1) and _flip(D(5, 1, -1)) == D(5, -1, -1)
+    for g in (GermSpec("E6", (1, 1), signs=(-1,)), GermSpec("G", (0, 1))):
+        assert _flip(g) is g
 
 
 def _sample(family):
@@ -551,28 +569,76 @@ def test_oracle_cell_shares_a_success_across_the_orbit(empty_oracle_cache):
     # at even n plus and minus are different sets: one run each
     assert oracle_cell(g, 2, "plus") is not oracle_cell(g, 2, "minus")
     assert _oracle_cached.cache_info().currsize == 3
+    # x1 -> -x1 takes A(2,+) to A(2,-) in the same channel
+    g = A(2, 1, (1, 0))
+    out = oracle_cell(g, 4, "plus")
+    assert out.ok and oracle_cell(A(2, -1, (1, 0)), 4, "plus") is out
+    assert oracle_cell(A(2, -1, (1, 0)), 4, "minus") is oracle_cell(g, 4, "minus")
+    assert oracle_cell(g, 4, "minus") is not out
+    assert _oracle_cached.cache_info().currsize == 5
+    # over Q(1,1), A(2) is its own negation up to x1 -> -x1: plus is minus
+    assert oracle_cell(A(2), 4, "plus") is oracle_cell(A(2), 4, "minus")
+    assert _oracle_cached.cache_info().currsize == 6
+    # a D_4 orbit at even n: D(4,+,-), its flip D(4,-,+), and both duals
+    out = oracle_cell(D(4, 1, -1), 2, "plus")
+    assert out.ok
+    for h, ch in ((D(4, -1, 1), "plus"), (D(4, -1, 1), "minus"), (D(4, 1, -1), "minus")):
+        assert oracle_cell(h, 2, ch) is out
+    assert _oracle_cached.cache_info().currsize == 7
 
 
-def test_failing_representative_falls_back_to_the_cell(monkeypatch, empty_oracle_cache):
-    """Only a success crosses the orbit; a failure describes the cell's own system."""
-    real = germs.beta_of
-    fail_all = False
+def test_a_failing_orbit_shares_the_representatives_failure(monkeypatch, empty_oracle_cache):
+    """A failure crosses the orbit too, and its detail names the cell it ran on."""
+    runs = []
 
     def engine(poly, blocks, n, target, budget=None):
-        if fail_all or target == -1:
-            terms = sorted(str(c) for _, c in poly.terms())
-            return EngineOutcome(None, "unmatched-terminal", f"{target}: {terms}", 1, [])
-        return real(poly, blocks, n, target, budget=budget)
+        runs.append(target)
+        terms = sorted(str(c) for _, c in poly.terms())
+        return EngineOutcome(None, "unmatched-terminal", f"{target}: {terms}", 1, [])
 
     monkeypatch.setattr(germs, "beta_of", engine)
-    # the orbit of (A(3,+), 2, plus) is itself and (A(3,-), 2, minus), the least
-    out = oracle_cell(A(3, 1), 2, "plus")
-    assert out.ok and out.value == formula_cell(A(3, 1), 2, "plus")
-    assert oracle_cell(A(3, -1), 2, "minus").failure == "unmatched-terminal"
+    orbits = [
+        # (A(3,+), 2, plus) and its dual, the least
+        ([(A(3, 1), "plus"), (A(3, -1), "minus")], (A(3, -1), "minus")),
+        # D(4,+,-) and its flip D(4,-,+), each in both channels; the flip's plus is least
+        (
+            [(D(4, 1, -1), "plus"), (D(4, -1, 1), "minus"), (D(4, -1, 1), "plus"),
+             (D(4, 1, -1), "minus")],
+            (D(4, -1, 1), "plus"),
+        ),
+    ]
+    for members, (rep, rep_channel) in orbits:
+        own = engine(*germ_poly(rep), 2, TARGETS[rep_channel])
+        runs.clear()
+        g, ch = members[0]
+        first = oracle_cell(g, 2, ch)
+        assert first.failure == "unmatched-terminal"
+        assert first.detail == f"on {rep.render()} n=2 {rep_channel}: {own.detail}"
+        for g, ch in members:
+            assert _representative(g, 2, ch) == (rep, rep_channel)
+            assert oracle_cell(g, 2, ch) is first
+        assert runs == [TARGETS[rep_channel]]  # one engine run per orbit
+
+
+def test_every_orbit_member_has_its_representatives_outcome(empty_oracle_cache):
+    """The premise of sharing: no orbit has members that both fail and succeed."""
+    own_failures = 0
+    for d in (2, 3):
+        for g in enumerate_simple(d):
+            poly, blocks = germ_poly(g)
+            for n in range(2, 8):
+                for ch in CHANNELS:
+                    own = beta_of(poly, blocks, n, TARGETS[ch])
+                    shared = oracle_cell(g, n, ch)
+                    assert (own.ok, own.value) == (shared.ok, shared.value), (g.render(), n, ch)
+                    own_failures += not own.ok
+    assert own_failures  # the grid reaches cells the engine cannot finish
+
+
+def test_hybrid_tables_do_not_depend_on_the_germ_order(empty_oracle_cache):
+    specs = enumerate_simple(3)
+    forward = [zeta_table(g, 7).to_json() for g in specs]
     _oracle_cached.cache_clear()
-    fail_all = True
-    for g, ch in ((A(3, 1), "plus"), (A(3, -1), "minus")):
-        poly, blocks = germ_poly(g)
-        own = engine(poly, blocks, 2, germs.TARGETS[ch])
-        out = oracle_cell(g, 2, ch)
-        assert (out.failure, out.detail) == (own.failure, own.detail)
+    backward = [zeta_table(g, 7).to_json() for g in reversed(specs)]
+    assert forward == backward[::-1]
+    assert any("unavailable (unmatched-terminal: on " in table for table in forward)
