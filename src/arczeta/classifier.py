@@ -11,7 +11,7 @@ no out-of-band invariants enter the reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -122,14 +122,7 @@ def distinguish(
             f"cannot compare germs of different ambient dimension: "
             f"{g1.d} vs {g2.d} (tables omit the u^(-n*d) normalization)"
         )
-    return _scan(
-        g1.render(),
-        g2.render(),
-        lambda n, channel: resolve_cell(g1, n, channel, source).value,
-        lambda n, channel: resolve_cell(g2, n, channel, source).value,
-        N,
-        source,
-    )
+    return _scan(g1.render(), g2.render(), _row(g1, source), _row(g2, source), N, source)
 
 
 # A cell lookup for the pair scan: (n, channel) -> value, or None if unavailable.
@@ -140,6 +133,8 @@ def _scan(
     germ1: str, germ2: str, cell1: CellLookup, cell2: CellLookup, N: int, source: str
 ) -> Distinguisher:
     """The one pair scan: the first cell, in scan order up to N, where the lookups differ."""
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
     unavailable: list[str] = []
     for n in range(2, N + 1):
         for channel in CHANNELS:
@@ -158,28 +153,13 @@ def _scan(
 def audit_scan_minimality(
     dist: Distinguisher, g1: GermSpec, g2: GermSpec, source: str = "auto"
 ) -> bool:
-    """Re-walk the scan and confirm the certificate sits at the first difference."""
-    if not dist.separated:
-        return True
-    for n in range(2, dist.n + 1):
-        for channel in CHANNELS:
-            if (n, channel) == (dist.n, dist.channel):
-                c1 = resolve_cell(g1, n, channel, source)
-                c2 = resolve_cell(g2, n, channel, source)
-                return (
-                    c1.value == dist.value1
-                    and c2.value == dist.value2
-                    and c1.value != c2.value
-                )
-            c1 = resolve_cell(g1, n, channel, source)
-            c2 = resolve_cell(g2, n, channel, source)
-            if c1.value is None or c2.value is None:
-                if _cell_id(n, channel) not in dist.unavailable:
-                    return False
-                continue
-            if c1.value != c2.value:
-                return False
-    return False
+    """Whether a certificate is exactly what the pair scan gives at its own N and source.
+
+    A certificate passes when it separates nothing, or when a fresh
+    :func:`distinguish` reproduces it field for field: the same first
+    differing cell, both values, and the same unavailable cells before it.
+    """
+    return not dist.separated or distinguish(g1, g2, dist.N, source) == dist
 
 
 def oracle_recheck(pairs: list[tuple[GermSpec, GermSpec, Distinguisher]]) -> list[str]:
@@ -425,19 +405,18 @@ def ade_table(
     rows = [_row(g, source) for g in specs]
     entries: list[PairEntry] = []
     failures: list[str] = []
-    for i in range(len(specs)):
-        for j in range(i + 1, len(specs)):
-            dist = _scan(names[i], names[j], rows[i], rows[j], N, source)
-            if canonical[i] != canonical[j]:
-                if not dist.separated:
-                    failures.append(
-                        f"no distinguisher at n <= {N} for {dist.germ1} vs "
-                        f"{dist.germ2} (unavailable: {', '.join(dist.unavailable) or 'none'})"
-                    )
-                entries.append(
-                    PairEntry(dist.germ1, dist.germ2, "distinct", dist, dist.unavailable, 0)
+    for i, j in combinations(range(len(specs)), 2):
+        dist = _scan(names[i], names[j], rows[i], rows[j], N, source)
+        equivalent = canonical[i] == canonical[j]
+        if not equivalent:
+            relation, cert, agreed = "distinct", dist, 0
+            if not dist.separated:
+                failures.append(
+                    f"no distinguisher at n <= {N} for {dist.germ1} vs "
+                    f"{dist.germ2} (unavailable: {', '.join(dist.unavailable) or 'none'})"
                 )
-                continue
+        else:
+            relation, cert = "equivalent", None
             # agreed cells: those compared before the scan stopped, less the unavailable
             scanned = (N - 1) * len(CHANNELS)
             if dist.separated:
@@ -447,16 +426,8 @@ def ade_table(
                     f"{dist.value1} vs {dist.value2}"
                 )
                 scanned = (dist.n - 2) * len(CHANNELS) + CHANNELS.index(dist.channel)
-            entries.append(
-                PairEntry(
-                    dist.germ1,
-                    dist.germ2,
-                    "equivalent",
-                    None,
-                    dist.unavailable,
-                    scanned - len(dist.unavailable),
-                )
-            )
+            agreed = scanned - len(dist.unavailable)
+        entries.append(PairEntry(dist.germ1, dist.germ2, relation, cert, dist.unavailable, agreed))
     return ClassificationReport(
         d,
         kmax,

@@ -96,8 +96,8 @@ def zeta(germ_expr: str, n_max: int, fmt: str, source: str, out: str | None, tra
         blocks = [text]
         for n, cells in table.rows:
             for channel in CHANNELS:
-                if cells[channel].provenance in ("oracle", "unavailable"):
-                    outcome = traced.get((n, channel)) or traced_oracle(g, n, channel)
+                outcome = traced.get((n, channel))
+                if outcome is not None and cells[channel].provenance != "formula":
                     blocks.append(
                         f"# trace n={n}/{channel} "
                         f"({'ok' if outcome.ok else outcome.failure}, "

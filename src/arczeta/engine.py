@@ -62,7 +62,10 @@ _BLOCK_RANK = {"c": 0, "b": 1, "a": 2}
 
 
 def effective_budget(override: int | None = None) -> int:
+    """The stratum budget: ``override`` if given, else the environment's, else the default."""
     if override is not None:
+        if override < 1:
+            raise ValueError(f"budget must be positive, got {override}")
         return override
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
@@ -194,22 +197,17 @@ def _expansion(germ: MPoly) -> _Series:
             powers[j, e] = _arc(j) if e == 1 else _cauchy(power(j, e - 1), power(j, 1))
         return powers[j, e]
 
-    parts: list[tuple[_Series, Coeff]] = []
+    parts: list[tuple[_Series, MPoly]] = []
     for mono, coef in germ.terms():
         if not mono:
             raise ValueError("germ has a constant term")
         series = power(*mono[0])
         for j, e in mono[1:]:
             series = _cauchy(series, power(j, e))
-        parts.append((series, coef))
+        parts.append((series, MPoly.const(coef)))
 
     def coeff(m: int) -> MPoly:
-        out = _ZERO_POLY
-        for series, coef in parts:
-            term = series[m]
-            if term:
-                out = out + term * coef
-        return out
+        return MPoly.sum_of_products((term, c) for series, c in parts if (term := series[m]))
 
     return _Series(coeff, min(series.order for series, _ in parts) if parts else 0)
 

@@ -115,7 +115,7 @@ def beta_power_fiber(m: int, sigma: int, sig: Sig, eps: int) -> UPoly:
         elif s >= 2:
             tail = u_pow(1) + u_pow(s)
         elif m % 4 == 0:
-            tail = UPoly.const(2) * u_pow(1)
+            tail = 2 * u_pow(1)
         else:
             tail = U_MINUS_1
     return peeled + u_pow(r) * tail
@@ -145,7 +145,7 @@ def beta_D_curve(k: int, sigma2: int, eps: int) -> UPoly:
         raise ValueError(f"k must be >= 4, got {k}")
     _check_sign(sigma2, "sigma2")
     _check_sign(eps, "eps")
-    two_u = UPoly.const(2) * u_pow(1)
+    two_u = 2 * u_pow(1)
     if k % 2 == 1:
         return two_u if sigma2 * eps == 1 else U_MINUS_1
     return u_pow(1) if sigma2 == 1 else two_u

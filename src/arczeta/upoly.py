@@ -49,14 +49,6 @@ class UPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> UPoly:
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> UPoly:
-        return _ONE
-
-    @classmethod
     def const(cls, n: int) -> UPoly:
         return cls({0: n})
 
@@ -149,7 +141,11 @@ class UPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        # a constant hashes as its int, since it compares equal to it
+        c = self._c
+        if not c or (len(c) == 1 and 0 in c):
+            return hash(c.get(0, 0))
+        return hash(frozenset(c.items()))
 
     def __bool__(self) -> bool:
         return bool(self._c)

@@ -85,6 +85,22 @@ def test_scan_minimality_audit():
     assert not audit_scan_minimality(late, g1, g2)
 
 
+def test_scan_minimality_audit_compares_every_field():
+    g1, g2 = A(3, 1, (1, 1)), A(3, -1, (1, 1))
+    dist = distinguish(g1, g2, N=6)
+    assert not audit_scan_minimality(dataclasses.replace(dist, unavailable=("n=2/plus",)), g1, g2)
+    assert not audit_scan_minimality(dataclasses.replace(dist, value1=u_pow(1)), g1, g2)
+    # an unseparated result certifies nothing, so there is nothing to audit
+    assert audit_scan_minimality(distinguish(g1, g1, N=3), g1, g1)
+
+
+def test_scan_rejects_orders_below_two():
+    with pytest.raises(ValueError, match="N must be >= 2, got 1"):
+        distinguish(A(2, 1, (1, 1)), A(3, 1, (1, 1)), N=1)
+    with pytest.raises(ValueError, match="N must be >= 2, got 1"):
+        ade_table(2, kmax=3, N=1)
+
+
 def test_oracle_recheck_passes_on_real_certificates():
     pairs = []
     for g1, g2 in [

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from arczeta import engine, germs
 from arczeta.cli import main
+from arczeta.parser import parse_germ
 
 
 def run(*args, env=None):
@@ -114,6 +115,56 @@ def test_zeta_trace_decomposes_each_cell_once(monkeypatch):
     # D(4,+,-) (+) Q(1,1) is its own negation up to x1 -> -x1, so each
     # minus cell is the plus cell at every n (and by t -> -t at odd n)
     assert calls == [False] * 10
+
+
+# sha256 of `zeta "D(4,+,-) (+) Q(1,1)" --N 6 --trace` under each engine-backed
+# source: the table and every trace block, byte for byte
+PINNED_TRACE_DIGESTS = {
+    "oracle": "5963ced66f3153dc4c20ba349bee032b5a2f1eb5c997d1e76d91d09af6153636",
+    "hybrid": "41f55975702a9f8d59148ea914d27e1f301d230a644364673eda0b8712590226",
+    "auto": "1fa5d6342dd89007768f070c903de78d23b9be9d7c4673c2deb601c30cd6c6e5",
+}
+
+
+@pytest.mark.parametrize("source", sorted(PINNED_TRACE_DIGESTS))
+def test_zeta_trace_bytes_are_pinned(source):
+    r = run("zeta", "D(4,+,-) (+) Q(1,1)", "--N", "6", "--trace", "--source", source)
+    assert r.exit_code == 0
+    assert hashlib.sha256(r.stdout_bytes).hexdigest() == PINNED_TRACE_DIGESTS[source]
+
+
+def test_zeta_trace_of_a_formula_table_runs_no_engine(monkeypatch):
+    """Under --source formulas the cells past the closed forms are unavailable
+    and no engine ran on them, so there is no trace to show."""
+    calls = []
+    decompose = engine.decompose
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("collect_trace", False))
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "decompose", counting)
+    r = run("zeta", "A(2) (+) Q(1,1)", "--N", "4", "--source", "formulas", "--trace")
+    assert r.exit_code == 0
+    assert "<unavailable>" in r.output
+    assert "# trace" not in r.output
+    assert r.output == run("zeta", "A(2) (+) Q(1,1)", "--N", "4", "--source", "formulas").output
+    assert calls == []
+
+
+def test_zeta_cross_check_failure_exits_1(monkeypatch):
+    g = parse_germ("A(2) (+) Q(1,1)")
+    real = germs.formula_cell
+
+    def wrong_at_3_plus(h, n, ch):
+        value = real(h, n, ch)
+        return value + 1 if (h, n, ch) == (g, 3, "plus") else value
+
+    monkeypatch.setattr(germs, "formula_cell", wrong_at_3_plus)
+    r = run("zeta", "A(2) (+) Q(1,1)", "--N", "3")
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"cross-check failure: cell ({g.render()}, n=3, plus): formula ")
 
 
 def test_zeta_parse_error_is_exit_2():
@@ -277,6 +328,34 @@ def test_nonsimple_j20():
     assert "[ok]" in r.output
     assert "failures: none" in r.output
     assert "vs E8 (+) Q(1,1): distinguished at n=5, plus" in r.output
+
+
+def test_nonsimple_skips_an_instance_the_engine_fails_on():
+    """With a one-stratum budget the first instance cell fails: the instance is
+    skipped, named with its reason in every format, and the exit code is 1."""
+    env = {engine.BUDGET_ENV: "1"}
+    label = "J(2,0; b=1, c=1) (+) Q(1,1)"
+    reason = "engine failure at n=4/plus: depth-exceeded"
+    r = run("nonsimple", "J(2,0) (+) Q(1,1)", env=env)
+    assert r.exit_code == 1
+    assert r.output == (
+        f"nonsimple germ report  N=5\ninstance {label}\n  skipped: {reason}\n"
+        f"failures: 1\n  {label}: {reason}\n"
+    )
+    r = run("nonsimple", "J(2,0) (+) Q(1,1)", "--format", "csv", env=env)
+    assert r.exit_code == 1
+    assert list(csv.reader(io.StringIO(r.output))) == [
+        ["instance", "versus", "verdict"],
+        [label, "", f"skipped: {reason}"],
+    ]
+    r = run("nonsimple", "J(2,0) (+) Q(1,1)", "--format", "json", env=env)
+    assert r.exit_code == 1
+    assert json.loads(r.output) == {
+        "N": 5,
+        "entries": [{"instance": label, "reason": reason, "skipped": True}],
+        "failures": [f"{label}: {reason}"],
+        "ok": False,
+    }
 
 
 def test_nonsimple_rejects_simple_germ():

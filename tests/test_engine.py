@@ -408,6 +408,16 @@ def test_budget_env(monkeypatch):
         effective_budget()
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_override_must_be_positive(budget):
+    """An explicit budget obeys the environment's rule: below 1 is an error,
+    not a depth-exceeded outcome that blames the environment variable."""
+    with pytest.raises(ValueError, match=f"budget must be positive, got {budget}"):
+        effective_budget(budget)
+    with pytest.raises(ValueError):
+        beta_of(Q21, ("c", "c", "c"), 3, 1, budget=budget)
+
+
 def test_trace_only_on_request():
     assert beta_of(Q21, ("c", "c", "c"), 3, 1).trace == []
     assert beta_of(Q21, ("c", "c", "c"), 3, 1, collect_trace=True).trace
@@ -611,3 +621,16 @@ def test_traced_and_untraced_runs_agree():
             traced.strata,
             traced.leaves,
         ), (g.render(), n, ch)
+
+
+def test_terminal_slice_that_frees_another_assumed_variable():
+    """{a*b = 1, a != 0, b != 0} is the hyperbola, which is R* (beta u - 1).
+    _T slices off a = 0, which leaves -1, free of the other assumed b."""
+    a, b, one = _v(0), _v(1), MPoly.const(1)
+    both = frozenset({0, 1})
+    assert engine._T(a * b - one, EQ, both, both) == u_pow(1) - 1
+    variables = [ArcVar(vid=j, block="c", level=1, coord=j + 1) for j in range(2)]
+    out = decompose(_hand_built(variables, [(a * b - one, EQ), (a * b, NEQ)]))
+    assert out.ok, out.detail
+    assert out.value == u_pow(1) - 1
+    assert out.audit()

@@ -18,6 +18,7 @@ from arczeta.germs import (
     FAMILY,
     TARGETS,
     Cell,
+    CrossCheckError,
     GermSpec,
     _dual,
     _flip,
@@ -389,6 +390,28 @@ def test_resolve_cell_sources():
 
     with pytest.raises(ValueError):
         resolve_cell(g, 3, "plus", "best-effort")
+
+
+def test_hybrid_raises_on_a_wrong_closed_form(monkeypatch):
+    """A closed form that disagrees with the engine is a defect: hybrid raises
+    and names the cell and both values."""
+    g = A(2)
+    right = formula_cell(g, 3, "plus")
+    wrong = right + u_pow(1)
+    real = germs.formula_cell
+
+    def patched(h, n, ch):
+        return wrong if (h, n, ch) == (g, 3, "plus") else real(h, n, ch)
+
+    monkeypatch.setattr(germs, "formula_cell", patched)
+    assert resolve_cell(g, 3, "minus", "hybrid").note == "oracle-checked"
+    with pytest.raises(CrossCheckError) as info:
+        resolve_cell(g, 3, "plus", "hybrid")
+    err = info.value
+    assert (err.germ, err.n, err.channel, err.formula, err.oracle) == (g, 3, "plus", wrong, right)
+    assert str(err) == f"cell ({g.render()}, n=3, plus): formula {wrong} != oracle {right}"
+    # auto trusts the closed form unchecked
+    assert resolve_cell(g, 3, "plus", "auto").value == wrong
 
 
 def test_unknown_source_raises_before_any_work(monkeypatch):

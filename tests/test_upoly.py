@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from arczeta.upoly import ONE, U, ZERO, UPoly, geom_sum, u_pow
@@ -135,3 +135,28 @@ def test_upoly_is_not_a_fraction_ring():
     # exact integer arithmetic only; Fractions should not silently coerce
     with pytest.raises(TypeError):
         U * Fraction(1, 2)  # type: ignore[operator]
+
+
+values = st.one_of(polys, st.integers(min_value=-50, max_value=50))
+
+
+def _twin(x):
+    """The same value in the other type where it has one, else a fresh copy."""
+    if isinstance(x, int):
+        return UPoly.const(x)
+    if x.degree <= 0:
+        return x.coeff(0)
+    return UPoly(dict(x.items()))
+
+
+@given(values, values)
+@example(ZERO, 0)
+@example(UPoly.const(3), 3)
+def test_equal_values_hash_equal(a, b):
+    """A constant equals its int, so it must hash as that int: sets and dicts rely on it."""
+    assert a == _twin(a)
+    for x, y in ((a, b), (a, _twin(a)), (_twin(b), b)):
+        if x == y:
+            assert hash(x) == hash(y)
+            assert len({x, y}) == 1
+            assert {x: "x"}.get(y) == "x"
