@@ -61,6 +61,13 @@ def _cell_id(n: int, channel: str) -> str:
     return f"n={n}/{channel}"
 
 
+def _failure_lines(failures: tuple[str, ...]) -> list[str]:
+    """The text reports' closing block: the failure count and one line each, or none."""
+    if not failures:
+        return ["failures: none"]
+    return [f"failures: {len(failures)}"] + [f"  {f}" for f in failures]
+
+
 # ---------------------------------------------------------------------------
 # Distinguishers
 # ---------------------------------------------------------------------------
@@ -329,11 +336,7 @@ class ClassificationReport:
             f"specs: {len(self.specs)}  classes: {len(self.classes)}  "
             f"pairs: {len(self.entries)}",
         ]
-        if self.failures:
-            lines.append(f"failures: {len(self.failures)}")
-            lines.extend(f"  {f}" for f in self.failures)
-        else:
-            lines.append("failures: none")
+        lines.extend(_failure_lines(self.failures))
         cert: dict[tuple[str, str], PairEntry] = {}
         for e in self.entries:
             cert[(e.germ1, e.germ2)] = e
@@ -348,12 +351,8 @@ class ClassificationReport:
                 if r == c:
                     row.append("=")
                     continue
-                e = cert.get((r, c))
-                if e is None:
-                    row.append("?")
-                elif e.relation == "equivalent":
-                    row.append("==")
-                elif e.certificate is not None and e.certificate.separated:
+                e = cert[(r, c)]
+                if e.certificate.separated:
                     row.append(f"{e.certificate.n}/{e.certificate.channel}")
                 else:
                     row.append("!!")
@@ -527,11 +526,7 @@ class NonsimpleReport:
                 )
             for s in e.separations:
                 lines.append(f"  vs {s.germ2}: {s.verdict}")
-        if self.failures:
-            lines.append(f"failures: {len(self.failures)}")
-            lines.extend(f"  {f}" for f in self.failures)
-        else:
-            lines.append("failures: none")
+        lines.extend(_failure_lines(self.failures))
         return "\n".join(lines) + "\n"
 
 
@@ -554,24 +549,19 @@ def nonsimple_report(
         cube = GermSpec("CUBE", g.sig)
         checks: list[CubeCheck] = []
         skip_reason = ""
-        for n in (4, 5):
-            for channel in ("plus", "minus"):
-                out = oracle_cell(g, n, channel)
-                if not out.ok:
-                    skip_reason = (
-                        f"engine failure at {_cell_id(n, channel)}: {out.failure}"
-                    )
-                    break
-                ref = resolve_cell(cube, n, channel, "auto")
-                matched = ref.value is not None and out.value == ref.value
-                checks.append(CubeCheck(n, channel, matched, out.value, ref.value))
-                if not matched:
-                    failures.append(
-                        f"{g.render()}: cell {_cell_id(n, channel)} does not match "
-                        f"the cube cell ({out.value} vs {ref.value})"
-                    )
-            if skip_reason:
+        for n, channel in product((4, 5), ("plus", "minus")):
+            out = oracle_cell(g, n, channel)
+            if not out.ok:
+                skip_reason = f"engine failure at {_cell_id(n, channel)}: {out.failure}"
                 break
+            ref = resolve_cell(cube, n, channel, "auto")
+            matched = ref.value is not None and out.value == ref.value
+            checks.append(CubeCheck(n, channel, matched, out.value, ref.value))
+            if not matched:
+                failures.append(
+                    f"{g.render()}: cell {_cell_id(n, channel)} does not match "
+                    f"the cube cell ({out.value} vs {ref.value})"
+                )
         if skip_reason:
             entries.append(NonsimpleEntry(g.render(), True, skip_reason, (), ()))
             failures.append(f"{g.render()}: {skip_reason}")
@@ -750,14 +740,13 @@ def _cube_jet_classes() -> SuiteSection:
     ]
     lines = []
     bad = 0
-    for i, g1 in enumerate(e_germs):
-        for g2 in e_germs[i + 1 :]:
-            dist = distinguish(g1, g2, 9, "auto")
-            if dist.separated:
-                lines.append(f"{dist.germ1} vs {dist.germ2}: {dist.verdict}")
-            else:
-                bad += 1
-                lines.append(f"{dist.germ1} vs {dist.germ2}: NOT SEPARATED [FAIL]")
+    for g1, g2 in combinations(e_germs, 2):
+        dist = distinguish(g1, g2, 9, "auto")
+        if dist.separated:
+            lines.append(f"{dist.germ1} vs {dist.germ2}: {dist.verdict}")
+        else:
+            bad += 1
+            lines.append(f"{dist.germ1} vs {dist.germ2}: NOT SEPARATED [FAIL]")
     return _section("cube-jet-classes", lines, bool(bad))
 
 

@@ -123,7 +123,7 @@ def distinguish_cmd(germ1: str, germ2: str, n_max: int, fmt: str, source: str, o
             f"germs live in different ambient dimensions ({g1.d} vs {g2.d})"
         )
     dist = distinguish(g1, g2, n_max, source)
-    equivalent = g1.is_simple and g2.is_simple and analytic_equiv(g1, g2)
+    equivalent = g1 == g2 or (g1.is_simple and g2.is_simple and analytic_equiv(g1, g2))
     if fmt == "json":
         payload = dist.to_json_dict()
         payload["analytic_equiv"] = equivalent

@@ -319,10 +319,6 @@ def _torus_fiber(exps: tuple[int, ...], positive: bool) -> UPoly:
 def _recognize(p: MPoly, rel: str) -> UPoly | None:
     """beta of {p rel 0} inside R^vars(p), or None if unrecognized."""
     if rel == NEQ:
-        if p.is_zero():
-            return ZERO
-        if p.is_const():
-            return ONE
         inner = _recognize(p, EQ)
         if inner is None:
             return None

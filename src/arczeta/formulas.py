@@ -27,6 +27,7 @@ from typing import Callable
 
 from .quadric import (
     Sig,
+    _check_sign,
     beta_D_curve,
     beta_D_curve_zero,
     beta_power_fiber,
@@ -67,9 +68,9 @@ def _check_target(t: Target) -> Target:
     return t
 
 
-def _check_l(l: int, low: int = 2) -> int:
-    if l < low:
-        raise ValueError(f"arc order must be >= {low}, got {l}")
+def _check_l(l: int) -> int:
+    if l < 2:
+        raise ValueError(f"arc order must be >= 2, got {l}")
     return l
 
 
@@ -164,13 +165,10 @@ def arc_Ak(k: int, s: int, l: int, t: Target, sig: Sig) -> UPoly:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if s not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {s!r}")
+    _check_sign(s)
     lead = _lead(t)
     _check_l(l)
     r = sum(sig)
-    if l == 2:
-        return arc_order2(r + 1, sig, t)
     if l > k + 1:
         raise OutOfCoverage(f"A_k cell l={l} > k+1={k + 1}: use the oracle")
     base = u_pow(l) * arc_Q(l, t, sig)
@@ -192,8 +190,6 @@ def arc_G(l: int, t: Target, sig: Sig) -> UPoly:
     lead = _lead(t)
     _check_l(l)
     r = sum(sig)
-    if l == 2:
-        return arc_order2(r + 2, sig, t)
     star = beta_Y_star(sig)
     n, odd = divmod(l, 2)
     total = ZERO
@@ -215,14 +211,11 @@ def arc_Dk(k: int, e1: int, e2: int, l: int, t: Target, sig: Sig) -> UPoly:
     """
     if k < 4:
         raise ValueError(f"k must be >= 4, got {k}")
-    for name, v in (("e1", e1), ("e2", e2)):
-        if v not in (1, -1):
-            raise ValueError(f"{name} must be +1 or -1, got {v!r}")
+    _check_sign(e1, "e1")
+    _check_sign(e2, "e2")
     lead = _lead(t)
     _check_l(l)
     r = sum(sig)
-    if l == 2:
-        return arc_order2(r + 2, sig, t)
     if l == k == 4:
         return arc_D4_order4(e1 * e2, t, sig)
     if l >= k:
@@ -241,8 +234,7 @@ def arc_Dk(k: int, e1: int, e2: int, l: int, t: Target, sig: Sig) -> UPoly:
 
 def arc_D4_order4(cls: int, t: Target, sig: Sig) -> UPoly:
     """The order-4 cell of g_4, by equivalence class sign cls = e1*e2."""
-    if cls not in (1, -1):
-        raise ValueError(f"class sign must be +1 or -1, got {cls!r}")
+    _check_sign(cls, "class sign")
     lead = _lead(t)
     r = sum(sig)
     alpha = 1 if cls == 1 else 3

@@ -593,8 +593,6 @@ class ZetaTable:
                 skipped.append(n)
             elif not cell.value.is_zero():
                 parts.append(f"({cell.value})*T^{n}")
-            else:
-                continue
         body = " + ".join(parts) if parts else "0"
         note = f"   [no value at T^{','.join(map(str, skipped))}]" if skipped else ""
         return f"Z(T) = {body} + O(T^{self.N + 1}){note}"

@@ -52,10 +52,6 @@ class UPoly:
     def const(cls, n: int) -> UPoly:
         return cls({0: n})
 
-    @classmethod
-    def monomial(cls, coef: int, exp: int) -> UPoly:
-        return cls({exp: coef})
-
     # -- basic queries -------------------------------------------------
 
     @property

@@ -8,6 +8,7 @@ import pytest
 
 from arczeta import classifier
 from arczeta.classifier import (
+    Distinguisher,
     ade_table,
     audit_scan_minimality,
     distinguish,
@@ -16,7 +17,7 @@ from arczeta.classifier import (
     oracle_recheck,
     verify_paper_suite,
 )
-from arczeta.germs import GermSpec, analytic_equiv, canonicalize, resolve_cell
+from arczeta.germs import Cell, GermSpec, analytic_equiv, canonicalize, resolve_cell
 from arczeta.upoly import u_pow
 
 
@@ -121,6 +122,25 @@ def test_oracle_recheck_reports_tampering():
     problems = oracle_recheck([(g1, g2, forged)])
     assert len(problems) == 1
     assert "oracle gives" in problems[0]
+
+
+def test_oracle_recheck_skips_unseparated_and_reports_unavailable(monkeypatch):
+    g1, g2 = A(2, 1, (1, 1)), A(3, 1, (1, 1))
+    dist = distinguish(g1, g2, N=6)
+    silent = distinguish(g1, g1, N=3)
+    calls = []
+
+    def no_oracle(g, n, channel, source):
+        calls.append((g, n, channel, source))
+        return Cell(None, "unavailable", "stub")
+
+    monkeypatch.setattr(classifier, "resolve_cell", no_oracle)
+    assert oracle_recheck([(g1, g1, silent)]) == []
+    assert calls == []  # an unseparated result has no cell to recheck
+    assert oracle_recheck([(g1, g2, dist)]) == [
+        f"{dist.germ1} vs {dist.germ2} at n=3/plus: oracle unavailable"
+    ]
+    assert calls == [(g1, 3, "plus", "oracle"), (g2, 3, "plus", "oracle")]
 
 
 # -- enumeration and the A-D-E table --------------------------------------------
@@ -448,3 +468,79 @@ def test_suite_section_lookup():
     text = rep.to_text()
     assert text.startswith("paper verification suite")
     assert "result: PASS" in text
+
+
+def _failing_section(name):
+    """Run the suite, check that it and the named section FAIL, and return the section."""
+    rep = verify_paper_suite()
+    assert rep.ok is False
+    section = rep.section(name)
+    assert section.status == "FAIL"
+    return section
+
+
+def test_suite_fails_when_closed_form_and_recursion_disagree(monkeypatch):
+    real = classifier.arc_Q_recursive
+
+    def off_by_one(l, eps, sig):
+        return real(l, eps, sig) + (1 if (l, eps, sig) == (4, 1, (1, 1)) else 0)
+
+    monkeypatch.setattr(classifier, "arc_Q_recursive", off_by_one)
+    section = _failing_section("closed-vs-recursive")
+    assert section.lines == ("550 cells compared, 1 mismatches", "l=4 eps=1 sig=(1,1)")
+
+
+def test_suite_fails_when_oracle_and_formula_disagree(monkeypatch):
+    g = A(2, 1, (1, 1))
+    real = classifier.oracle_cell
+
+    def skewed(h, n, channel):
+        out = real(h, n, channel)
+        if (h, n, channel) == (g, 3, "plus"):
+            return dataclasses.replace(out, value=out.value + 1)
+        return out
+
+    monkeypatch.setattr(classifier, "oracle_cell", skewed)
+    lines = _failing_section("oracle-vs-formulas").lines
+    right = 2 * u_pow(7) - u_pow(6)
+    assert "AK: 720 covered cells, 1 mismatches" in lines
+    assert lines[-1] == f"A(2) (+) Q(1,1) n=3/plus: formula {right}, oracle {right + 1}"
+
+
+def test_suite_fails_on_an_unseparated_cube_jet_pair(monkeypatch):
+    real = classifier.distinguish
+
+    def blind(g1, g2, N, source):
+        if (g1.family, g2.family) == ("E7", "E8"):
+            return Distinguisher(g1.render(), g2.render(), N, source)
+        return real(g1, g2, N, source)
+
+    monkeypatch.setattr(classifier, "distinguish", blind)
+    lines = _failing_section("cube-jet-classes").lines
+    assert len(lines) == 6
+    assert lines[-1] == "E7 (+) Q(0,0) vs E8 (+) Q(0,0): NOT SEPARATED [FAIL]"
+
+
+def test_suite_fails_on_an_inconsistent_proof_derived_form(monkeypatch):
+    """A proof-derived form the oracle refutes is a FAIL; a variant whose two
+    forms coincide gets the "agree" line."""
+    real = classifier.formula_variants
+
+    def variants(vid):
+        v = real(vid)
+        if vid == "lem4-display-set":
+            return dataclasses.replace(v, stated=v.proof_derived)
+        if vid == "lem5-keven-00":
+            return dataclasses.replace(v, proof_derived=v.stated)
+        return v
+
+    monkeypatch.setattr(classifier, "formula_variants", variants)
+    lines = _failing_section("variant-adjudication").lines
+    assert (
+        "lem4-display-set: stated and proof-derived agree with the oracle on all 40 domain cells"
+        in lines
+    )
+    assert (
+        "lem5-keven-00: proof-derived form INCONSISTENT at D(4,+,+) (+) Q(0,0) n=3/plus [FAIL]"
+        in lines
+    )

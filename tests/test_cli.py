@@ -11,7 +11,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from arczeta import engine, germs
+from arczeta import classifier, engine, germs
 from arczeta.cli import main
 from arczeta.parser import parse_germ
 
@@ -253,6 +253,27 @@ def test_distinguish_equivalent_pair_exit_0():
     assert "analytically equivalent: yes" in r.output
 
 
+@pytest.mark.parametrize("germ2", ["J(2,0) (+) Q(0,0)", "J(2,0; b=1) (+) Q(0,0)"])
+def test_distinguish_a_germ_is_equivalent_to_itself(germ2):
+    r = run("distinguish", "J(2,0) (+) Q(0,0)", germ2, "--N", "3")
+    assert r.exit_code == 0
+    assert "analytically equivalent: yes" in r.output
+    r = run("distinguish", "J(2,0) (+) Q(0,0)", germ2, "--N", "3", "--format", "json")
+    assert json.loads(r.output)["analytic_equiv"] is True
+
+
+def test_distinguish_unresolved_pair_lists_unavailable_cells_and_exits_1():
+    r = run(
+        "distinguish", "J(2,0) (+) Q(0,0)", "J(2,1) (+) Q(0,0)", "--N", "3", "--source", "formulas"
+    )
+    assert r.exit_code == 1
+    assert r.output.splitlines()[1:] == [
+        "verdict: indistinguishable <= 3",
+        "analytically equivalent: no",
+        "unavailable cells: n=2/plus, n=2/minus, n=2/naive, n=3/plus, n=3/minus, n=3/naive",
+    ]
+
+
 def test_distinguish_json():
     r = run(
         "distinguish",
@@ -381,6 +402,19 @@ def test_verify_paper_suite_exit_0():
     assert "[ok] quadric-catalog" in r.output
     assert "[flagged] variant-adjudication" in r.output
     assert "result: PASS" in r.output
+
+
+def test_verify_failure_exits_1(monkeypatch):
+    real = classifier.arc_Q_recursive
+
+    def off_by_one(l, eps, sig):
+        return real(l, eps, sig) + (1 if (l, eps, sig) == (4, 1, (1, 1)) else 0)
+
+    monkeypatch.setattr(classifier, "arc_Q_recursive", off_by_one)
+    r = run("verify")
+    assert r.exit_code == 1
+    assert "[FAIL] closed-vs-recursive" in r.output
+    assert "result: FAIL" in r.output
 
 
 def test_verify_json():
