@@ -364,7 +364,7 @@ class ClassificationReport:
         head = " " * (len(str(len(self.classes))) + 2) + " ".join(
             str(j + 1).rjust(width) for j in range(len(self.classes))
         )
-        lines.append("matrix (cells: first separating n/channel, = self, == equivalent):")
+        lines.append("matrix (cells: first separating n/channel, = self, !! not separated by N):")
         lines.append(head)
         for i, row in enumerate(cells):
             label = str(i + 1).rjust(len(str(len(self.classes))))

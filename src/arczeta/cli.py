@@ -232,9 +232,9 @@ def catalog(top: int, fmt: str, out: str | None) -> None:
         text = _csv(cols, [[r[c] for c in cols] for r in rows])
     else:
         widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in cols}
-        lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
+        lines = ["  ".join(c.ljust(widths[c]) for c in cols).rstrip()]
         for r in rows:
-            lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
+            lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols).rstrip())
         text = "\n".join(lines) + "\n"
     _emit(text, out)
 

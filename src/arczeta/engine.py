@@ -14,7 +14,11 @@ by recursive stratification of the coefficient constraints:
   coordinates (z+w, z-w) and cuts the stratum in two,
 * sign splits on a chosen coordinate when nothing else applies.
 
-Every leaf contributes ``prefactor * (recognized values) * u^free`` and
+A stratum carries its prefactor as two exponents (a, b), meaning
+u^a (u-1)^b: pivots and peels only ever multiply it by u, u-1 or
+(u-1)^2.  Every leaf contributes u^(a+free) (u-1)^(b+loose) times
+its recognized values, where ``free`` and ``loose`` count the variables
+left in no constraint without and with a nonvanishing assumption, and
 the results add up by additivity of the virtual Poincaré polynomial.
 The engine never guesses: an unrecognized terminal shape or an
 exhausted stratum budget yields an explicit failure outcome.
@@ -257,8 +261,10 @@ def build_system(
     cell).
 
     The expansion is computed once per germ and extended on demand (see
-    ``_expansion``), so every order and channel shares it; only the last
-    constraint is built per call.  Variable ids are keyed by (coordinate,
+    ``_expansion``), so every order and channel shares it.  A signed
+    cell's last constraint is a shifted view of the shared t^n
+    coefficient (``MPoly.shifted``), so it reuses that coefficient's
+    summary and zeroings.  Variable ids are keyed by (coordinate,
     level), independent of n.  The variables, their names, split ranks and
     the initial ``alive`` set come from one read-only layout per
     (blocks, n) (see ``_layout``), shared by every system over it.
@@ -284,7 +290,7 @@ def build_system(
     if target == "naive":
         constraints.append((tpoly[n], NEQ))
     else:
-        constraints.append((tpoly[n] - MPoly.const(target), EQ))
+        constraints.append((tpoly[n].shifted(target), EQ))
     return ArcSystem(
         n=n,
         target=target,
@@ -302,14 +308,14 @@ def build_system(
 
 
 @lru_cache(maxsize=None)
-def _punctured(k: int) -> UPoly:
-    """(u-1)^k, the class of (R minus 0)^k; leaves and peels reuse each power."""
-    return U_MINUS_1**k
+def _u_class(a: int, b: int) -> UPoly:
+    """u^a (u-1)^b, the class of R^a x (R minus 0)^b; every leaf reuses it."""
+    return u_pow(a) * U_MINUS_1**b
 
 
 def _torus_fiber(exps: tuple[int, ...], positive: bool) -> UPoly:
     if any(e % 2 for e in exps):
-        return _punctured(len(exps) - 1)
+        return _u_class(0, len(exps) - 1)
     if not positive:
         return ZERO
     half = tuple(e // 2 for e in exps)
@@ -334,7 +340,7 @@ def _recognize(p: MPoly, rel: str) -> UPoly | None:
         mono, c = terms[0]
         k = len(mono)
         if e == 0:
-            return u_pow(k) - _punctured(k)
+            return u_pow(k) - _u_class(0, k)
         exps = tuple(ex for _, ex in mono)
         # c*m = -e has a solution with m > 0 iff e and c differ in sign
         return _torus_fiber(exps, (e > 0) != (c > 0))
@@ -429,7 +435,7 @@ class _Stratum:
     constraints: list[tuple[MPoly, str]]
     assumed: frozenset[int]
     alive: frozenset[int]
-    prefactor: UPoly
+    prefactor: tuple[int, int]  # (a, b): u^a (u-1)^b
     depth: int
     path: str
 
@@ -489,7 +495,7 @@ def decompose(
         constraints=list(system.constraints),
         assumed=frozenset(),
         alive=system.alive,
-        prefactor=ONE,
+        prefactor=(0, 0),
         depth=0,
         path="root",
     )
@@ -540,7 +546,7 @@ def _child(
     constraints: list,
     assumed: frozenset[int] | None = None,
     alive: frozenset[int] | None = None,
-    prefactor: UPoly | None = None,
+    prefactor: tuple[int, int] | None = None,
 ) -> _Stratum:
     """A sub-stratum of ``st`` one level down, its path extended by ``step``.
 
@@ -678,7 +684,8 @@ def _simplify(st, rank, names, trace):
             else:
                 st.constraints = cons[:i] + cons[i + 1 :]
                 st.alive = st.alive - {v}
-                st.prefactor = st.prefactor * U_MINUS_1
+                a, b = st.prefactor
+                st.prefactor = (a, b + 1)
                 cleanup = False
                 if trace is not None:
                     _log(trace, st.depth, "[pivot] %s from neq#%s (factor u-1)", names[v], i)
@@ -710,7 +717,8 @@ def _simplify(st, rank, names, trace):
     if not blocked:
         free = len(st.alive.difference(st.assumed, occurs))
         loose = len((st.alive & st.assumed).difference(occurs))
-        value = st.prefactor * u_pow(free) * _punctured(loose)
+        a, b = st.prefactor
+        value = _u_class(a + free, b + loose)
         for val in values:
             value = value * val
         return value
@@ -729,11 +737,12 @@ def _simplify(st, rank, names, trace):
         # (factor u-1, or (u-1)^2 for a neq), a = 0 leaves r with b free (u).
         tag, alive = f"peel({zn},{wn})", st.alive - {z, w}
         before, after = st.constraints[:i], st.constraints[i + 1 :]
-        drop = st.prefactor * _punctured(1 if rel == EQ else 2)
+        a, b = st.prefactor
+        drop = (a, b + (1 if rel == EQ else 2))
         kept = before + [(reduced, rel)] + after
         return [
             _child(st, f"{tag}-solve", before + after, alive=alive, prefactor=drop),
-            _child(st, f"{tag}-slice", kept, alive=alive, prefactor=st.prefactor * u_pow(1)),
+            _child(st, f"{tag}-slice", kept, alive=alive, prefactor=(a + 1, b)),
         ]
     for i in blocked:
         splittable = var_sets[i] - st.assumed

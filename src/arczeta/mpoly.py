@@ -19,8 +19,13 @@ the polynomial it came from, keyed by the zeroed variables that occur, so
 the engine's strata, which zero the same shared constraint again and
 again, get the identical object back, summary and all.  There is no
 global cache: the results live as long as their root polynomial, which
-is one of a germ's expansion coefficients (kept for the last two germs)
-or one cell's last constraint.
+is one of a germ's expansion coefficients (kept for the last two germs).
+
+A signed cell's last constraint ``c - e`` is a shifted view of the
+expansion coefficient ``c`` (``MPoly.shifted``): it takes its summary
+from ``c``'s, and each of its zeroings is ``c``'s zeroing, kept on ``c``,
+shifted by the same ``e``.  The shifted zeroings are kept on the view,
+so they live as long as one cell.
 
 Coefficients are Python ``int`` unless a ``Fraction`` enters through a
 constructor or a scalar factor: integer germs then stay on integer
@@ -128,6 +133,19 @@ class Summary:
         self.pivots = pivots
         self.squares = squares
         self.definite = _definite_shape(t)
+
+    def with_constant(self) -> Summary:
+        """The summary of this polynomial plus a nonzero constant.
+
+        A constant term touches only the content, which it empties:
+        ``_definite_shape`` skips constant monomials.
+        """
+        if not self.content:
+            return self
+        s = Summary.__new__(Summary)
+        s.vars, s.content, s.pivots = self.vars, _ONE_M, self.pivots
+        s.squares, s.definite = self.squares, self.definite
+        return s
 
 
 def _definite_shape(t: dict[Monomial, Coeff]) -> tuple[int, frozenset[int]] | None:
@@ -324,15 +342,30 @@ class MPoly:
             z = self._z = {}
         r = z.get(key)
         if r is None:
-            out: dict[Monomial, Coeff] = {}
-            for m, c in self._t.items():
-                for w, _ in m:
-                    if w in key:
-                        break
-                else:
-                    out[m] = c
-            r = z[key] = MPoly._wrap(out)
+            r = z[key] = self._zeroed(key)
         return r
+
+    def _zeroed(self, key: frozenset[int]) -> MPoly:
+        """The terms free of every variable in ``key``."""
+        out: dict[Monomial, Coeff] = {}
+        for m, c in self._t.items():
+            for w, _ in m:
+                if w in key:
+                    break
+            else:
+                out[m] = c
+        return MPoly._wrap(out)
+
+    def shifted(self, e: Coeff) -> MPoly:
+        """``self - e`` for a nonzero ``e``, as a view that shares this
+        polynomial's summary and zeroings (see :class:`_Shifted`).
+
+        Raises ``ValueError`` if ``e`` is zero or ``self`` has a constant
+        term.
+        """
+        if not e or _ONE_M in self._t:
+            raise ValueError("shifted needs a nonzero e and no constant term")
+        return _Shifted(self, _coerce(e))
 
     def subs_clear(self, v: int, a: MPoly, b: MPoly) -> MPoly:
         """Return self * a^deg_v with v replaced by -b/a (a a monomial unit)."""
@@ -394,3 +427,35 @@ class MPoly:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MPoly({self.text()})"
+
+
+class _Shifted(MPoly):
+    """``body - e``, which remembers ``body`` and ``e``.
+
+    Its terms are the body's plus the constant ``-e``, so it is equal to,
+    and hashes like, the plain polynomial with those terms, and
+    arithmetic on it returns a plain ``MPoly``.  Its summary is the
+    body's with an empty content, and each of its zeroings is the body's
+    zeroing (kept on the body) shifted by ``e``, kept on the view by
+    ``subs_zero_many``.
+    """
+
+    __slots__ = ("_body", "_e")
+
+    def __init__(self, body: MPoly, e: Coeff) -> None:
+        t = dict(body._t)
+        t[_ONE_M] = -e
+        self._t = t
+        self._s = None
+        self._z = None
+        self._body = body
+        self._e = e
+
+    def summary(self) -> Summary:
+        s = self._s
+        if s is None:
+            s = self._s = self._body.summary().with_constant()
+        return s
+
+    def _zeroed(self, key: frozenset[int]) -> MPoly:
+        return _Shifted(self._body.subs_zero_many(key), self._e)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -332,6 +333,20 @@ def test_table_csv():
     assert relations == {"equivalent", "distinct"}
 
 
+def test_table_legend_names_every_matrix_cell_kind():
+    """The legend explains `=` and `!!`, the only marks a matrix cell holds
+    besides a separating n/channel; `==` cannot occur (classes are canonical)."""
+    r = run("table", "--d", "2", "--N", "3")
+    lines = r.output.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("matrix"))
+    legend = lines[start]
+    assert "= self" in legend and "!! not separated" in legend and "==" not in legend
+    cells = [cell for row in lines[start + 2 :] for cell in row.split()[1:]]
+    assert cells and "!!" in cells
+    kinds = re.compile(r"\d+/(plus|minus|naive)|=|!!")
+    assert all(kinds.fullmatch(cell) for cell in cells)
+
+
 def test_table_requires_d():
     r = run("table")
     assert r.exit_code == 2
@@ -495,6 +510,12 @@ def test_every_text_ends_in_one_newline(args):
     assert out.endswith("\n") and not out.endswith("\n\n")
 
 
+@pytest.mark.parametrize("args", EVERY_COMMAND, ids=lambda args: args[0])
+def test_no_text_line_ends_in_whitespace(args):
+    out = run(*args, "--format", "text").output
+    assert [line for line in out.splitlines() if line != line.rstrip()] == []
+
+
 # -- output bytes ---------------------------------------------------------------------------
 
 # sha256 over the exit codes and exact stdout bytes of these commands in every
@@ -502,6 +523,9 @@ def test_every_text_ends_in_one_newline(args):
 # output must record a new digest.  Re-recorded when the zeta CSV took the
 # \r\n line ends of every other CSV, and again when the zeta text took the
 # final newline of every other text output; no other byte changed either time.
+# Re-recorded once more when the table legend named `!!` instead of `==` and
+# the catalog text dropped the spaces padding its last column; only the text
+# of `table` and `catalog` changed.
 PINNED_OUTPUT = [
     ("table", "--d", "2"),
     ("distinguish", "A(3,+) (+) Q(1,1)", "A(3,-) (+) Q(1,1)"),
@@ -511,7 +535,7 @@ PINNED_OUTPUT = [
     ("catalog", "--max", "2"),
     ("zeta", "A(3,+) (+) Q(1,1)", "--N", "5"),
 ]
-PINNED_OUTPUT_DIGEST = "1f7f8bfd59d3e07846c5d6efc43f4ae6aa273bb39c795d1fd53206a5cd5d7ac9"
+PINNED_OUTPUT_DIGEST = "d34947ba3a1097d1006aad28ee56295b0907aad6fd0c77ca85d214f1faaf748e"
 
 
 def test_output_bytes_are_pinned():

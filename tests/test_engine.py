@@ -542,6 +542,23 @@ def test_build_system_matches_reference_expansion(spec):
                     assert all(type(c) is int for c in coeffs)
 
 
+
+def test_signed_last_constraint_reuses_the_series_coefficient():
+    """A signed cell's last constraint c - e shares the summaries of the
+    zeroings of the germ's t^n coefficient c, which the naive cell and
+    every later order zero too."""
+    poly, blocks = germ_poly(parse_germ("D(4,+,-) (+) Q(1,1)"))
+    n = 5
+    c = engine._expansion(poly)[n]
+    vs = sorted(c.vars())
+    for target in (1, -1):
+        last, rel = build_system(poly, blocks, n, target).constraints[-1]
+        assert rel == EQ and last == c - MPoly.const(target)
+        for zeroed in ((), vs[:1], vs[::2], vs[1::3], vs[:-1]):
+            view = last.subs_zero_many(zeroed).summary()
+            assert view.pivots is c.subs_zero_many(zeroed).summary().pivots
+
+
 def test_sign_test_is_exact_for_huge_coefficients():
     # c*v1^2 = 1 has two real points for any c > 0; 1/c underflows a float
     huge = 10**400

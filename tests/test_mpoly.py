@@ -7,6 +7,7 @@ must agree with them on random sparse polynomials.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -239,3 +240,35 @@ def test_zeroings_are_kept_on_the_parent(p, vs, other):
     assert p.subs_zero_many(ABSENT) is p
     assert dict(p.terms()) == dict(fresh.terms())
     assert fields(p) == fields(fresh)
+
+
+
+# -- shifted views -----------------------------------------------------------------
+
+
+@given(polys(), st.sampled_from((1, -1)), st.lists(st.frozensets(st.sampled_from(VARS)), max_size=4))
+def test_shifted_view_is_the_polynomial_minus_a_constant(p, e, keys):
+    terms = {m: c for m, c in p.terms() if m}
+    body = MPoly(terms)
+    view = body.shifted(e)
+    assert view == body - MPoly.const(e)
+    assert type(view + body) is MPoly and type(view * 2) is MPoly
+    assert fields(view) == fields(MPoly(dict(view.terms())))
+    for key in keys:
+        q = view.subs_zero_many(key)
+        assert q == ref_subs_zero(view, key)
+        assert fields(q) == fields(MPoly(dict(q.terms())))
+        assert view.subs_zero_many(key) is q
+        assert view.subs_zero_many(key | ABSENT) is q
+        if body.vars().isdisjoint(key):
+            assert q is view
+    assert dict(body.terms()) == terms
+
+
+def test_shifted_needs_no_constant_term_and_a_nonzero_shift():
+    x = MPoly.var(0)
+    with pytest.raises(ValueError):
+        (x + MPoly.const(1)).shifted(1)
+    with pytest.raises(ValueError):
+        x.shifted(0)
+    assert MPoly().shifted(-1) == MPoly.const(1)
