@@ -48,7 +48,6 @@ __all__ = [
     "NEQ",
     "DEFAULT_BUDGET",
     "BUDGET_ENV",
-    "ArcVar",
     "ArcSystem",
     "EngineOutcome",
     "build_system",
@@ -83,56 +82,26 @@ def effective_budget(override: int | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ArcVar:
-    """One arc coefficient: block letter, t-power level, block coordinate."""
-
-    vid: int
-    block: str
-    level: int
-    coord: int
-
-    @property
-    def name(self) -> str:
-        if self.block == "c":
-            return f"c{self.level}^{self.coord}"
-        return f"{self.block}{self.level}"
-
-    @property
-    def split_key(self) -> tuple[int, int, int]:
-        return (_BLOCK_RANK[self.block], self.level, self.coord)
-
-
 @dataclass
 class ArcSystem:
     """Constraint system for one arc-space cell.
 
-    ``rank`` orders the variable ids by ``split_key`` and ``alive`` holds
-    them all.  ``build_system`` passes the shared, read-only ones of its
-    layout; a system built without them derives both from ``variables``.
+    A variable is a bare integer id.  ``names`` gives each id its trace
+    name, ``rank`` orders the ids for splits and peels, and ``alive``
+    holds them all; ``build_system`` passes the shared, read-only ones of
+    its layout (see ``_layout``).
     """
 
     n: int
     target: int | str
-    variables: Sequence[ArcVar]
     constraints: list[tuple[MPoly, str]]
     names: Mapping[int, str]
-    rank: Mapping[int, int] | None = None
-    alive: frozenset[int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.rank is None:
-            self.rank = _split_rank(self.variables)
-        if self.alive is None:
-            self.alive = frozenset(v.vid for v in self.variables)
+    rank: Mapping[int, int]
+    alive: frozenset[int]
 
     @property
     def total_vars(self) -> int:
-        return len(self.variables)
-
-    @property
-    def eq_count(self) -> int:
-        return sum(1 for _, rel in self.constraints if rel == EQ)
+        return len(self.alive)
 
 
 # Arc coefficient v_{j,s} (coordinate j, level s) has id j*_LEVEL_STRIDE + s-1.
@@ -216,37 +185,34 @@ def _expansion(germ: MPoly) -> _Series:
     return _Series(coeff, min(series.order for series, _ in parts) if parts else 0)
 
 
-def _split_rank(variables: Sequence[ArcVar]) -> dict[int, int]:
-    """Each variable id's position in ``split_key`` order."""
-    ordered = sorted(variables, key=lambda v: v.split_key)
-    return {v.vid: r for r, v in enumerate(ordered)}
-
-
 @lru_cache(maxsize=128)
 def _layout(
     blocks: tuple[str, ...], n: int
-) -> tuple[tuple[ArcVar, ...], Mapping[int, str], Mapping[int, int], frozenset[int]]:
-    """The variables of a cell over ``blocks`` at order n, their names,
-    split ranks and ids, built once.
+) -> tuple[Mapping[int, str], Mapping[int, int], frozenset[int]]:
+    """The names, split ranks and ids of a cell's variables over ``blocks``
+    at order n, built once.
 
-    Every system over the same (blocks, n) shares them, so the mappings
-    are read-only views.
+    Variable v_{j,s} of block letter ``blocks[j]`` is named ``c{s}^{coord}``
+    in a quadric block, ``coord`` counting the quadric blocks up to j, and
+    ``{block}{s}`` otherwise.  Splits take quadric coefficients before
+    ``b`` before ``a``, then the lowest level, then the lowest coordinate;
+    a rank encodes that order as the integer key (block rank, s, j), since
+    j orders the blocks of one letter as their coordinates do.  Every
+    system over the same (blocks, n) shares the maps, so they are
+    read-only views.
     """
-    coord_of: list[int] = []
-    counts: dict[str, int] = {}
-    for block in blocks:
+    names: dict[int, str] = {}
+    rank: dict[int, int] = {}
+    quadrics = 0
+    for j, block in enumerate(blocks):
         if block not in _BLOCK_RANK:
             raise ValueError(f"unknown block {block!r}")
-        counts[block] = counts.get(block, 0) + 1
-        coord_of.append(counts[block])
-    variables = tuple(
-        ArcVar(vid=j * _LEVEL_STRIDE + s - 1, block=block, level=s, coord=coord_of[j])
-        for j, block in enumerate(blocks)
-        for s in range(1, n + 1)
-    )
-    names = MappingProxyType({v.vid: v.name for v in variables})
-    rank = MappingProxyType(_split_rank(variables))
-    return variables, names, rank, frozenset(v.vid for v in variables)
+        quadrics += block == "c"
+        for s in range(1, n + 1):
+            vid = j * _LEVEL_STRIDE + s - 1
+            names[vid] = f"c{s}^{quadrics}" if block == "c" else f"{block}{s}"
+            rank[vid] = (_BLOCK_RANK[block] * (n + 1) + s) * len(blocks) + j
+    return MappingProxyType(names), MappingProxyType(rank), frozenset(names)
 
 
 def build_system(
@@ -265,9 +231,9 @@ def build_system(
     cell's last constraint is a shifted view of the shared t^n
     coefficient (``MPoly.shifted``), so it reuses that coefficient's
     summary and zeroings.  Variable ids are keyed by (coordinate,
-    level), independent of n.  The variables, their names, split ranks and
-    the initial ``alive`` set come from one read-only layout per
-    (blocks, n) (see ``_layout``), shared by every system over it.
+    level), independent of n.  Their names, split ranks and the initial
+    ``alive`` set come from one read-only layout per (blocks, n) (see
+    ``_layout``), shared by every system over it.
     Integer germs keep ``int`` coefficients; ``Fraction`` appears only
     where the germ has one.
     """
@@ -277,7 +243,7 @@ def build_system(
         raise ValueError(f"arc order must be <= {_LEVEL_STRIDE}, got {n}")
     if target not in (1, -1, "naive"):
         raise ValueError(f"target must be +1, -1 or 'naive', got {target!r}")
-    variables, names, rank, alive = _layout(tuple(blocks), n)
+    names, rank, alive = _layout(tuple(blocks), n)
     d = len(blocks)
     if any(j >= d for j in germ.vars()):
         raise ValueError(f"germ has variables beyond the {d} blocks")
@@ -291,15 +257,7 @@ def build_system(
         constraints.append((tpoly[n], NEQ))
     else:
         constraints.append((tpoly[n].shifted(target), EQ))
-    return ArcSystem(
-        n=n,
-        target=target,
-        variables=variables,
-        constraints=constraints,
-        names=names,
-        rank=rank,
-        alive=alive,
-    )
+    return ArcSystem(n, target, constraints, names, rank, alive)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +528,7 @@ def _simplify(st, rank, names, trace):
     terminal is unmatched and nothing can be split.
 
     Rules read each constraint's cached ``MPoly.summary()``; ``rank``
-    orders variables by their ``split_key``.  Trace lines go to
+    orders the variable ids for splits and peels.  Trace lines go to
     ``trace``, which is None when the run is untraced.
     """
     cleanup = True

@@ -210,7 +210,7 @@ class GermSpec:
             if self.i is None or self.i < 0:
                 raise ValueError(f"family {fam.token} needs i >= 0, got {self.i}")
             object.__setattr__(
-                self, "params", _normalize_jki(self.k, self.i, dict(self.params))
+                self, "params", _normalize_jki(self.k, self.i, self.params)
             )
         elif self.i is not None:
             raise ValueError(f"family {fam.token} takes no i, got {self.i}")
@@ -257,9 +257,14 @@ class GermSpec:
 
 
 def _normalize_jki(
-    k: int, i: int, given: dict[str, Fraction]
+    k: int, i: int, params: tuple[tuple[str, Fraction], ...]
 ) -> tuple[tuple[str, Fraction], ...]:
     """Materialize defaults and validate the J-family moduli."""
+    given: dict[str, Fraction] = {}
+    for name, value in params:
+        if name in given:
+            raise ValueError(f"J parameter {name!r} is given more than once")
+        given[name] = value
     out: dict[str, Fraction] = {}
     known: set[str]
     if i == 0:

@@ -13,7 +13,6 @@ from arczeta.engine import (
     EQ,
     NEQ,
     ArcSystem,
-    ArcVar,
     beta_of,
     build_system,
     decompose,
@@ -44,9 +43,9 @@ def test_build_system_shape():
     assert sys.n == 4
     assert sys.total_vars == 3 * 4
     # t^2, t^3 must vanish; t^4 hits the target
-    assert sys.eq_count == len(sys.constraints) == 3
+    assert [rel for _, rel in sys.constraints] == [EQ] * 3
     naive = build_system(Q21, ("c", "c", "c"), 4, "naive")
-    assert naive.eq_count == 2
+    assert sum(rel == EQ for _, rel in naive.constraints) == 2
     assert naive.constraints[-1][1] == "neq"
 
 
@@ -67,15 +66,33 @@ def test_build_system_validation():
         build_system(Q21, ("c", "c", "c"), 1025, 1)  # beyond the level stride
 
 
-def test_arcvar_naming_and_split_order():
-    a = ArcVar(vid=0, block="a", level=1, coord=1)
-    b = ArcVar(vid=1, block="b", level=1, coord=1)
-    c = ArcVar(vid=2, block="c", level=2, coord=3)
-    assert a.name == "a1"
-    assert b.name == "b1"
-    assert c.name == "c2^3"
-    # suspension coefficients split before the degenerate directions
-    assert sorted([a, b, c], key=lambda v: v.split_key)[0] is c
+# Each block tuple's ids at n = 4 in split order: the suspension (quadric)
+# coefficients by level, then coordinate, before b, before a.
+SPLIT_ORDER = {
+    ("a", "b", "c", "c"): [
+        2048, 3072, 2049, 3073, 2050, 3074, 2051, 3075, 1024, 1025, 1026, 1027, 0, 1, 2, 3,
+    ],
+    ("a", "a", "c"): [2048, 2049, 2050, 2051, 0, 1024, 1, 1025, 2, 1026, 3, 1027],
+    ("c",): [0, 1, 2, 3],
+}
+
+
+def test_layout_names_and_orders_variables():
+    for blocks, order in SPLIT_ORDER.items():
+        for n in range(1, 5):
+            names, rank, alive = engine._layout(blocks, n)
+            quadrics = 0
+            expected = {}
+            for j, block in enumerate(blocks):
+                quadrics += block == "c"
+                for s in range(1, n + 1):
+                    name = f"c{s}^{quadrics}" if block == "c" else f"{block}{s}"
+                    expected[j * 1024 + s - 1] = name
+            assert dict(names) == expected
+            assert alive == set(rank) == set(expected)
+            assert sorted(alive, key=rank.__getitem__) == [v for v in order if v % 1024 < n]
+    with pytest.raises(ValueError, match="unknown block 'x'"):
+        engine._layout(("a", "x"), 2)
 
 
 def test_quadric_cell_matches_closed_form():
@@ -129,19 +146,7 @@ def test_recognition_does_not_rotate():
 
 
 def test_rotation_is_a_traced_peel():
-    variables = [
-        ArcVar(vid=0, block="a", level=1, coord=1),
-        ArcVar(vid=1, block="b", level=1, coord=1),
-        ArcVar(vid=2, block="c", level=1, coord=1),
-        ArcVar(vid=3, block="c", level=1, coord=2),
-    ]
-    system = ArcSystem(
-        n=1,
-        target=1,
-        variables=variables,
-        constraints=[(D_CURVE_PAIR, EQ)],
-        names={v.vid: v.name for v in variables},
-    )
+    system = _hand_built({2: "c1^1", 3: "c1^2", 1: "b1", 0: "a1"}, [(D_CURVE_PAIR, EQ)])
     out = decompose(system, collect_trace=True)
     assert out.ok, out.detail
     assert out.value == u_pow(3)
@@ -149,14 +154,15 @@ def test_rotation_is_a_traced_peel():
     assert out.audit()
 
 
-def _hand_built(variables, constraints) -> ArcSystem:
-    return ArcSystem(
-        n=1,
-        target=1,
-        variables=variables,
-        constraints=constraints,
-        names={v.vid: v.name for v in variables},
-    )
+def _hand_built(names: dict[int, str], constraints) -> ArcSystem:
+    """A system over the ids of ``names``, which splits them in the order listed."""
+    rank = {v: r for r, v in enumerate(names)}
+    return ArcSystem(1, 1, constraints, names, rank, frozenset(names))
+
+
+def _c1(ids) -> dict[int, str]:
+    """Level-1 quadric coefficients: id j is named c1^(j+1)."""
+    return {j: f"c1^{j + 1}" for j in ids}
 
 
 def _counting_linear_split(monkeypatch) -> list:
@@ -176,11 +182,10 @@ def test_pivot_substitutes_into_later_constraints(monkeypatch):
     own: the rule solves v0 = -v1^2 once and clears it from both."""
     v0, v1, v2, v3 = (_v(j) for j in range(4))
     one = MPoly.const(1)
-    variables = [ArcVar(vid=j, block="c", level=1, coord=j + 1) for j in range(4)]
     calls = _counting_linear_split(monkeypatch)
     out = decompose(
         _hand_built(
-            variables,
+            _c1(range(4)),
             [(v0 + v1**2, EQ), (v0**2 + v2**2 - one, EQ), (v0 * v3 - one, NEQ)],
         ),
         collect_trace=True,
@@ -189,7 +194,7 @@ def test_pivot_substitutes_into_later_constraints(monkeypatch):
     assert out.ok, out.detail
     assert any(line.startswith("[pivot] c1^1 from eq#0") for line in out.trace)
     by_hand = decompose(
-        _hand_built(variables[1:], [(v1**4 + v2**2 - one, EQ), (-(v1**2) * v3 - one, NEQ)])
+        _hand_built(_c1(range(1, 4)), [(v1**4 + v2**2 - one, EQ), (-(v1**2) * v3 - one, NEQ)])
     )
     assert by_hand.ok, by_hand.detail
     assert out.value == by_hand.value
@@ -204,7 +209,7 @@ def test_pivot_without_later_occurrence_splits_nothing(monkeypatch):
 
 
 CIRCLE = _v(0) ** 2 + _v(1) ** 2 - MPoly.const(1)  # beta = u + 1
-FIVE_VARS = [ArcVar(vid=j, block="c", level=1, coord=j + 1) for j in range(5)]
+FIVE_VARS = _c1(range(5))
 
 
 def _counting_definite(monkeypatch) -> list:
@@ -252,7 +257,7 @@ def test_shallower_discharge_restarts_the_scan():
     constraint's pivot and is taken next, before the circle is tried."""
     v2, v3 = _v(2), _v(3)
     out = decompose(
-        _hand_built(FIVE_VARS[:4], [(CIRCLE, EQ), (v3 + v2, NEQ), (v2 + _v(1) ** 2, EQ)]),
+        _hand_built(_c1(range(4)), [(CIRCLE, EQ), (v3 + v2, NEQ), (v2 + _v(1) ** 2, EQ)]),
         collect_trace=True,
     )
     assert out.ok, out.detail
@@ -270,7 +275,7 @@ def test_substituting_pivot_is_followed_by_cleanup(monkeypatch):
     v0, v1, v2 = _v(0), _v(1), _v(2)
     # the later equation becomes 1 = 0: the stratum is empty, not a zero leaf
     out = decompose(
-        _hand_built(FIVE_VARS[:2], [(v0 + v1**2, EQ), (v0 + v1**2 + MPoly.const(1), EQ)]),
+        _hand_built(_c1(range(2)), [(v0 + v1**2, EQ), (v0 + v1**2 + MPoly.const(1), EQ)]),
         collect_trace=True,
     )
     assert out.ok, out.detail
@@ -286,7 +291,7 @@ def test_substituting_pivot_is_followed_by_cleanup(monkeypatch):
 
     monkeypatch.setattr(MPoly, "subs_zero_many", recording)
     out = decompose(
-        _hand_built(FIVE_VARS[:3], [(v0 + v1**2, EQ), (v0 + v1**2 + v2**2, EQ)]),
+        _hand_built(_c1(range(3)), [(v0 + v1**2, EQ), (v0 + v1**2 + v2**2, EQ)]),
         collect_trace=True,
     )
     assert out.ok, out.detail
@@ -300,17 +305,14 @@ def test_systems_share_one_read_only_layout():
     first = build_system(Q21, ("c", "c", "c"), 4, 1)
     again = build_system(_v(0) ** 3 + _v(1) ** 2 - _v(2) ** 2, ("c", "c", "c"), 4, "naive")
     other = build_system(Q21, ("c", "c", "c"), 5, 1)
-    assert again.variables is first.variables and again.names is first.names
+    assert again.names is first.names
     assert again.rank is first.rank and again.alive is first.alive
-    assert other.variables is not first.variables
+    assert other.names is not first.names and other.rank is not first.rank
+    assert other.alive is not first.alive
     with pytest.raises(TypeError):
         first.names[0] = "x"
     with pytest.raises(TypeError):
         first.rank[0] = 0
-    # a hand-built system over the same variables derives the same rank and alive set
-    hand = _hand_built(list(first.variables), first.constraints)
-    assert hand.rank == first.rank
-    assert hand.alive == first.alive == frozenset(v.vid for v in first.variables)
 
 
 # (value, strata) per channel of cells whose last rotation is a peel of a
@@ -525,10 +527,10 @@ def test_build_system_matches_reference_expansion(spec):
         for n in order:
             for target in (1, -1, "naive"):
                 system = build_system(poly, blocks, n, target)
-                vids = [v.vid for v in system.variables]
+                vids = sorted(system.alive)
                 # one id per (coordinate, level), sorted in that order, whatever n is
-                assert vids == sorted(set(vids))
-                assert [v.level for v in system.variables] == list(range(1, n + 1)) * d
+                levels = [(j, s) for j in range(d) for s in range(1, n + 1)]
+                assert [(v // 1024, v % 1024 + 1) for v in vids] == levels
                 vid = {(j, s): vids[j * n + s - 1] for j in range(d) for s in range(1, n + 1)}
                 for key, value in vid.items():
                     assert vid_of.setdefault(key, value) == value
@@ -646,8 +648,7 @@ def test_terminal_slice_that_frees_another_assumed_variable():
     a, b, one = _v(0), _v(1), MPoly.const(1)
     both = frozenset({0, 1})
     assert engine._T(a * b - one, EQ, both, both) == u_pow(1) - 1
-    variables = [ArcVar(vid=j, block="c", level=1, coord=j + 1) for j in range(2)]
-    out = decompose(_hand_built(variables, [(a * b - one, EQ), (a * b, NEQ)]))
+    out = decompose(_hand_built(_c1(range(2)), [(a * b - one, EQ), (a * b, NEQ)]))
     assert out.ok, out.detail
     assert out.value == u_pow(1) - 1
     assert out.audit()

@@ -68,6 +68,8 @@ def test_spec_validation():
         GermSpec("E7", (1, 1), k=4)
     with pytest.raises(ValueError):
         GermSpec("CUBE", (-1, 0))
+    with pytest.raises(ValueError, match="J parameter 'b' is given more than once"):
+        GermSpec("JKI", (0, 0), k=2, i=0, params=(("b", Fraction(1)), ("b", Fraction(2))))
 
 
 # One valid spec per family, written out independently of the family table:

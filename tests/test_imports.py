@@ -1,4 +1,5 @@
-"""Every module-level import is used by the module that makes it.
+"""Every module-level import is used by the module that makes it, and
+every name a module exports through ``__all__`` exists.
 
 A stdlib stand-in for a linter's unused-import rule, over the package
 and the tests.  ``from __future__`` imports and the names
@@ -9,6 +10,8 @@ a module shows in its import block.  Tests may import locally.
 """
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -96,3 +99,16 @@ def test_checker_flags_imports_inside_functions_only():
 def test_no_imports_inside_functions(path):
     found = function_imports(path.read_text(encoding="utf-8"))
     assert found == [], f"{path.name} imports inside a function"
+
+
+def test_every_exported_name_resolves_once():
+    """Each ``__all__`` entry is an attribute of its module, listed once, so
+    ``from arczeta.<module> import *`` imports what it promises."""
+    stale, repeated = [], []
+    for path in PACKAGE:
+        name = "arczeta" if path.stem == "__init__" else f"arczeta.{path.stem}"
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", [])
+        stale += [f"{name}.{attr}" for attr in exported if not hasattr(module, attr)]
+        repeated += [f"{name}.{attr}" for attr, k in Counter(exported).items() if k > 1]
+    assert stale == [] and repeated == []

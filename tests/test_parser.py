@@ -81,6 +81,15 @@ def test_spec_level_rejections_are_semantic_at_family_start():
     assert e.position == 2  # family token, not the offending parameter
     e = _err("J(2,0; c=0) (+) Q(0,0)")
     assert e.kind == "semantic"
+    # a repeated parameter is an error, not an overwrite
+    for text, name in (
+        (" J(2,0; b=1, b=2) (+) Q(0,0)", "b"),
+        (" J(3,1; a1=1, a1=0) (+) Q(0,0)", "a1"),
+    ):
+        e = _err(text)
+        assert e.kind == "semantic"
+        assert e.position == 1
+        assert f"J parameter '{name}' is given more than once" in str(e)
 
 
 def test_syntax_error_positions():

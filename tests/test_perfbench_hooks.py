@@ -3,8 +3,9 @@
 ``perfbench/layers.py`` names the functions it times, the report methods
 it times as rendering, and the ring methods it counts.  A rename or a
 moved binding in the package breaks ``perfbench/run.py --trace 1``, so
-every target must resolve on the loaded package, and installing the
-hooks must succeed and be undone cleanly.
+every target must resolve on the loaded package, installing the hooks
+must succeed and be undone cleanly, and the hooks must read the engine's
+counters off what ``build_system`` and ``decompose`` return.
 """
 
 import sys
@@ -43,6 +44,21 @@ def test_benchmark_hooks_resolve(monkeypatch):
             for method in methods:
                 assert callable(getattr(getattr(pkg, cls_name), method)), (cls_name, method)
 
+        # one small cell, unwrapped: the quadric Q(2,1) at order 3
+        germ = MPoly.var(0, 2) + MPoly.var(1, 2) - MPoly.var(2, 2)
+        blocks = ("c", "c", "c")
+        system = engine.build_system(germ, blocks, 3, 1)
+        outcome = engine.decompose(system)
+        assert outcome.ok
+        expected = {
+            "engine.build_system.vars": system.total_vars,
+            "engine.build_system.constraints": len(system.constraints),
+            "engine.decompose.strata": outcome.strata,
+            "engine.decompose.leaves": len(outcome.leaves),
+            "engine.decompose.ok": 1,
+        }
+        assert expected["engine.build_system.vars"] == 3 * 3
+
         originals = {name: vars(mod).copy() for name, mod in vars(pkg).items()
                      if isinstance(mod, type(sys))}
         tracer = spans.Tracer()
@@ -50,6 +66,9 @@ def test_benchmark_hooks_resolve(monkeypatch):
             layers.install(tracer, pkg)
             assert germs.resolve_cell is not originals["germs"]["resolve_cell"]
             assert classifier.resolve_cell is germs.resolve_cell
+            traced = engine.beta_of(germ, blocks, 3, 1)
+            assert traced.value == outcome.value
+            assert {name: tracer.counts.get(name) for name in expected} == expected
         finally:
             tracer.remove()
         for name, namespace in originals.items():
