@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii
-from typing import Callable
 
 from .formulas import (
     GRID_SIGS,
@@ -59,6 +58,12 @@ __all__ = [
 
 def _cell_id(n: int, channel: str) -> str:
     return f"n={n}/{channel}"
+
+
+def _cell_at(pos: int) -> tuple[int, str]:
+    """The (n, channel) at position pos of the scan order: n from 2 up, channels in turn."""
+    n, k = divmod(pos, len(CHANNELS))
+    return n + 2, CHANNELS[k]
 
 
 def _failure_lines(failures: tuple[str, ...]) -> list[str]:
@@ -129,31 +134,62 @@ def distinguish(
             f"cannot compare germs of different ambient dimension: "
             f"{g1.d} vs {g2.d} (tables omit the u^(-n*d) normalization)"
         )
-    return _scan(g1.render(), g2.render(), _row(g1, source), _row(g2, source), N, source)
+    interned: dict[UPoly, int] = {}
+    row1, row2 = _Row(g1, source, interned), _Row(g2, source, interned)
+    return _scan(g1.render(), g2.render(), row1, row2, N, source)
 
 
-# A cell lookup for the pair scan: (n, channel) -> value, or None if unavailable.
-CellLookup = Callable[[int, str], UPoly | None]
+class _Row:
+    """One spec's cells in scan order, resolved as far as some scan has reached.
+
+    ``values[pos]`` is the cell at scan position pos (see ``_cell_at``),
+    or None if unavailable; ``ids[pos]`` is its interned id, or None.
+    Rows that share ``interned`` give equal values equal ids, whether or
+    not they are the same object, so the scan compares ids and reads
+    ``values`` only for a certificate.  A row calls ``resolve_cell`` as
+    the module names it at the time, so a patched lookup takes effect.
+    """
+
+    __slots__ = ("spec", "source", "interned", "values", "ids")
+
+    def __init__(self, spec: GermSpec, source: str, interned: dict[UPoly, int]) -> None:
+        self.spec = spec
+        self.source = source
+        self.interned = interned
+        self.values: list[UPoly | None] = []
+        self.ids: list[int | None] = []
+
+    def extend(self) -> None:
+        """Resolve the cell at the next scan position."""
+        value = resolve_cell(self.spec, *_cell_at(len(self.values)), self.source).value
+        self.values.append(value)
+        interned = self.interned
+        self.ids.append(None if value is None else interned.setdefault(value, len(interned)))
 
 
-def _scan(
-    germ1: str, germ2: str, cell1: CellLookup, cell2: CellLookup, N: int, source: str
-) -> Distinguisher:
-    """The one pair scan: the first cell, in scan order up to N, where the lookups differ."""
+def _scan(germ1: str, germ2: str, row1: _Row, row2: _Row, N: int, source: str) -> Distinguisher:
+    """The one pair scan: the first position, in scan order up to N, where the rows' ids differ.
+
+    Each row is extended only as far as the scan reaches.  An
+    unavailable cell (id None) on either side is recorded and skipped.
+    """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
+    ids1, ids2 = row1.ids, row2.ids
     unavailable: list[str] = []
-    for n in range(2, N + 1):
-        for channel in CHANNELS:
-            v1 = cell1(n, channel)
-            v2 = cell2(n, channel)
-            if v1 is None or v2 is None:
-                unavailable.append(_cell_id(n, channel))
-                continue
-            if v1 != v2:
-                return Distinguisher(
-                    germ1, germ2, N, source, n, channel, v1, v2, tuple(unavailable)
-                )
+    for pos in range((N - 1) * len(CHANNELS)):
+        if pos == len(ids1):
+            row1.extend()
+        if pos == len(ids2):
+            row2.extend()
+        a, b = ids1[pos], ids2[pos]
+        if a is None or b is None:
+            unavailable.append(_cell_id(*_cell_at(pos)))
+        elif a != b:
+            v1, v2 = row1.values[pos], row2.values[pos]
+            return Distinguisher(
+                germ1, germ2, N, source, *_cell_at(pos), v1, v2, tuple(unavailable)
+            )
     return Distinguisher(germ1, germ2, N, source, unavailable=tuple(unavailable))
 
 
@@ -281,8 +317,12 @@ class ClassificationReport:
         per pair: each key is written in sorted order.  A pair holds
         ``agreed_cells`` when equivalent and its ``Distinguisher`` (as
         ``to_json_dict`` gives it) under ``certificate`` when it has one.
+        Each name in ``specs`` is encoded once; a germ outside ``specs``
+        is encoded where it occurs.
         """
         enc = encode_basestring_ascii
+        # an encoded name is never empty, so ``or`` falls back only on a miss
+        named = {name: enc(name) for name in self.specs}.get
         pairs = []
         for e in self.entries:
             text = "{\n      "
@@ -298,14 +338,16 @@ class ClassificationReport:
                         f'\n          "value1": {enc(str(c.value1))},'
                         f'\n          "value2": {enc(str(c.value2))}\n        }},\n        '
                     )
+                germ1, germ2 = named(c.germ1) or enc(c.germ1), named(c.germ2) or enc(c.germ2)
                 text += (
-                    f'"germ1": {enc(c.germ1)},\n        "germ2": {enc(c.germ2)},'
+                    f'"germ1": {germ1},\n        "germ2": {germ2},'
                     f'\n        "source": {enc(c.source)},'
                     f'\n        "unavailable": {_json_strs(c.unavailable, _DEPTH4)},'
                     f'\n        "verdict": {enc(c.verdict)}\n      }},\n      '
                 )
+            germ1, germ2 = named(e.germ1) or enc(e.germ1), named(e.germ2) or enc(e.germ2)
             pairs.append(
-                f'{text}"germ1": {enc(e.germ1)},\n      "germ2": {enc(e.germ2)},'
+                f'{text}"germ1": {germ1},\n      "germ2": {germ2},'
                 f'\n      "relation": {enc(e.relation)},'
                 f'\n      "unavailable": {_json_strs(e.unavailable, _DEPTH3)}\n    }}'
             )
@@ -372,28 +414,16 @@ class ClassificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _row(g: GermSpec, source: str) -> CellLookup:
-    """The cell lookup of one spec: each cell resolved on its first lookup, then kept."""
-    values: dict[tuple[int, str], UPoly | None] = {}
-
-    def cell(n: int, channel: str) -> UPoly | None:
-        key = (n, channel)
-        if key not in values:
-            values[key] = resolve_cell(g, n, channel, source).value
-        return values[key]
-
-    return cell
-
-
 def ade_table(
     d: int, kmax: int = 8, N: int = 9, source: str = "auto"
 ) -> ClassificationReport:
     """Pairwise classification of every simple germ at ambient dimension d.
 
-    Every pair goes through the scan of :func:`distinguish`, over rows
-    that resolve each (spec, n, channel) at most once per table, and
-    only when a pair's scan reaches it.  Equivalent pairs (same
-    canonical form) must come out unseparated, agreeing on every
+    Every pair goes through the scan of :func:`distinguish`, over one
+    row per spec that resolves each (spec, n, channel) at most once per
+    table, and only when a pair's scan reaches it.  The rows share one
+    table of interned value ids, so the scan compares ids.  Equivalent
+    pairs (same canonical form) must come out unseparated, agreeing on every
     available cell up to N; all other pairs must be separated at some
     n <= N.  Violations land in ``failures``; a broken equivalent pair
     is reported at its first disagreeing cell.
@@ -401,7 +431,8 @@ def ade_table(
     specs = enumerate_simple(d, kmax)
     names = [g.render() for g in specs]
     canonical = [canonicalize(g).render() for g in specs]
-    rows = [_row(g, source) for g in specs]
+    interned: dict[UPoly, int] = {}
+    rows = [_Row(g, source, interned) for g in specs]
     entries: list[PairEntry] = []
     failures: list[str] = []
     for i, j in combinations(range(len(specs)), 2):

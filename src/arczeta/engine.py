@@ -29,10 +29,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, groupby, product
+from math import factorial
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .mpoly import Coeff, MPoly
+from .mpoly import Coeff, Monomial, MPoly
 from .quadric import (
     beta_D_curve,
     beta_D_curve_zero,
@@ -110,79 +112,97 @@ class ArcSystem:
 # order of terminal recognition, of the nonvanishing assumptions in _T and
 # of the terms in failure texts.
 _LEVEL_STRIDE = 1024
-_ZERO_POLY = MPoly.zero()
 _NO_VARS: frozenset[int] = frozenset()
 
 
-class _Series:
-    """A power series in t whose coefficients are computed on first request.
+def _levels(m: int, e: int, low: int = 1) -> Iterator[tuple[int, ...]]:
+    """Every way to write m as a sum of e levels s >= low, in ascending order."""
+    if e == 1:
+        if m >= low:
+            yield (m,)
+        return
+    for s in range(low, m // e + 1):
+        for rest in _levels(m - s, e - 1, s):
+            yield (s,) + rest
 
-    ``rule(m)`` computes the t^m coefficient and may request lower ones;
-    every coefficient below ``order`` is zero.  A coefficient never
-    depends on which orders were requested before it.
+
+@lru_cache(maxsize=None)
+def _power_terms(j: int, e: int, m: int) -> tuple[tuple[Monomial, int], ...]:
+    """The t^m terms of x_j^e on the arc x_j = sum_{s>=1} v_{j,s} t^s.
+
+    One term per way to write m as a sum of e levels: the monomial of
+    the v_{j,s}, with coefficient e!/prod k! over the multiplicities k.
+    """
+    terms = []
+    for levels in _levels(m, e):
+        mono = tuple((j * _LEVEL_STRIDE + s - 1, len(list(k))) for s, k in groupby(levels))
+        multinomial = factorial(e)
+        for _, k in mono:
+            multinomial //= factorial(k)
+        terms.append((mono, multinomial))
+    return tuple(terms)
+
+
+def _splits(m: int, mins: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every split m = m_1 + ... + m_r with each m_i >= mins[i]."""
+    if len(mins) == 1:
+        if m >= mins[0]:
+            yield (m,)
+        return
+    for first in range(mins[0], m - sum(mins[1:]) + 1):
+        for rest in _splits(m - first, mins[1:]):
+            yield (first,) + rest
+
+
+class _Expansion:
+    """germ(arc(t)): its t^m coefficients, each computed on first request and kept.
+
+    A germ monomial c * prod_j x_j^{e_j} contributes at t^m, for every
+    split m = sum_j m_j, the products of one t^{m_j} term of each x_j^{e_j}
+    (``_power_terms``).  Distinct monomials, splits and level choices give
+    distinct arc monomials, so each term is written once.
     """
 
-    __slots__ = ("_coeffs", "_rule", "order")
+    __slots__ = ("_monomials", "_coeffs")
 
-    def __init__(self, rule: Callable[[int], MPoly], order: int) -> None:
+    def __init__(self, germ: MPoly) -> None:
+        self._monomials = [(mono, tuple(e for _, e in mono), c) for mono, c in germ.terms()]
+        if any(not mono for mono, _, _ in self._monomials):
+            raise ValueError("germ has a constant term")
         self._coeffs: list[MPoly] = []
-        self._rule = rule
-        self.order = order
 
     def __getitem__(self, m: int) -> MPoly:
-        if m < self.order:
-            return _ZERO_POLY
         coeffs = self._coeffs
         while len(coeffs) <= m:
-            coeffs.append(self._rule(len(coeffs)))
+            coeffs.append(self._coefficient(len(coeffs)))
         return coeffs[m]
 
-
-def _arc(j: int) -> _Series:
-    """The arc sum_{s>=1} v_{j,s} t^s of ambient coordinate j."""
-    return _Series(lambda s: MPoly.var(j * _LEVEL_STRIDE + s - 1), 1)
-
-
-def _cauchy(a: _Series, b: _Series) -> _Series:
-    """The product series: (a*b)[m] = sum over i of a[i] * b[m-i]."""
-
-    def coeff(m: int) -> MPoly:
-        return MPoly.sum_of_products(
-            (ai, b[m - i]) for i in range(a.order, m - b.order + 1) if (ai := a[i])
-        )
-
-    return _Series(coeff, a.order + b.order)
+    def _coefficient(self, m: int) -> MPoly:
+        out: dict[Monomial, Coeff] = {}
+        for mono, exps, c in self._monomials:
+            for split in _splits(m, exps):
+                factors = [_power_terms(j, e, mj) for (j, e), mj in zip(mono, split)]
+                for parts in product(*factors):
+                    coeff = c
+                    for _, k in parts:
+                        coeff *= k
+                    # the ids grow with the coordinate, so the joined monomial is sorted
+                    out[tuple(chain.from_iterable(part for part, _ in parts))] = coeff
+        return MPoly._wrap(out)
 
 
 @lru_cache(maxsize=2)
-def _expansion(germ: MPoly) -> _Series:
-    """germ(arc(t)) as a lazily extended series, one per germ.
+def _expansion(germ: MPoly) -> _Expansion:
+    """germ(arc(t)), one per germ, extended as cells ask for higher orders.
 
-    The t^m coefficient involves only levels s <= m, so it is the same
-    for every cell order n >= m.  The cache keeps the last two germs: a
+    Each t^m coefficient is written down directly from the germ's
+    monomials (see ``_Expansion``), not multiplied out from lower ones.
+    It involves only levels s <= m, so it is the same for every cell
+    order n >= m.  The cache keeps the last two germs: a
     zeta table walks one germ's cells, and a pair scan alternates
     between two germs.
     """
-    powers: dict[tuple[int, int], _Series] = {}
-
-    def power(j: int, e: int) -> _Series:
-        if (j, e) not in powers:
-            powers[j, e] = _arc(j) if e == 1 else _cauchy(power(j, e - 1), power(j, 1))
-        return powers[j, e]
-
-    parts: list[tuple[_Series, MPoly]] = []
-    for mono, coef in germ.terms():
-        if not mono:
-            raise ValueError("germ has a constant term")
-        series = power(*mono[0])
-        for j, e in mono[1:]:
-            series = _cauchy(series, power(j, e))
-        parts.append((series, MPoly.const(coef)))
-
-    def coeff(m: int) -> MPoly:
-        return MPoly.sum_of_products((term, c) for series, c in parts if (term := series[m]))
-
-    return _Series(coeff, min(series.order for series, _ in parts) if parts else 0)
+    return _Expansion(germ)
 
 
 @lru_cache(maxsize=128)

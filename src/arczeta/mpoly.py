@@ -36,7 +36,7 @@ operation divides coefficients, so an ``int`` never turns into a float.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterator, Mapping
 
 __all__ = ["Coeff", "Monomial", "MPoly", "Summary"]
 
@@ -276,14 +276,6 @@ class MPoly:
         return MPoly._wrap(out)
 
     __rmul__ = __mul__
-
-    @classmethod
-    def sum_of_products(cls, pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
-        """The sum of a*b over ``pairs``, added up in one dict."""
-        out: dict[Monomial, Coeff] = {}
-        for a, b in pairs:
-            _add_product(out, a._t, b._t)
-        return cls._wrap(out)
 
     def __pow__(self, k: int) -> MPoly:
         if k < 0:

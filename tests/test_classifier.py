@@ -3,8 +3,11 @@ and the verification suite."""
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arczeta import classifier
 from arczeta.classifier import (
@@ -17,8 +20,8 @@ from arczeta.classifier import (
     oracle_recheck,
     verify_paper_suite,
 )
-from arczeta.germs import Cell, GermSpec, analytic_equiv, canonicalize, resolve_cell
-from arczeta.upoly import u_pow
+from arczeta.germs import CHANNELS, Cell, GermSpec, analytic_equiv, canonicalize, resolve_cell
+from arczeta.upoly import UPoly, u_pow
 
 
 def A(k, sign, sig):
@@ -93,6 +96,63 @@ def test_scan_minimality_audit_compares_every_field():
     assert not audit_scan_minimality(dataclasses.replace(dist, value1=u_pow(1)), g1, g2)
     # an unseparated result certifies nothing, so there is nothing to audit
     assert audit_scan_minimality(distinguish(g1, g1, N=3), g1, g1)
+
+
+# Pairs of equal but distinct values; a constant and zero hash as ints.
+_TWINS = [
+    (UPoly({1: 1}), UPoly({1: 1})),
+    (UPoly({0: -1, 2: 1}), UPoly({0: -1, 2: 1})),
+    (UPoly({0: 2}), UPoly({0: 2})),
+    (UPoly(), UPoly()),
+]
+_TWIN = {id(a): b for pair in _TWINS for a, b in (pair, pair[::-1])}
+_POOL = [v for pair in _TWINS for v in pair] + [None]
+
+
+def _reference_scan(values1, values2, N):
+    """The first differing cell over the raw values, compared with ``==``."""
+    unavailable = []
+    for pos, (v1, v2) in enumerate(zip(values1, values2)):
+        n, channel = pos // len(CHANNELS) + 2, CHANNELS[pos % len(CHANNELS)]
+        if v1 is None or v2 is None:
+            unavailable.append(f"n={n}/{channel}")
+        elif v1 != v2:
+            return n, channel, v1, v2, tuple(unavailable)
+    return None, None, None, None, tuple(unavailable)
+
+
+@given(st.data())
+def test_scan_matches_a_reference_scan_over_raw_values(data):
+    """Interned ids compare as the values do, equal-but-distinct objects
+    included, and an unavailable cell on either side is recorded, not compared."""
+    N = data.draw(st.integers(2, 5))
+    size = (N - 1) * len(CHANNELS)
+    values1 = data.draw(st.lists(st.sampled_from(_POOL), min_size=size, max_size=size))
+    # "twin": an equal, distinct object of the first row's value, so scans run deep
+    picks = data.draw(
+        st.lists(st.one_of(st.just("twin"), st.sampled_from(_POOL)), min_size=size, max_size=size)
+    )
+    values2 = [
+        _TWIN.get(id(v1)) if isinstance(pick, str) else pick for v1, pick in zip(values1, picks)
+    ]
+    g1, g2 = A(2, 1, (0, 0)), A(3, 1, (0, 0))
+    table = {g1: values1, g2: values2}
+    calls = {g1: [], g2: []}
+
+    def cell(g, n, channel, source, oracle=None):
+        pos = (n - 2) * len(CHANNELS) + CHANNELS.index(channel)
+        calls[g].append(pos)
+        return Cell(table[g][pos], "oracle")
+
+    with mock.patch.object(classifier, "resolve_cell", cell):
+        dist = distinguish(g1, g2, N, "auto")
+    n, channel, v1, v2, unavailable = _reference_scan(values1, values2, N)
+    assert (dist.germ1, dist.germ2, dist.N, dist.source) == (g1.render(), g2.render(), N, "auto")
+    assert (dist.n, dist.channel, dist.unavailable) == (n, channel, unavailable)
+    assert dist.value1 is v1 and dist.value2 is v2
+    # each row resolves its cells in scan order, up to where the scan stopped
+    reached = size if n is None else (n - 2) * len(CHANNELS) + CHANNELS.index(channel) + 1
+    assert calls == {g1: list(range(reached)), g2: list(range(reached))}
 
 
 def test_scan_rejects_orders_below_two():
@@ -284,6 +344,22 @@ def test_ade_table_json_is_canonical(monkeypatch):
     kinds = {(e.relation, e.certificate is not None) for e in rep.entries}
     assert kinds == {("equivalent", False), ("distinct", True)} and rep.ok
     _assert_canonical_json(rep)
+    # a germ outside ``specs``, named by a string that JSON must escape
+    stray = 'X "é"\n\\'
+    first, second = rep.entries[0], next(e for e in rep.entries if e.certificate is not None)
+    _assert_canonical_json(
+        dataclasses.replace(
+            rep,
+            entries=(
+                dataclasses.replace(first, germ1=stray),
+                dataclasses.replace(
+                    second,
+                    germ2=stray,
+                    certificate=dataclasses.replace(second.certificate, germ2=stray),
+                ),
+            ),
+        )
+    )
     # no entries; strings that JSON must escape
     _assert_canonical_json(
         dataclasses.replace(
@@ -325,6 +401,15 @@ def test_ade_table_resolves_each_cell_once_and_scans_as_distinguish(monkeypatch)
     assert calls and set(calls.values()) == {1}
     monkeypatch.setattr(classifier, "resolve_cell", resolve_cell)
     spec = {g.render(): g for g in enumerate_simple(2)}
+    # the cells resolved are exactly those some pair's scan reached: up to
+    # its certificate, or every cell when the pair is unseparated
+    order = [(n, channel) for n in range(2, 7) for channel in CHANNELS]
+    reached = set()
+    for e in rep.entries:
+        c = e.certificate
+        stop = order.index((c.n, c.channel)) + 1 if c is not None and c.separated else len(order)
+        reached |= {(spec[g], n, ch) for g in (e.germ1, e.germ2) for n, ch in order[:stop]}
+    assert set(calls) == reached
     distinct = [e for e in rep.entries if e.relation == "distinct"]
     assert distinct
     for e in distinct:

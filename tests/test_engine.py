@@ -609,11 +609,13 @@ def test_decompose_behaviour_is_pinned():
 
 
 def test_caches_never_change_an_answer():
-    """The germ expansions, the zeroings kept on them, the shared variable
-    layouts and the memo of _T give the same outcomes from empty caches, from warm ones, and when the
+    """The germ expansions, the arc power terms they are built from, the
+    zeroings kept on them, the shared variable layouts and the memo of _T
+    give the same outcomes from empty caches, from warm ones, and when the
     cells are asked for in reverse order."""
     cells = _pinned_cells()
     engine._expansion.cache_clear()
+    engine._power_terms.cache_clear()
     engine._layout.cache_clear()
     engine._T.cache_clear()
     cold = [_pinned_record(*cell)[0] for cell in cells]
