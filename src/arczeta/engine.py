@@ -710,7 +710,8 @@ def _simplify(st, rank, names, trace):
         zn, wn = names[z], names[w]
         if trace is not None:
             _log(trace, st.depth, "[peel] %s^2-%s^2 in #%s", zn, wn, i)
-        reduced = MPoly({m: c for m, c in p.terms() if m not in (((z, 2),), ((w, 2),))})
+        # z and w occur in p only as their own bare squares
+        reduced = p.subs_zero_many((z, w))
         # With a = z+w, b = z-w the constraint is ab + r: a != 0 solves for b
         # (factor u-1, or (u-1)^2 for a neq), a = 0 leaves r with b free (u).
         tag, alive = f"peel({zn},{wn})", st.alive - {z, w}

@@ -223,14 +223,6 @@ class MPoly:
     def vars(self) -> frozenset[int]:
         return self.summary().vars
 
-    def deg_in(self, v: int) -> int:
-        best = 0
-        for m in self._t:
-            for w, e in m:
-                if w == v and e > best:
-                    best = e
-        return best
-
     def single_term(self) -> tuple[Monomial, Coeff] | None:
         if len(self._t) != 1:
             return None
@@ -291,29 +283,24 @@ class MPoly:
 
     # -- structure queries used by the engine --------------------------
 
+    def _by_degree(self, v: int) -> dict[int, dict[Monomial, Coeff]]:
+        """The terms grouped by their exponent of ``v``, with ``v`` removed."""
+        layers: dict[int, dict[Monomial, Coeff]] = {}
+        for m, c in self._t.items():
+            e = 0
+            for i, (w, we) in enumerate(m):
+                if w == v:
+                    e, m = we, m[:i] + m[i + 1 :]
+                    break
+            layers.setdefault(e, {})[m] = c
+        return layers
+
     def linear_split(self, v: int) -> tuple[MPoly, MPoly] | None:
         """Write self = A*v + B with A, B free of v; None unless deg_v = 1."""
-        a: dict[Monomial, Coeff] = {}
-        b: dict[Monomial, Coeff] = {}
-        seen = False
-        for m, c in self._t.items():
-            ve = 0
-            rest = []
-            for w, e in m:
-                if w == v:
-                    ve = e
-                else:
-                    rest.append((w, e))
-            if ve == 0:
-                b[m] = c
-            elif ve == 1:
-                a[tuple(rest)] = c
-                seen = True
-            else:
-                return None
-        if not seen:
+        layers = self._by_degree(v)
+        if max(layers, default=0) != 1:
             return None
-        return MPoly(a), MPoly(b)
+        return MPoly._wrap(layers[1]), MPoly._wrap(layers.get(0, {}))
 
     def subs_zero(self, v: int) -> MPoly:
         return self.subs_zero_many((v,))
@@ -361,36 +348,29 @@ class MPoly:
 
     def subs_clear(self, v: int, a: MPoly, b: MPoly) -> MPoly:
         """Return self * a^deg_v with v replaced by -b/a (a a monomial unit)."""
-        d = self.deg_in(v)
+        layers = self._by_degree(v)
+        d = max(layers, default=0)
         if d == 0:
             return self
-        layers: dict[int, dict[Monomial, Coeff]] = {}
-        for m, c in self._t.items():
-            ve = 0
-            rest = []
-            for w, e in m:
-                if w == v:
-                    ve = e
-                else:
-                    rest.append((w, e))
-            layers.setdefault(ve, {})[tuple(rest)] = c
         total = MPoly()
-        for ve, terms in layers.items():
-            total = total + MPoly(terms) * ((-b) ** ve) * (a ** (d - ve))
+        for e, terms in layers.items():
+            total = total + MPoly._wrap(terms) * ((-b) ** e) * (a ** (d - e))
         return total
 
     def divide_by(self, mono: dict[int, int]) -> MPoly:
+        """Divide every term by ``mono``; ValueError unless it divides the content."""
+        content = dict(self.summary().content)
+        if self._t and any(content.get(w, 0) < e for w, e in mono.items()):
+            raise ValueError("monomial does not divide every term")
         out: dict[Monomial, Coeff] = {}
         for m, c in self._t.items():
             reduced = []
             for w, e in m:
-                e2 = e - mono.get(w, 0)
-                if e2 < 0:
-                    raise ValueError("monomial does not divide every term")
-                if e2:
-                    reduced.append((w, e2))
+                e -= mono.get(w, 0)
+                if e:
+                    reduced.append((w, e))
             out[tuple(reduced)] = c
-        return MPoly(out)
+        return MPoly._wrap(out)
 
     # -- display -------------------------------------------------------
 

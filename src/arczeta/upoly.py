@@ -188,61 +188,32 @@ class UPoly:
 
     @classmethod
     def parse(cls, text: str) -> UPoly:
-        """Parse the canonical rendering (and benign whitespace variants)."""
+        """Parse the canonical rendering (and benign whitespace variants).
+
+        Each term is a sign (optional on the first term only), then a
+        magnitude, ``u`` or ``u^exponent``, or both with an optional ``*``
+        between them; blanks and tabs may surround the sign, the magnitude
+        and the ``*``.
+        """
         s = text.strip()
         if not s:
             raise ValueError("empty polynomial text")
-        pos = 0
         coeffs: dict[int, int] = {}
-        first = True
-        n = len(s)
-        while pos < n:
-            # sign
-            sign = 1
-            while pos < n and s[pos] in " \t":
-                pos += 1
-            if pos < n and s[pos] in "+-":
-                sign = -1 if s[pos] == "-" else 1
-                pos += 1
-                while pos < n and s[pos] in " \t":
-                    pos += 1
-            elif not first:
-                raise ValueError(f"expected '+' or '-' at position {pos} in {text!r}")
-            if pos >= n:
-                raise ValueError(f"dangling sign at position {pos} in {text!r}")
-            m = re.match(r"(\d+)", s[pos:])
-            mag: int | None = None
-            if m:
-                mag = int(m.group(1))
-                pos += m.end()
-                while pos < n and s[pos] in " \t":
-                    pos += 1
-                if pos < n and s[pos] == "*":
-                    pos += 1
-                    while pos < n and s[pos] in " \t":
-                        pos += 1
-                    if pos >= n or s[pos] != "u":
-                        raise ValueError(f"expected 'u' at position {pos} in {text!r}")
-            if pos < n and s[pos] == "u":
-                pos += 1
-                exp = 1
-                if pos < n and s[pos] == "^":
-                    pos += 1
-                    m = re.match(r"(\d+)", s[pos:])
-                    if not m:
-                        raise ValueError(f"expected exponent at position {pos} in {text!r}")
-                    exp = int(m.group(1))
-                    pos += m.end()
-                coef = sign * (1 if mag is None else mag)
-            else:
-                if mag is None:
-                    raise ValueError(f"expected term at position {pos} in {text!r}")
-                exp, coef = 0, sign * mag
-            coeffs[exp] = coeffs.get(exp, 0) + coef
-            first = False
-            while pos < n and s[pos] in " \t":
-                pos += 1
+        pos = 0
+        while pos < len(s):
+            m = _TERM.match(s, pos)
+            sign, mag, star, upart, exp = m.groups()
+            if not (sign or pos == 0) or not (mag or upart) or (star and not upart):
+                raise ValueError(f"expected a term at position {pos} in {text!r}")
+            e = (int(exp) if exp else 1) if upart else 0
+            c = int(mag) if mag else 1
+            coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
+            pos = m.end()
         return cls(coeffs)
+
+
+# one term of UPoly.parse: sign, magnitude, '*', 'u' and exponent
+_TERM = re.compile(r"[ \t]*([+-]?)[ \t]*(?:(\d+)[ \t]*(\*[ \t]*)?)?(u(?:\^(\d+))?)?[ \t]*")
 
 
 def _raw(c: dict[int, int]) -> UPoly:

@@ -8,7 +8,7 @@ must agree with them on random sparse polynomials.
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from arczeta.engine import _definite
@@ -272,3 +272,67 @@ def test_shifted_needs_no_constant_term_and_a_nonzero_shift():
     with pytest.raises(ValueError):
         x.shifted(0)
     assert MPoly().shifted(-1) == MPoly.const(1)
+
+
+# -- the degree split: linear_split and subs_clear -----------------------------------
+
+points = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=len(VARS), max_size=len(VARS)
+)
+
+
+def ref_deg(p: MPoly, v: int) -> int:
+    return max((e for m, _ in p.terms() for w, e in m if w == v), default=0)
+
+
+def ref_eval(p: MPoly, x) -> Fraction:
+    total = Fraction(0)
+    for m, c in p.terms():
+        for w, e in m:
+            c = c * x[w] ** e
+        total += c
+    return total
+
+
+@given(polys(), st.sampled_from(VARS))
+@example(MPoly(), 0)
+@example(MPoly({((0, 1), (1, 2)): 2, ((1, 1),): -1}), 0)
+@example(MPoly({((0, 1),): 1, ((0, 2),): 1}), 0)
+def test_linear_split_writes_p_as_a_v_plus_b(p, v):
+    split = p.linear_split(v)
+    if ref_deg(p, v) != 1:
+        assert split is None
+        return
+    a, b = split
+    assert v not in a.vars() and v not in b.vars()
+    assert a * MPoly.var(v) + b == p
+
+
+@given(polys(), st.sampled_from(VARS), polys(), polys(), points)
+def test_subs_clear_is_a_power_of_a_times_the_substitution(q, v, a, b, x):
+    a, b = a.subs_zero(v), b.subs_zero(v)
+    av = ref_eval(a, x)
+    assume(av != 0)
+    d = ref_deg(q, v)
+    at = list(x)
+    at[v] = -ref_eval(b, x) / av
+    assert ref_eval(q.subs_clear(v, a, b), x) == av**d * ref_eval(q, at)
+
+
+@given(polys(), st.sampled_from(VARS), polys(), polys())
+def test_subs_clear_leaves_a_polynomial_free_of_v_as_it_is(p, v, a, b):
+    for q in (MPoly(), p.subs_zero(v)):
+        assert q.subs_clear(v, a, b) is q
+
+
+@given(polys(), st.dictionaries(st.sampled_from(VARS), st.integers(1, 3), min_size=1))
+@example(MPoly.const(1), {0: 1})  # a variable absent from a term
+@example(MPoly.var(1) + MPoly.var(0) * MPoly.var(1), {1: 1, 0: 1})
+@example(MPoly(), {0: 2})
+def test_divide_by_needs_a_monomial_that_divides_every_term(p, mono):
+    divides = all(dict(m).get(w, 0) >= e for m, _ in p.terms() for w, e in mono.items())
+    if divides:
+        assert p.divide_by(mono) * MPoly({tuple(sorted(mono.items())): 1}) == p
+    else:
+        with pytest.raises(ValueError):
+            p.divide_by(mono)

@@ -1,5 +1,6 @@
 """Ring and rendering behaviour of the integer Laurent-free polynomials."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,47 @@ def test_parse_rejects_garbage():
     for bad in ("", "   ", "u^", "2*", "u**3", "x^2", "u^-1", "++u"):
         with pytest.raises(ValueError):
             UPoly.parse(bad)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("3u", "3*u"),
+        ("3 u", "3*u"),
+        ("2 * u^3 - 4", "2*u^3 - 4"),
+        ("u^03", "u^3"),
+        ("- u", "-u"),
+        ("+u", "u"),
+        ("u+1", "u + 1"),
+        ("1 -1", "0"),
+        ("u^0", "1"),
+        ("\nu\n", "u"),
+    ],
+)
+def test_parse_accepts(text, value):
+    assert str(UPoly.parse(text)) == value
+
+
+@pytest.mark.parametrize("text", ["u ^2", "u^ 2", "- - u", "*u", "2*u*3", "1 2", "u u", "u\n+ 1"])
+def test_parse_rejects(text):
+    with pytest.raises(ValueError):
+        UPoly.parse(text)
+
+
+blanks = st.text(alphabet=" \t", max_size=2)
+
+
+@given(polys, st.data())
+def test_parse_ignores_blanks_around_signs_and_stars(p, data):
+    """Blanks and tabs around each sign and '*', and any whitespace at the
+    ends, leave the parsed value as it is."""
+    pieces = re.split(r"\s*([+*-])\s*", str(p))
+    text = "".join(
+        piece if i % 2 == 0 else data.draw(blanks) + piece + data.draw(blanks)
+        for i, piece in enumerate(pieces)
+    )
+    ends = st.text(alphabet=" \t\n\r", max_size=3)
+    assert UPoly.parse(data.draw(ends) + text + data.draw(ends)) == p
 
 
 def test_geom_sum_telescopes():
