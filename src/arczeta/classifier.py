@@ -78,12 +78,15 @@ def _failure_lines(failures: tuple[str, ...]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Distinguisher:
     """Certificate of non-equivalence, or a bounded failure to find one.
 
     When ``n`` is set, ``value1 != value2`` at that cell and every cell
     earlier in scan order either agreed or is listed in ``unavailable``.
+    Slotted, not frozen: the pair scan builds one per pair and nothing
+    assigns to it afterwards; a frozen dataclass would pay an
+    ``object.__setattr__`` per field.  So it is not hashable.
     """
 
     germ1: str
@@ -278,8 +281,10 @@ def _json_strs(items: tuple[str, ...], indent: str) -> str:
     return "[" + inner + ("," + inner).join(map(encode_basestring_ascii, items)) + indent + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PairEntry:
+    """One pair of a classification table; slotted and written once, like :class:`Distinguisher`."""
+
     germ1: str
     germ2: str
     relation: str  # "equivalent" | "distinct"

@@ -416,6 +416,25 @@ def test_ade_table_resolves_each_cell_once_and_scans_as_distinguish(monkeypatch)
         assert e.certificate == distinguish(spec[e.germ1], spec[e.germ2], 6, "auto")
 
 
+def test_pair_records_are_slotted():
+    # one record per pair of a table: slotted, written once, no per-instance dict
+    rep = ade_table(2, kmax=4, N=5)
+    certificates = [e.certificate for e in rep.entries if e.certificate is not None]
+    assert rep.entries and certificates
+    dist = distinguish(A(2, 1, (1, 1)), A(3, 1, (1, 1)), N=6)
+    for record in [*rep.entries, *certificates, dist]:
+        assert not hasattr(record, "__dict__")
+    assert [f.name for f in dataclasses.fields(Distinguisher)] == [
+        "germ1", "germ2", "N", "source", "n", "channel", "value1", "value2", "unavailable",
+    ]
+    assert [f.name for f in dataclasses.fields(classifier.PairEntry)] == [
+        "germ1", "germ2", "relation", "certificate", "unavailable", "agreed_cells",
+    ]
+    copy = dataclasses.replace(certificates[0])
+    assert copy == certificates[0] and copy is not certificates[0]
+    assert dataclasses.replace(dist, channel=dist.channel) == dist
+
+
 # -- nonsimple instances ---------------------------------------------------------
 
 
