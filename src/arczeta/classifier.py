@@ -16,13 +16,12 @@ from json.encoder import encode_basestring_ascii
 
 from .formulas import (
     GRID_SIGS,
+    VARIANTS,
     OutOfCoverage,
     arc_E,
     arc_G,
     arc_Q,
     arc_Q_recursive,
-    formula_variants,
-    variant_ids,
 )
 from .germs import (
     CHANNEL_OF,
@@ -787,12 +786,12 @@ def _cube_jet_classes() -> SuiteSection:
 
 
 def _variant_adjudication() -> SuiteSection:
-    """Each variant's stated and proof-derived forms against its engine cells."""
+    """Each variant's stated form and the closed form its cells serve (the
+    proof-derived reading) against the engine."""
     lines = []
     any_fail = False
     any_flag = False
-    for vid in variant_ids():
-        v = formula_variants(vid)
+    for v in VARIANTS:
         stated_bad: list[str] = []
         derived_bad: list[str] = []
         for args in v.domain:
@@ -802,27 +801,27 @@ def _variant_adjudication() -> SuiteSection:
             if not out.ok:
                 derived_bad.append(f"{_describe_cell(germ, n, channel)}: oracle {out.failure}")
                 continue
-            if v.proof_derived(*args) != out.value:
+            if formula_cell(germ, n, channel) != out.value:
                 derived_bad.append(_describe_cell(germ, n, channel))
             if v.stated(*args) != out.value:
                 stated_bad.append(_describe_cell(germ, n, channel))
         if derived_bad:
             any_fail = True
             lines.append(
-                f"{vid}: proof-derived form INCONSISTENT at {derived_bad[0]} [FAIL]"
+                f"{v.id}: proof-derived form INCONSISTENT at {derived_bad[0]} [FAIL]"
             )
             continue
         if stated_bad:
             any_flag = True
             lines.append(
-                f"{vid}: stated form oracle-inconsistent on "
+                f"{v.id}: stated form oracle-inconsistent on "
                 f"{len(stated_bad)}/{len(v.domain)} domain cells "
                 f"(first: {stated_bad[0]}); proof-derived confirmed on all "
                 f"{len(v.domain)}"
             )
         else:
             lines.append(
-                f"{vid}: stated and proof-derived agree with the oracle on all "
+                f"{v.id}: stated and proof-derived agree with the oracle on all "
                 f"{len(v.domain)} domain cells"
             )
     return _section("variant-adjudication", lines, any_fail, any_flag)

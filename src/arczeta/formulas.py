@@ -4,8 +4,9 @@ Each function returns the virtual Poincaré polynomial of a truncated
 arc space cell for one germ family.  Two variants exist where the
 published closed forms disagree with their own recursions or with
 direct stratification: the proof-derived forms implemented here are
-authoritative, and the as-stated forms are kept in the
-:func:`formula_variants` registry for the verification suite.
+authoritative, and the as-stated forms are kept in :data:`VARIANTS`
+for the verification suite.  A variant's derived reading is the closed
+form of its ``cell``, the one the tables serve.
 
 Targets: ``+1`` / ``-1`` select the signed cells A_n^{±1} (the order-n
 coefficient equals ±1); ``"naive"`` selects A_n (order exactly n).  The
@@ -51,8 +52,7 @@ __all__ = [
     "arc_E",
     "FormulaVariant",
     "GRID_SIGS",
-    "formula_variants",
-    "variant_ids",
+    "VARIANTS",
 ]
 
 Target = int | str  # +1 | -1 | "naive"
@@ -249,11 +249,6 @@ def arc_D4_order4(cls: int, t: Target, sig: Sig) -> UPoly:
 _E_NAMES = ("E6+", "E6-", "E7", "E8", "CUBE")
 
 
-def _cube_jet_order3(t: Target, sig: Sig) -> UPoly:
-    """Order-3 cell shared by every corank-2 germ whose 3-jet is x1^3 + Q."""
-    return _lead(t) * u_pow(2 * sum(sig) + 5) * (beta_Y_star(sig) + 1)
-
-
 def arc_E(which: str, l: int, t: Target, sig: Sig) -> UPoly:
     """Covered cells for the E-family germs and the bare cube ("CUBE").
 
@@ -268,9 +263,9 @@ def arc_E(which: str, l: int, t: Target, sig: Sig) -> UPoly:
     r = p + q
     if l == 2:
         return arc_order2(r + 2, sig, t)
-    if l == 3:
-        return _cube_jet_order3(t, sig)
     star = beta_Y_star(sig)
+    if l == 3:  # shared by every corank-2 germ whose 3-jet is x1^3 + Q
+        return lead * u_pow(2 * r + 5) * (star + 1)
     if l == 4:
         if which in ("E6+", "E6-"):
             if t != "naive":
@@ -293,18 +288,21 @@ def arc_E(which: str, l: int, t: Target, sig: Sig) -> UPoly:
 
 
 # ---------------------------------------------------------------------------
-# Variant registry: as-stated vs proof-derived closed forms
+# Variants: as-stated vs proof-derived closed forms
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FormulaVariant:
-    """A published closed form whose stated and proof-derived versions differ."""
+    """A published closed form whose stated and proof-derived versions differ.
+
+    The proof-derived reading of ``args`` is the closed-form cell that
+    ``cell(*args)`` names, as the tables serve it.
+    """
 
     id: str
     description: str
     stated: Callable[..., UPoly]
-    proof_derived: Callable[..., UPoly]
     # the args tuples on which the suite compares both against the oracle
     domain: tuple[tuple, ...]
     # args -> (GermSpec fields, n, target) of the engine cell the args name
@@ -369,114 +367,89 @@ def _lem5_keven_00_stated(k: int, e1: int, e2: int, eps: int) -> UPoly:
     return arc_G(k - 1, eps, (0, 0)) + u_pow(3 * n - 1)
 
 
-def _lem5_keven_00_derived(k: int, e1: int, e2: int, eps: int) -> UPoly:
-    return arc_Dk(k, e1, e2, k - 1, eps, (0, 0))
-
-
 #: The suspension signatures of the verification grid and the variant domains.
 GRID_SIGS: tuple[Sig, ...] = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))
 
-_VARIANTS: dict[str, FormulaVariant] = {
-    v.id: v
-    for v in (
-        FormulaVariant(
-            id="quadra-even-terminal",
-            description=(
-                "even-order signed quadric cells: stated terminal exponent "
-                "u^{n(p+q)+2n}*beta(Y^eps) vs proof-derived u^{n(p+q)}*beta(Y^eps)"
-            ),
-            stated=_quadra_even_stated,
-            proof_derived=arc_Q,
-            domain=tuple(
-                (l, eps, sig) for l in (4, 6) for eps in (1, -1) for sig in GRID_SIGS
-            ),
-            cell=lambda l, eps, sig: ({"family": "Q", "sig": sig}, l, eps),
+#: Every registered variant, in id order.
+VARIANTS: tuple[FormulaVariant, ...] = (
+    FormulaVariant(
+        id="lem2-Q-sign",
+        description=(
+            "order-(k+1) cells of odd-k corank-1 germs: first term read with "
+            "the fixed +1 quadric fiber vs the eps-dependent fiber"
         ),
-        FormulaVariant(
-            id="lem7-A3-first-term",
-            description=(
-                "order-3 cells of cube-jet corank-2 germs: stated first term "
-                "u^{2(p+q)+7}*beta(Y*) vs proof-derived u^{2(p+q)+5}*beta(Y*)"
-            ),
-            stated=_lem7_A3_stated,
-            proof_derived=_cube_jet_order3,
-            domain=tuple((t, sig) for t in (1, -1, "naive") for sig in GRID_SIGS),
-            cell=lambda t, sig: ({"family": "CUBE", "sig": sig}, 3, t),
+        stated=_lem2_odd_k_stated,
+        domain=tuple(
+            (k, s, eps, sig)
+            for k in (3, 5)
+            for s in (1, -1)
+            for eps in (1, -1)
+            for sig in GRID_SIGS
         ),
-        FormulaVariant(
-            id="lem2-Q-sign",
-            description=(
-                "order-(k+1) cells of odd-k corank-1 germs: first term read with "
-                "the fixed +1 quadric fiber vs the eps-dependent fiber"
-            ),
-            stated=_lem2_odd_k_stated,
-            proof_derived=lambda k, s, eps, sig: arc_Ak(k, s, k + 1, eps, sig),
-            domain=tuple(
-                (k, s, eps, sig)
-                for k in (3, 5)
-                for s in (1, -1)
-                for eps in (1, -1)
-                for sig in GRID_SIGS
-            ),
-            cell=lambda k, s, eps, sig: (
-                {"family": "AK", "sig": sig, "k": k, "signs": (s,)},
-                k + 1,
-                eps,
-            ),
+        cell=lambda k, s, eps, sig: (
+            {"family": "AK", "sig": sig, "k": k, "signs": (s,)},
+            k + 1,
+            eps,
         ),
-        FormulaVariant(
-            id="lem4-display-set",
-            description=(
-                "closed displays for the x1*x2^2 suspension cells: the stated "
-                "beta(Y*)-sum and middle-(u-1)-sum exponents disagree with the "
-                "unrolled recursion (they coincide only on small instances)"
-            ),
-            stated=_lem4_stated,
-            proof_derived=lambda l, eps, sig: arc_G(l, eps, sig),
-            # the displays assume a nonzero suspension exponent r = p+q
-            domain=tuple(
-                (l, eps, sig)
-                for l in (3, 4, 5, 6)
-                for eps in (1, -1)
-                for sig in GRID_SIGS
-                if sum(sig) >= 1
-            ),
-            cell=lambda l, eps, sig: ({"family": "G", "sig": sig}, l, eps),
+    ),
+    FormulaVariant(
+        id="lem4-display-set",
+        description=(
+            "closed displays for the x1*x2^2 suspension cells: the stated "
+            "beta(Y*)-sum and middle-(u-1)-sum exponents disagree with the "
+            "unrolled recursion (they coincide only on small instances)"
         ),
-        FormulaVariant(
-            id="lem5-keven-00",
-            description=(
-                "order-(k-1) cells of even-k D-germs with empty suspension: stated "
-                "correction u^{3n-1} vs the general-form correction at (0,0)"
-            ),
-            stated=_lem5_keven_00_stated,
-            proof_derived=_lem5_keven_00_derived,
-            domain=tuple(
-                (k, e1, e2, eps)
-                for k in (4, 6)
-                for e1 in (1, -1)
-                for e2 in (1, -1)
-                for eps in (1, -1)
-            ),
-            cell=lambda k, e1, e2, eps: (
-                {"family": "DK", "sig": (0, 0), "k": k, "signs": (e1, e2)},
-                k - 1,
-                eps,
-            ),
+        stated=_lem4_stated,
+        # the displays assume a nonzero suspension exponent r = p+q
+        domain=tuple(
+            (l, eps, sig)
+            for l in (3, 4, 5, 6)
+            for eps in (1, -1)
+            for sig in GRID_SIGS
+            if sum(sig) >= 1
         ),
-    )
-}
-
-
-def formula_variants(fid: str) -> FormulaVariant:
-    """Look up a registered stated-vs-derived closed-form pair."""
-    try:
-        return _VARIANTS[fid]
-    except KeyError:
-        raise KeyError(
-            f"unknown formula variant {fid!r}; known: {sorted(_VARIANTS)}"
-        ) from None
-
-
-def variant_ids() -> tuple[str, ...]:
-    return tuple(sorted(_VARIANTS))
+        cell=lambda l, eps, sig: ({"family": "G", "sig": sig}, l, eps),
+    ),
+    FormulaVariant(
+        id="lem5-keven-00",
+        description=(
+            "order-(k-1) cells of even-k D-germs with empty suspension: stated "
+            "correction u^{3n-1} vs the general-form correction at (0,0)"
+        ),
+        stated=_lem5_keven_00_stated,
+        domain=tuple(
+            (k, e1, e2, eps)
+            for k in (4, 6)
+            for e1 in (1, -1)
+            for e2 in (1, -1)
+            for eps in (1, -1)
+        ),
+        cell=lambda k, e1, e2, eps: (
+            {"family": "DK", "sig": (0, 0), "k": k, "signs": (e1, e2)},
+            k - 1,
+            eps,
+        ),
+    ),
+    FormulaVariant(
+        id="lem7-A3-first-term",
+        description=(
+            "order-3 cells of cube-jet corank-2 germs: stated first term "
+            "u^{2(p+q)+7}*beta(Y*) vs proof-derived u^{2(p+q)+5}*beta(Y*)"
+        ),
+        stated=_lem7_A3_stated,
+        domain=tuple((t, sig) for t in (1, -1, "naive") for sig in GRID_SIGS),
+        cell=lambda t, sig: ({"family": "CUBE", "sig": sig}, 3, t),
+    ),
+    FormulaVariant(
+        id="quadra-even-terminal",
+        description=(
+            "even-order signed quadric cells: stated terminal exponent "
+            "u^{n(p+q)+2n}*beta(Y^eps) vs proof-derived u^{n(p+q)}*beta(Y^eps)"
+        ),
+        stated=_quadra_even_stated,
+        domain=tuple(
+            (l, eps, sig) for l in (4, 6) for eps in (1, -1) for sig in GRID_SIGS
+        ),
+        cell=lambda l, eps, sig: ({"family": "Q", "sig": sig}, l, eps),
+    ),
+)

@@ -259,7 +259,11 @@ class GermSpec:
 def _normalize_jki(
     k: int, i: int, params: tuple[tuple[str, Fraction], ...]
 ) -> tuple[tuple[str, Fraction], ...]:
-    """Materialize defaults and validate the J-family moduli."""
+    """Materialize defaults and validate the J-family moduli.
+
+    J(k,0) is an isolated singularity when 4b^3 + 27 != 0, as it is for
+    every rational b.
+    """
     given: dict[str, Fraction] = {}
     for name, value in params:
         if name in given:
@@ -270,8 +274,6 @@ def _normalize_jki(
     if i == 0:
         known = {"b", "c"} | {f"a{m}" for m in range(0, k)}
         b = Fraction(given.get("b", 1))
-        if 4 * b**3 + 27 == 0:
-            raise ValueError("J(k,0) requires 4b^3+27 != 0")
         c = Fraction(given.get("c", 1))
         if c == 0:
             raise ValueError("J(k,0) requires a nonzero x2^(3k) coefficient")

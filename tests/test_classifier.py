@@ -20,7 +20,16 @@ from arczeta.classifier import (
     oracle_recheck,
     verify_paper_suite,
 )
-from arczeta.germs import CHANNELS, Cell, GermSpec, analytic_equiv, canonicalize, resolve_cell
+from arczeta.formulas import arc_G
+from arczeta.germs import (
+    CHANNELS,
+    TARGETS,
+    Cell,
+    GermSpec,
+    analytic_equiv,
+    canonicalize,
+    resolve_cell,
+)
 from arczeta.upoly import UPoly, u_pow
 
 
@@ -626,19 +635,23 @@ def test_suite_fails_on_an_unseparated_cube_jet_pair(monkeypatch):
 
 
 def test_suite_fails_on_an_inconsistent_proof_derived_form(monkeypatch):
-    """A proof-derived form the oracle refutes is a FAIL; a variant whose two
+    """A served closed form the oracle refutes is a FAIL; a variant whose two
     forms coincide gets the "agree" line."""
-    real = classifier.formula_variants
+    variants = {v.id: v for v in classifier.VARIANTS}
+    variants["lem4-display-set"] = dataclasses.replace(
+        variants["lem4-display-set"], stated=arc_G
+    )
+    lem5 = variants["lem5-keven-00"]
+    real = classifier.formula_cell
 
-    def variants(vid):
-        v = real(vid)
-        if vid == "lem4-display-set":
-            return dataclasses.replace(v, stated=v.proof_derived)
-        if vid == "lem5-keven-00":
-            return dataclasses.replace(v, proof_derived=v.stated)
-        return v
+    def misread(g, n, channel):
+        """The lem5 cells served as the stated form reads them."""
+        if g.family == "DK" and g.sig == (0, 0) and n == g.k - 1:
+            return lem5.stated(g.k, *g.signs, TARGETS[channel])
+        return real(g, n, channel)
 
-    monkeypatch.setattr(classifier, "formula_variants", variants)
+    monkeypatch.setattr(classifier, "VARIANTS", tuple(variants.values()))
+    monkeypatch.setattr(classifier, "formula_cell", misread)
     lines = _failing_section("variant-adjudication").lines
     assert (
         "lem4-display-set: stated and proof-derived agree with the oracle on all 40 domain cells"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import arczeta.formulas
 from arczeta.formulas import (
+    VARIANTS,
     OutOfCoverage,
     arc_Ak,
     arc_D4_order4,
@@ -25,8 +26,6 @@ from arczeta.formulas import (
     arc_order2,
     arc_Q,
     arc_Q_recursive,
-    formula_variants,
-    variant_ids,
 )
 from arczeta.germs import CHANNEL_OF, FAMILY, GermSpec, formula_cell
 from arczeta.upoly import UPoly, u_pow
@@ -65,6 +64,8 @@ def test_quadric_values():
         assert arc_Q(l, 1, (1, 0)).is_zero()
         assert arc_Q(l, 1, (0, 0)).is_zero()
         assert arc_Q(l, "naive", (0, 2)).is_zero()
+    with pytest.raises(ValueError, match="arc order must be >= 2, got 1"):
+        arc_Q(1, 1, (1, 0))
 
 
 def test_order2_cell():
@@ -211,69 +212,49 @@ def test_e_and_cube_coverage_boundary():
         arc_E("E9", 3, 1, (0, 0))
 
 
-# -- stated-vs-derived registry ---------------------------------------------
+# -- stated-vs-derived variants ---------------------------------------------
+
+
+def _derived(v, args):
+    """A variant's proof-derived reading: the closed form of the cell it names."""
+    fields, n, target = v.cell(*args)
+    return formula_cell(GermSpec(**fields), n, CHANNEL_OF[target])
+
+
+BY_ID = {v.id: v for v in VARIANTS}
 
 
 def test_variant_registry_ids():
-    assert variant_ids() == (
+    assert tuple(v.id for v in VARIANTS) == (
         "lem2-Q-sign",
         "lem4-display-set",
         "lem5-keven-00",
         "lem7-A3-first-term",
         "quadra-even-terminal",
     )
-    with pytest.raises(KeyError):
-        formula_variants("no-such-variant")
 
 
 def test_variants_disagree_somewhere_on_their_domain():
     """Each registered variant exists because the two readings differ."""
-    for vid in variant_ids():
-        v = formula_variants(vid)
-        assert v.domain, vid
-        hits = [
-            args for args in v.domain if v.stated(*args) != v.proof_derived(*args)
-        ]
-        assert hits, f"{vid}: stated and derived agree everywhere"
+    for v in VARIANTS:
+        assert v.domain, v.id
+        hits = [args for args in v.domain if v.stated(*args) != _derived(v, args)]
+        assert hits, f"{v.id}: stated and derived agree everywhere"
 
 
 def test_variants_agree_on_some_small_instance():
     """The discrepancies are easy to miss: small instances often coincide."""
     for vid in ("lem2-Q-sign", "lem4-display-set", "quadra-even-terminal"):
-        v = formula_variants(vid)
-        agree = [
-            args for args in v.domain if v.stated(*args) == v.proof_derived(*args)
-        ]
+        v = BY_ID[vid]
+        agree = [args for args in v.domain if v.stated(*args) == _derived(v, args)]
         assert agree, f"{vid}: expected at least one coinciding instance"
 
 
-def test_variant_derived_side_matches_public_formulas():
-    v = formula_variants("quadra-even-terminal")
-    for args in v.domain:
-        assert v.proof_derived(*args) == arc_Q(*args)
-    v = formula_variants("lem5-keven-00")
-    for k, e1, e2, eps in v.domain:
-        assert v.proof_derived(k, e1, e2, eps) == arc_Dk(k, e1, e2, k - 1, eps, (0, 0))
-
-
-def test_variant_cells_are_the_derived_formula_cells():
-    """Each variant names the engine cell whose closed form is its derived side."""
-    for vid in variant_ids():
-        v = formula_variants(vid)
-        for args in v.domain:
-            fields, n, target = v.cell(*args)
-            germ = GermSpec(**fields)
-            assert formula_cell(germ, n, CHANNEL_OF[target]) == v.proof_derived(*args), (
-                vid,
-                args,
-            )
-
-
 def test_variant_quadra_even_terminal_sample():
-    v = formula_variants("quadra-even-terminal")
+    v = BY_ID["quadra-even-terminal"]
     # at (2, 1), l = 4 the stated terminal exponent overshoots by u^(2n)
     stated = v.stated(4, 1, (2, 1))
-    derived = v.proof_derived(4, 1, (2, 1))
+    derived = _derived(v, (4, 1, (2, 1)))
     assert derived == u_pow(9) + u_pow(8)
     assert stated != derived
     assert stated == u_pow(12) + u_pow(11) + u_pow(9) - u_pow(7)
@@ -313,11 +294,10 @@ def _closed_form_records():
                         for t in (1, -1, "naive"):
                             text = _cell_text(lambda: fam.cells(g, n, t))
                             yield f"{family} {k} {signs} {sig} {n} {t!r}: {text}"
-    for vid in variant_ids():
-        v = formula_variants(vid)
+    for v in VARIANTS:
         for args in v.domain:
-            for side in (v.stated, v.proof_derived):
-                yield f"{vid} {args!r}: {_cell_text(lambda: side(*args))}"
+            yield f"{v.id} {args!r}: {_cell_text(lambda: v.stated(*args))}"
+            yield f"{v.id} {args!r}: {_cell_text(lambda: _derived(v, args))}"
 
 
 def test_every_closed_form_cell_is_pinned():

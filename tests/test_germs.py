@@ -140,6 +140,9 @@ def test_jki_validation_and_defaults():
         GermSpec("JKI", (0, 0), k=2, i=1, params=(("a0", Fraction(0)),))
     with pytest.raises(ValueError):
         GermSpec("JKI", (0, 0), k=2, i=1, params=(("zz", Fraction(1)),))
+    for i in (None, -1):
+        with pytest.raises(ValueError, match="needs i >= 0"):
+            GermSpec("JKI", (0, 0), k=2, i=i)
     # fractional moduli survive normalization
     g = GermSpec("JKI", (0, 0), k=3, i=0, params=(("b", Fraction(5, 2)),))
     assert g.param("b") == Fraction(5, 2)

@@ -112,3 +112,54 @@ def test_every_exported_name_resolves_once():
         stale += [f"{name}.{attr}" for attr in exported if not hasattr(module, attr)]
         repeated += [f"{name}.{attr}" for attr, k in Counter(exported).items() if k > 1]
     assert stale == [] and repeated == []
+
+
+#: The closed forms and the engine are the two independent paths of the
+#: hybrid cross-check.  They may share the quadric catalog and the
+#: polynomial arithmetic, and nothing else of the package.
+INDEPENDENT_PATHS = {
+    "formulas": {"quadric", "upoly"},
+    "engine": {"mpoly", "quadric", "upoly"},
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports from, written relative
+    (``from .x import``, ``from . import x``) or absolute (``arczeta.x``)."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            paths = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            if path.startswith("."):
+                found.add(path.lstrip(".").split(".")[0])
+            elif path.startswith("arczeta."):
+                found.add(path.split(".")[1])
+    return found
+
+
+def test_checker_reads_package_imports_only():
+    source = (
+        "import os.path\n"
+        "from .upoly import ONE\n"
+        "from . import germs\n"
+        "from arczeta.mpoly import MPoly\n"
+        "import arczeta.parser\n"
+        "from arczeta import cli\n"
+        "def f():\n"
+        "    from .engine import beta_of\n"
+    )
+    assert package_imports(source) == {"upoly", "germs", "mpoly", "parser", "cli", "engine"}
+
+
+@pytest.mark.parametrize("module", sorted(INDEPENDENT_PATHS))
+def test_independent_paths_share_only_the_catalog_and_arithmetic(module):
+    source = (ROOT / "src" / "arczeta" / f"{module}.py").read_text(encoding="utf-8")
+    assert package_imports(source) <= INDEPENDENT_PATHS[module], (
+        f"{module} imports a module outside its independent path"
+    )

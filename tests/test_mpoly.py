@@ -274,6 +274,14 @@ def test_shifted_needs_no_constant_term_and_a_nonzero_shift():
     assert MPoly().shifted(-1) == MPoly.const(1)
 
 
+def test_exponents_are_validated_and_only_polynomials_compare_equal():
+    with pytest.raises(ValueError, match="exponent must be >= 1, got 0"):
+        MPoly.var(0, 0)
+    with pytest.raises(ValueError, match="negative power"):
+        MPoly.var(0) ** -1
+    assert (MPoly.var(0) == 1) is False
+
+
 # -- the degree split: linear_split and subs_clear -----------------------------------
 
 points = st.lists(
