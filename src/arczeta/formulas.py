@@ -17,6 +17,13 @@ quadric), ``_power_at`` (the power-plus-quadric) and ``_curve_at`` (the
 D-curve).  E6's order-4 cell, closed only for the naive target, is the
 one coverage rule that reads the target itself.
 
+The two jet bases, :func:`arc_Q` and :func:`arc_G`, are memoised,
+keyed by (l, t, sig) with ``sig`` a tuple.  By the jet lemma the n-cell
+of A_k is u^n * arc_Q(n, t, sig) for n <= k and the n-cell of D_k is
+arc_G(n, t, sig) for n <= k-2, so every k and sign of a table shares one
+base value per key.  The values are immutable; the caches live until
+``cache_clear`` (a cold benchmark request empties them).
+
 Cells outside a formula's declared coverage raise :class:`OutOfCoverage`
 ("use the stratification oracle"); formulas never extrapolate.
 """
@@ -24,6 +31,7 @@ Cells outside a formula's declared coverage raise :class:`OutOfCoverage`
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .quadric import (
@@ -106,8 +114,13 @@ def _curve_at(k: int, s: int, t: Target) -> UPoly:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None, typed=True)
 def arc_Q(l: int, t: Target, sig: Sig) -> UPoly:
-    """Cell of order l >= 2 for the pure quadratic form Q_{p,q}."""
+    """Cell of order l >= 2 for the pure quadratic form Q_{p,q}.
+
+    Memoised on (l, t, sig), ``sig`` a tuple: it is the jet base of every
+    A_k cell with l <= k (typed, so ``2.0`` is not served as ``2``).
+    """
     lead = _lead(t)
     _check_l(l)
     r = sum(sig)
@@ -185,8 +198,13 @@ def arc_Ak(k: int, s: int, l: int, t: Target, sig: Sig) -> UPoly:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None, typed=True)
 def arc_G(l: int, t: Target, sig: Sig) -> UPoly:
-    """Cell of order l >= 2 for G = x1*x2^2 + Q_{p,q}(y)."""
+    """Cell of order l >= 2 for G = x1*x2^2 + Q_{p,q}(y).
+
+    Memoised on (l, t, sig), ``sig`` a tuple: it is the jet base of every
+    D_k cell with l <= k-2 (typed, as :func:`arc_Q`).
+    """
     lead = _lead(t)
     _check_l(l)
     r = sum(sig)

@@ -189,6 +189,9 @@ class GermSpec:
     params: tuple[tuple[str, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
+        # a spec is hashed, cached and rendered: list arguments become tuples
+        for name in ("sig", "signs", "params"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         fam = FAMILY.get(self.family)
         if fam is None:
             raise ValueError(f"unknown family {self.family!r}")

@@ -1,16 +1,25 @@
-"""Every functools cache in the package decorates a module-level function.
+"""Every functools cache in the package is one a cold benchmark empties.
 
-A cold benchmark empties the caches it finds among the modules' own
-names before each request.  A cache on a method, a nested function or a
-lambda is out of its reach, so it would stay warm and hide engine work.
+A cold benchmark empties the caches it finds among the names of the
+modules it scans before each request.  A cache on a method, a nested
+function or a lambda is out of its reach, and so is a module-level cache
+in a module it does not scan: either would stay warm and hide work.
 """
 
 import ast
+import importlib
+import pkgutil
+import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
+import arczeta
+from arczeta import quadric
+
 ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 SOURCES = sorted((ROOT / "src" / "arczeta").glob("*.py"))
 FACTORIES = {"lru_cache", "cache"}
 
@@ -73,3 +82,49 @@ def test_checker_flags_caches_out_of_reach():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_caches_decorate_module_level_functions(path):
     assert misplaced_caches(path.read_text(encoding="utf-8")) == []
+
+
+def _is_cache(value) -> bool:
+    return callable(getattr(value, "cache_clear", None)) and callable(
+        getattr(value, "cache_info", None)
+    )
+
+
+def caches_out_of_reach(collected) -> list[str]:
+    """'module.name' for each functools cache among the names of an arczeta
+    module that is not one of ``collected``."""
+    ids = {id(cache) for cache in collected}
+    modules = [arczeta] + [
+        importlib.import_module(f"arczeta.{info.name}")
+        for info in pkgutil.iter_modules(arczeta.__path__)
+    ]
+    return sorted(
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name, value in vars(mod).items()
+        if _is_cache(value) and id(value) not in ids
+    )
+
+
+@pytest.fixture
+def perfbench_caches(monkeypatch):
+    """The caches perfbench's ``load_program`` collects, read as ``run.py`` does."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        import run
+
+        yield run.load_program().caches
+    finally:
+        sys.modules.pop("run", None)
+
+
+def test_perfbench_empties_every_package_cache(perfbench_caches):
+    assert perfbench_caches
+    assert caches_out_of_reach(perfbench_caches) == []
+
+
+def test_a_cache_outside_the_scanned_modules_is_out_of_reach(perfbench_caches, monkeypatch):
+    # perfbench does not scan quadric: a catalog memo there would stay warm
+    memo = lru_cache(maxsize=None)(lambda sig: sig)
+    monkeypatch.setattr(quadric, "_catalog_memo", memo, raising=False)
+    assert caches_out_of_reach(perfbench_caches) == ["arczeta.quadric._catalog_memo"]

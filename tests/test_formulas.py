@@ -127,6 +127,33 @@ def test_g_empty_suspension_odd_orders():
         assert arc_G(2 * n + 1, 1, (0, 0)) == u_pow(2 * n + 2) * (u_pow(n) - 1)
 
 
+# -- the memoised jet bases ----------------------------------------------------
+
+JET_BASES = (arc_Q, arc_G)
+MEMO_SIGS = tuple((p, q) for p in range(5) for q in range(5) if p + q <= 4)
+
+
+@pytest.mark.parametrize("base", JET_BASES, ids=lambda f: f.__name__)
+def test_jet_bases_equal_their_unmemoised_forms(base):
+    for l in range(2, 13):
+        for t in (1, -1, "naive"):
+            for sig in MEMO_SIGS:
+                assert base(l, t, sig) == base.__wrapped__(l, t, sig)
+                assert base(l, t, sig) is base(l, t, sig)
+
+
+@pytest.mark.parametrize("base", JET_BASES, ids=lambda f: f.__name__)
+def test_jet_bases_reject_invalid_arguments_whatever_is_cached(base):
+    base(2, 1, (1, 0))
+    with pytest.raises(ValueError, match="arc order must be >= 2, got 1"):
+        base(1, 1, (1, 0))
+    with pytest.raises(ValueError, match="target must be"):
+        base(2, "signed", (1, 0))
+    # 2.0 == 2 and hashes alike: only a typed cache keeps the float out
+    with pytest.raises(TypeError):
+        base(2.0, 1, (1, 0))
+
+
 def test_d_family_values():
     assert arc_Dk(4, 1, 1, 3, 1, (1, 1)) == 2 * u_pow(10) - u_pow(9)
     assert arc_Dk(4, 1, -1, 3, 1, (1, 1)) == 2 * u_pow(10)

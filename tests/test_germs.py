@@ -166,6 +166,19 @@ def test_render():
     )
 
 
+def test_list_arguments_build_the_tuple_spec():
+    listed = GermSpec("AK", [1, 0], k=2, signs=[1])
+    spec = GermSpec("AK", (1, 0), k=2, signs=(1,))
+    assert listed == spec and hash(listed) == hash(spec)
+    assert listed.render() == spec.render() == "A(2) (+) Q(1,0)"
+    assert (listed.sig, listed.signs, listed.params) == ((1, 0), (1,), ())
+    assert formula_cell(listed, 2, "plus") == formula_cell(spec, 2, "plus")
+    assert zeta_table(listed, 3) == zeta_table(spec, 3)
+    jki = GermSpec("JKI", [0, 0], k=2, i=0, params=[("b", 2)])
+    assert jki == GermSpec("JKI", (0, 0), k=2, i=0, params=(("b", 2),))
+    assert GermSpec("Q", (1, 1), params=[]).params == ()
+
+
 def test_dimensions_and_corank():
     assert GermSpec("Q", (2, 1)).d == 3
     assert A(4, 1, (2, 1)).d == 4
