@@ -43,7 +43,7 @@ from .quadric import (
     beta_Y,
     beta_Y_fiber,
 )
-from .upoly import ONE, U_MINUS_1, UPoly, ZERO, u_pow
+from .upoly import ONE, U_MINUS_1, UPoly, ZERO, u_pow, u_sum
 
 __all__ = [
     "EQ",
@@ -434,7 +434,8 @@ class EngineOutcome:
         return self.failure is None
 
     def audit(self) -> bool:
-        """Additivity check: the leaf contributions sum to the value."""
+        """Additivity check: the leaf contributions, folded one by one,
+        sum to the value (which ``decompose`` adds up with ``u_sum``)."""
         if not self.ok:
             return False
         total = ZERO
@@ -455,7 +456,7 @@ def decompose(
     budget: int | None = None,
     collect_trace: bool = False,
 ) -> EngineOutcome:
-    """Stratify ``system`` and add up its leaves.
+    """Stratify ``system`` and add up its leaves, once, in one map (``u_sum``).
 
     Splits and peels choose variables by the system's ``rank`` and the
     root stratum starts from its ``alive`` set, both shared with every
@@ -466,7 +467,6 @@ def decompose(
     # None when untraced: every trace line is guarded, so none is formatted
     trace: list[str] | None = [] if collect_trace else None
     leaves: list[tuple[str, UPoly]] = []
-    total = ZERO
     processed = 0
 
     root = _Stratum(
@@ -497,10 +497,9 @@ def decompose(
                 if trace is not None:
                     _log(trace, st.depth, "[leaf] %s", fate)
                 leaves.append((st.path, fate))
-                total += fate
             else:
                 stack.extend(fate)
-        value, failure, detail = total, None, ""
+        value, failure, detail = u_sum(v for _, v in leaves), None, ""
     except _Failure as f:
         value, failure, detail = None, f.kind, f.detail
     return EngineOutcome(
@@ -677,14 +676,16 @@ def _simplify(st, rank, names, trace):
     # terminal attempt: a constraint sharing no variable with another is
     # recognized on its own
     var_sets = [p.vars() for p, _ in st.constraints]
-    occurs: dict[int, int] = {}
+    # seen: the variables of some constraint; shared: those of two or more
+    seen: set[int] = set()
+    shared: set[int] = set()
     for vs in var_sets:
-        for v in vs:
-            occurs[v] = occurs.get(v, 0) + 1
+        shared |= seen.intersection(vs)
+        seen |= vs
     blocked: list[int] = []
     values: list[UPoly] = []
     for i, (p, rel) in enumerate(st.constraints):
-        if any(occurs[v] > 1 for v in var_sets[i]):
+        if not shared.isdisjoint(var_sets[i]):
             blocked.append(i)
             continue
         val = _T(p, rel, st.assumed & var_sets[i], var_sets[i])
@@ -693,8 +694,8 @@ def _simplify(st, rank, names, trace):
         else:
             values.append(val)
     if not blocked:
-        free = len(st.alive.difference(st.assumed, occurs))
-        loose = len((st.alive & st.assumed).difference(occurs))
+        free = len(st.alive.difference(st.assumed, seen))
+        loose = len((st.alive & st.assumed).difference(seen))
         a, b = st.prefactor
         value = _u_class(a + free, b + loose)
         for val in values:
@@ -703,7 +704,7 @@ def _simplify(st, rank, names, trace):
 
     for i in blocked:
         p, rel = st.constraints[i]
-        pair = _peelable_pair(p, occurs, st.assumed, rank)
+        pair = _peelable_pair(p, shared, st.assumed, rank)
         if pair is None:
             continue
         z, w = pair
@@ -740,20 +741,20 @@ def _simplify(st, rank, names, trace):
 
 
 def _peelable_pair(
-    p: MPoly, occurs: dict[int, int], assumed: frozenset[int], rank: dict[int, int]
+    p: MPoly, shared: set[int], assumed: frozenset[int], rank: dict[int, int]
 ) -> tuple[int, int] | None:
     """A hyperbolic pair z^2 - w^2 isolated in constraint p, if any.
 
     Both variables must occur only through their own square term in this
-    constraint, in no other (``occurs`` counts the constraints each
-    variable is in), and carry no nonvanishing assumption; the rotated
+    constraint, in no other (``shared`` holds the variables of two or
+    more constraints), and carry no nonvanishing assumption; the rotated
     coordinates (z+w, z-w) then split the stratum algebraically.
     """
     squares = p.summary().squares
     if len(squares) < 2:
         return None
     order = sorted(
-        (v for v in squares if occurs[v] == 1 and v not in assumed), key=rank.__getitem__
+        (v for v in squares if v not in shared and v not in assumed), key=rank.__getitem__
     )
     pos = next((v for v in order if squares[v] > 0), None)
     neg = next((v for v in order if squares[v] < 0), None)

@@ -192,6 +192,17 @@ class GermSpec:
         # a spec is hashed, cached and rendered: list arguments become tuples
         for name in ("sig", "signs", "params"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        # 2.0 or True would compare and hash equal to the int spec, so no
+        # cache could tell them apart
+        ints = {
+            "k": () if self.k is None else (self.k,),
+            "i": () if self.i is None else (self.i,),
+            "sig": self.sig,
+            "signs": self.signs,
+        }
+        for name, values in ints.items():
+            if any(type(v) is not int for v in values):
+                raise TypeError(f"{name} must hold int values, got {getattr(self, name)!r}")
         fam = FAMILY.get(self.family)
         if fam is None:
             raise ValueError(f"unknown family {self.family!r}")
@@ -468,6 +479,17 @@ def _dual(g: GermSpec) -> GermSpec:
     return GermSpec(g.family, sig, g.k, g.i, tuple(-s for s in g.signs), g.params)
 
 
+@lru_cache(maxsize=None)
+def _relatives(g: GermSpec) -> tuple[GermSpec, GermSpec, GermSpec]:
+    """``(_dual(g), _flip(g), _flip(_dual(g)))``, built once per germ.
+
+    Every cell of a germ reads its orbit, and the relatives do not depend
+    on the cell.
+    """
+    dual = _dual(g)
+    return dual, _flip(g), _flip(dual)
+
+
 def _orbit(g: GermSpec, n: int, channel: str) -> list[tuple[GermSpec, str]]:
     """The cells whose value equals cell (g, n, channel) by a sign symmetry.
 
@@ -475,8 +497,9 @@ def _orbit(g: GermSpec, n: int, channel: str) -> list[tuple[GermSpec, str]]:
     in the same channel; at odd n, t -> -t maps the plus cell of a germ to
     its minus cell.
     """
-    cells = [(g, channel), (_dual(g), _SWAP[channel])]
-    cells += [(_flip(h), ch) for h, ch in cells]
+    dual, flip, flip_dual = _relatives(g)
+    swapped = _SWAP[channel]
+    cells = [(g, channel), (dual, swapped), (flip, channel), (flip_dual, swapped)]
     if n % 2 and channel != "naive":
         cells += [(h, _SWAP[ch]) for h, ch in cells]
     return cells

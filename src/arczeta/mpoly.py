@@ -17,9 +17,13 @@ dict and wraps it once (``_wrap``).
 Zeroings are kept the same way: ``subs_zero_many`` stores each result on
 the polynomial it came from, keyed by the zeroed variables that occur, so
 the engine's strata, which zero the same shared constraint again and
-again, get the identical object back, summary and all.  There is no
-global cache: the results live as long as their root polynomial, which
-is one of a germ's expansion coefficients (kept for the last two germs).
+again, get the identical object back, summary and all.  Divisions are
+kept beside them: ``divide_by`` stores its quotient in the same dict,
+keyed by the divisor as a sorted monomial, so the strata of a split,
+which divide the same constraint by the same assumed factor, share one
+quotient.  There is no global cache: the results live as long as their
+root polynomial, which is one of a germ's expansion coefficients (kept
+for the last two germs).
 
 A signed cell's last constraint ``c - e`` is a shifted view of the
 expansion coefficient ``c`` (``MPoly.shifted``): it takes its summary
@@ -171,7 +175,8 @@ class MPoly:
             {m: c for m, c in terms.items() if c} if terms else {}
         )
         self._s: Summary | None = None
-        self._z: dict[frozenset[int], MPoly] | None = None
+        # zeroings keyed by frozensets, divisions by sorted monomials
+        self._z: dict[frozenset[int] | Monomial, MPoly] | None = None
 
     @classmethod
     def _wrap(cls, terms: dict[Monomial, Coeff]) -> MPoly:
@@ -358,7 +363,19 @@ class MPoly:
         return total
 
     def divide_by(self, mono: dict[int, int]) -> MPoly:
-        """Divide every term by ``mono``; ValueError unless it divides the content."""
+        """Divide every term by ``mono``; ValueError unless it divides the content.
+
+        The quotient is kept on ``self`` next to its zeroings, keyed by
+        ``mono`` as a sorted monomial (a zeroing's key is a frozenset, so
+        the two never meet), and a repeated division returns the
+        identical polynomial.  A monomial that does not divide raises on
+        every call and leaves nothing behind.
+        """
+        key = tuple(sorted(mono.items()))
+        z = self._z
+        r = None if z is None else z.get(key)
+        if r is not None:
+            return r
         content = dict(self.summary().content)
         if self._t and any(content.get(w, 0) < e for w, e in mono.items()):
             raise ValueError("monomial does not divide every term")
@@ -370,7 +387,10 @@ class MPoly:
                 if e:
                     reduced.append((w, e))
             out[tuple(reduced)] = c
-        return MPoly._wrap(out)
+        if z is None:
+            z = self._z = {}
+        r = z[key] = MPoly._wrap(out)
+        return r
 
     # -- display -------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Mapping
 
-__all__ = ["UPoly", "geom_sum", "u_pow", "U", "U_MINUS_1", "ONE", "ZERO", "NEG_INFINITY"]
+__all__ = ["UPoly", "geom_sum", "u_pow", "u_sum", "U", "U_MINUS_1", "ONE", "ZERO", "NEG_INFINITY"]
 
 NEG_INFINITY = float("-inf")
 
@@ -247,6 +247,15 @@ def u_pow(k: int) -> UPoly:
     if k < 0:
         raise ValueError(f"negative exponent {k}")
     return _raw({k: 1})
+
+
+def u_sum(polys: Iterable[UPoly]) -> UPoly:
+    """The sum of ``polys``, added up in one coefficient map."""
+    c: dict[int, int] = {}
+    for p in polys:
+        for exp, coef in p._c.items():
+            c[exp] = c.get(exp, 0) + coef
+    return _raw({e: k for e, k in c.items() if k})
 
 
 def geom_sum(step: int, terms: int) -> UPoly:

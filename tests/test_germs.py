@@ -24,6 +24,7 @@ from arczeta.germs import (
     _flip,
     _json,
     _oracle_cached,
+    _relatives,
     _representative,
     analytic_equiv,
     apply_signed_permutation,
@@ -177,6 +178,24 @@ def test_list_arguments_build_the_tuple_spec():
     jki = GermSpec("JKI", [0, 0], k=2, i=0, params=[("b", 2)])
     assert jki == GermSpec("JKI", (0, 0), k=2, i=0, params=(("b", 2),))
     assert GermSpec("Q", (1, 1), params=[]).params == ()
+
+
+@pytest.mark.parametrize(
+    "family, fields, name",
+    [
+        ("AK", dict(sig=(1, 0), k=2.0, signs=(1,)), "k"),
+        ("AK", dict(sig=(1.0, 0), k=2, signs=(1,)), "sig"),
+        ("AK", dict(sig=(True, 0), k=2, signs=(1,)), "sig"),
+        ("AK", dict(sig=(1, 0), k=2, signs=(1.0,)), "signs"),
+        ("AK", dict(sig=(1, 0), k=2, signs=(True,)), "signs"),
+        ("JKI", dict(sig=(0, 0), k=2, i=0.0), "i"),
+    ],
+    ids=["k-float", "sig-float", "sig-bool", "signs-float", "signs-bool", "i-float"],
+)
+def test_float_and_bool_values_are_refused(family, fields, name):
+    # each would compare and hash equal to its int spec, e.g. A(2) (+) Q(1,0)
+    with pytest.raises(TypeError, match=rf"^{name} must hold int values"):
+        GermSpec(family, **fields)
 
 
 def test_dimensions_and_corank():
@@ -666,6 +685,27 @@ def test_a_failing_orbit_shares_the_representatives_failure(monkeypatch, empty_o
             assert _representative(g, 2, ch) == (rep, rep_channel)
             assert oracle_cell(g, 2, ch) is first
         assert runs == [TARGETS[rep_channel]]  # one engine run per orbit
+
+
+def test_representative_is_the_least_cell_of_the_orbit_built_directly():
+    """The kept relatives give the orbit that _dual and _flip give afresh."""
+    swap = {"plus": "minus", "minus": "plus", "naive": "naive"}
+
+    def least(g, n, ch):
+        cells = [(g, ch), (_dual(g), swap[ch])]
+        cells += [(_flip(h), c) for h, c in cells]
+        if n % 2 and ch != "naive":
+            cells += [(h, swap[c]) for h, c in cells]
+        return min(cells, key=lambda cell: (cell[0].sig, cell[0].signs, cell[0].params,
+                                            CHANNELS.index(cell[1])))
+
+    for d in range(2, 6):
+        for g in enumerate_simple(d):
+            for h in (g, _dual(g)):
+                assert _relatives(h) is _relatives(h)
+                for n in range(2, 10):
+                    for ch in CHANNELS:
+                        assert _representative(h, n, ch) == least(h, n, ch), (h.render(), n, ch)
 
 
 def test_every_orbit_member_has_its_representatives_outcome(empty_oracle_cache):

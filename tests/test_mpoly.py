@@ -242,6 +242,36 @@ def test_zeroings_are_kept_on_the_parent(p, vs, other):
     assert fields(p) == fields(fresh)
 
 
+@given(
+    polys(),
+    st.dictionaries(st.sampled_from(VARS), st.integers(1, 3), min_size=1),
+    st.frozensets(st.sampled_from(VARS)),
+)
+@example(MPoly.var(0, 2) * MPoly.var(1), {0: 1}, frozenset({1}))
+@example(MPoly.var(0) + MPoly.var(1), {0: 1}, frozenset({0}))
+@example(MPoly.var(0) * MPoly.var(1) + MPoly.var(0, 2), {0: 1}, frozenset({0}))
+def test_divisions_are_kept_on_the_parent(p, mono, vs):
+    fresh = MPoly(dict(p.terms()))
+    divides = all(dict(m).get(w, 0) >= e for m, _ in p.terms() for w, e in mono.items())
+    # A zeroing and a division on one parent, each asked twice, interleaved:
+    # a kept result must answer only its own key.
+    zeroed = p.subs_zero_many(vs)
+    for _ in range(2):
+        if divides:
+            q = p.divide_by(mono)
+            assert q == MPoly(dict(p.terms())).divide_by(mono)
+            assert fields(q) == fields(MPoly(dict(q.terms())))
+            assert p.divide_by(dict(reversed(mono.items()))) is q
+        else:
+            with pytest.raises(ValueError):
+                p.divide_by(mono)
+            # nothing is stored but the zeroing asked for above
+            assert set(p._z or ()) <= {p.vars() & vs}
+        assert p.subs_zero_many(vs) is zeroed
+        assert zeroed == ref_subs_zero(p, vs)
+    assert dict(p.terms()) == dict(fresh.terms())
+    assert fields(p) == fields(fresh)
+
 
 # -- shifted views -----------------------------------------------------------------
 

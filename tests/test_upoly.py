@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from arczeta.upoly import ONE, U, ZERO, UPoly, geom_sum, u_pow
+from arczeta.upoly import ONE, U, ZERO, UPoly, geom_sum, u_pow, u_sum
 
 coefficient_maps = st.dictionaries(
     st.integers(min_value=0, max_value=12),
@@ -41,6 +41,24 @@ def test_eval_is_a_homomorphism(a, x):
     b = U - 3
     assert (a * b).eval_at(x) == a.eval_at(x) * b.eval_at(x)
     assert (a + b).eval_at(x) == a.eval_at(x) + b.eval_at(x)
+
+
+@given(st.lists(polys, max_size=8))
+def test_u_sum_is_the_fold_of_plus(ps):
+    folded = ZERO
+    for p in ps:
+        folded = folded + p
+    total = u_sum(ps)
+    assert total == folded
+    assert all(coef for _, coef in total.items())
+    # a list that cancels sums to zero, with no zero coefficient left behind
+    cancelled = u_sum(ps + [-p for p in ps])
+    assert cancelled == ZERO and list(cancelled.items()) == []
+
+
+def test_u_sum_of_nothing_is_zero():
+    assert u_sum([]) == ZERO and u_sum(iter(())) == ZERO
+    assert u_sum([U, -U]) == ZERO and list(u_sum([U, -U]).items()) == []
 
 
 def test_degree_and_zero_sentinel():
