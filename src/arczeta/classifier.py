@@ -292,6 +292,52 @@ class PairEntry:
     agreed_cells: int
 
 
+class _Encoded(dict):
+    """Strings to their JSON encoding; a string missing on lookup is encoded and kept."""
+
+    def __missing__(self, text: str) -> str:
+        encoded = self[text] = encode_basestring_ascii(text)
+        return encoded
+
+
+def _pair_pieces(e: PairEntry) -> tuple[str, ...]:
+    """One pair's JSON text, led by its list separator, cut at its germ names.
+
+    The cuts are at the certificate's germ1 and germ2, when it has a
+    certificate, then at the entry's germ1 and germ2; the names are
+    neither read nor encoded here, so the pieces serve every pair whose
+    other fields are equal.
+    """
+    enc = encode_basestring_ascii
+    text = ",\n    {\n      "
+    if e.relation == "equivalent":
+        text += f'"agreed_cells": {e.agreed_cells},\n      '
+    pieces = []
+    c = e.certificate
+    if c is not None:
+        text += f'"certificate": {{\n        "N": {c.N},\n        '
+        if c.separated:
+            text += (
+                f'"certificate": {{\n          "channel": {enc(c.channel)},'
+                f'\n          "n": {c.n},'
+                f'\n          "value1": {enc(str(c.value1))},'
+                f'\n          "value2": {enc(str(c.value2))}\n        }},\n        '
+            )
+        pieces += [text + '"germ1": ', ',\n        "germ2": ']
+        text = (
+            f',\n        "source": {enc(c.source)},'
+            f'\n        "unavailable": {_json_strs(c.unavailable, _DEPTH4)},'
+            f'\n        "verdict": {enc(c.verdict)}\n      }},\n      '
+        )
+    return (
+        *pieces,
+        text + '"germ1": ',
+        ',\n      "germ2": ',
+        f',\n      "relation": {enc(e.relation)},'
+        f'\n      "unavailable": {_json_strs(e.unavailable, _DEPTH3)}\n    }}',
+    )
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     d: int
@@ -314,55 +360,58 @@ class ClassificationReport:
         return None
 
     def to_json(self) -> str:
-        """The report as ``_json`` writes it, straight from the fields in one pass.
+        """The report as ``_json`` writes it, with each distinct pair body rendered once.
 
         The text is byte for byte ``json.dumps(indent=2, sort_keys=True)``
-        of the report's dict, but no dict is built and no keys are sorted
-        per pair: each key is written in sorted order.  A pair holds
-        ``agreed_cells`` when equivalent and its ``Distinguisher`` (as
-        ``to_json_dict`` gives it) under ``certificate`` when it has one.
-        Each name in ``specs`` is encoded once; a germ outside ``specs``
-        is encoded where it occurs.
+        of the report's dict, but no dict is built: each key is written
+        in sorted order.  A pair holds ``agreed_cells`` when equivalent and
+        its ``Distinguisher`` (as ``to_json_dict`` gives it) under
+        ``certificate`` when it has one.  A table's pairs share few bodies
+        (203 over the 13,459 pairs of d = 2..4), so each body is rendered
+        once, by :func:`_pair_pieces`, keyed on every field that reaches its
+        text except the germ names, which are encoded once each and spliced
+        between its pieces.  The document is joined once from one list of
+        pieces, header and trailer included.
         """
-        enc = encode_basestring_ascii
-        # an encoded name is never empty, so ``or`` falls back only on a miss
-        named = {name: enc(name) for name in self.specs}.get
-        pairs = []
-        for e in self.entries:
-            text = "{\n      "
-            if e.relation == "equivalent":
-                text += f'"agreed_cells": {e.agreed_cells},\n      '
-            c = e.certificate
-            if c is not None:
-                text += f'"certificate": {{\n        "N": {c.N},\n        '
-                if c.separated:
-                    text += (
-                        f'"certificate": {{\n          "channel": {enc(c.channel)},'
-                        f'\n          "n": {c.n},'
-                        f'\n          "value1": {enc(str(c.value1))},'
-                        f'\n          "value2": {enc(str(c.value2))}\n        }},\n        '
-                    )
-                germ1, germ2 = named(c.germ1) or enc(c.germ1), named(c.germ2) or enc(c.germ2)
-                text += (
-                    f'"germ1": {germ1},\n        "germ2": {germ2},'
-                    f'\n        "source": {enc(c.source)},'
-                    f'\n        "unavailable": {_json_strs(c.unavailable, _DEPTH4)},'
-                    f'\n        "verdict": {enc(c.verdict)}\n      }},\n      '
-                )
-            germ1, germ2 = named(e.germ1) or enc(e.germ1), named(e.germ2) or enc(e.germ2)
-            pairs.append(
-                f'{text}"germ1": {germ1},\n      "germ2": {germ2},'
-                f'\n      "relation": {enc(e.relation)},'
-                f'\n      "unavailable": {_json_strs(e.unavailable, _DEPTH3)}\n    }}'
-            )
-        pairs_text = "[\n    " + ",\n    ".join(pairs) + "\n  ]" if pairs else "[]"
-        return (
+        names = _Encoded()
+        bodies: dict[tuple, tuple[str, ...]] = {}
+        out = [
             f'{{\n  "N": {self.N},\n  "classes": {_json_strs(self.classes, _DEPTH1)},'
             f'\n  "d": {self.d},\n  "failures": {_json_strs(self.failures, _DEPTH1)},'
             f'\n  "kmax": {self.kmax},\n  "ok": {"true" if self.ok else "false"},'
-            f'\n  "pairs": {pairs_text},\n  "source": {enc(self.source)},'
+            '\n  "pairs": ['
+        ]
+        for e in self.entries:
+            c = e.certificate
+            if c is None:
+                key: tuple = (e.relation, e.agreed_cells, e.unavailable)
+                try:
+                    a, b, z = bodies[key]
+                except KeyError:
+                    a, b, z = bodies[key] = _pair_pieces(e)
+                out += a, names[e.germ1], b, names[e.germ2], z
+            else:
+                key = (
+                    e.relation, e.agreed_cells, e.unavailable, c.N, c.n, c.channel,
+                    str(c.value1), str(c.value2), c.source, c.unavailable,
+                )
+                try:
+                    a, b, x, y, z = bodies[key]
+                except KeyError:
+                    a, b, x, y, z = bodies[key] = _pair_pieces(e)
+                out += (
+                    a, names[c.germ1], b, names[c.germ2], x, names[e.germ1], y, names[e.germ2], z
+                )
+        if self.entries:
+            out[1] = out[1][1:]  # the first pair has no comma before it
+            out.append("\n  ]")
+        else:
+            out.append("]")
+        out.append(
+            f',\n  "source": {names[self.source]},'
             f'\n  "specs": {_json_strs(self.specs, _DEPTH1)}\n}}'
         )
+        return "".join(out)
 
     def to_csv(self) -> str:
         rows = []

@@ -2,7 +2,9 @@
 and the verification suite."""
 
 import dataclasses
+import hashlib
 import json
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -396,6 +398,68 @@ def test_ade_table_json_is_canonical(monkeypatch):
         for x in rep.entries
     )
     _assert_canonical_json(rep)
+
+
+def test_table_json_bodies_are_keyed_on_every_field():
+    """Pairs that differ in one field each, names aside, share no body text."""
+    rep = ade_table(2, kmax=4, N=6)
+    sep = next(e for e in rep.entries if e.certificate is not None and e.certificate.separated)
+    eq = next(e for e in rep.entries if e.relation == "equivalent")
+    c, v = sep.certificate, sep.certificate.value1
+    channel = next(ch for ch in CHANNELS if ch != c.channel)
+
+    def cert(**fields):
+        return dataclasses.replace(sep, certificate=dataclasses.replace(c, **fields))
+
+    stray = 'X "é"\n\\'
+    entries = (
+        sep,
+        cert(N=c.N + 1),
+        cert(n=c.n + 1),
+        cert(channel=channel),
+        cert(value1=v + u_pow(40)),
+        cert(value2=v + u_pow(41)),
+        cert(source="oracle"),
+        cert(unavailable=("n=2/plus",)),
+        dataclasses.replace(sep, unavailable=("n=2/plus",)),
+        dataclasses.replace(sep, relation="equivalent"),
+        cert(n=None, channel=None, value1=None, value2=None),
+        cert(germ1=sep.germ2, germ2=sep.germ1),
+        dataclasses.replace(sep, germ2=stray),
+        eq,
+        dataclasses.replace(eq, agreed_cells=eq.agreed_cells + 1),
+        dataclasses.replace(eq, relation="distinct"),
+        dataclasses.replace(eq, unavailable=("n=2/plus",)),
+    )
+    _assert_canonical_json(dataclasses.replace(rep, entries=entries))
+
+
+# sha256 of ``ade_table(d, 8, 9, "auto").to_json()``, the tables ``table_warm``
+# renders; ``arczeta table --d 3 --format json`` (and ``--d 4``) print this
+# text and a newline, whose digests begin 80f6b004 and a09dd2d9.
+PINNED_TABLE_JSON = {
+    3: "602e9093393d929132e5383e7fba89f64f09e41dfe207fe226196298e9ba1fd6",
+    4: "f384ff65c8a9adec50acd04d1bba59b5ed1a5a3c03e196c5d0fb7eb19d6cdfbd",
+}
+
+
+@pytest.mark.parametrize("d", sorted(PINNED_TABLE_JSON))
+def test_table_json_bytes_are_pinned(d):
+    text = ade_table(d, 8, 9, "auto").to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TABLE_JSON[d]
+
+
+def test_table_json_peak_memory_is_near_its_text():
+    # one list of shared pieces, joined once: no per-pair string and no
+    # intermediate copy of the pairs text on the way to the document
+    rep = ade_table(3, 8, 9, "auto")
+    tracemalloc.start()
+    try:
+        text = rep.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(text)
 
 
 def test_ade_table_resolves_each_cell_once_and_scans_as_distinguish(monkeypatch):

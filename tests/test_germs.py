@@ -38,7 +38,7 @@ from arczeta.germs import (
 )
 from arczeta.mpoly import MPoly
 from arczeta.parser import parse_germ
-from arczeta.upoly import u_pow
+from arczeta.upoly import U_MINUS_1, u_pow
 
 
 def A(k, sign=1, sig=(1, 1)):
@@ -781,3 +781,92 @@ def test_euler_characteristic_identity_across_channels():
                     failures.add((g.render(), n))
     assert checked == 1085
     assert failures == CHI_C_FAILURES
+
+
+# The (germ, n) pairs on which the identity below fails today: the D_k with k
+# even and e1*e2 = -1 again, the cells of ROADMAP item 1.  With its value
+# u - 2 for beta_D_curve(k even, -1) in place of 2u, the set is empty.
+ODD_NAIVE_FAILURES = {
+    ("D(4,+,-) (+) Q(0,0)", 3),
+    ("D(4,+,-) (+) Q(0,0)", 9),
+    ("D(4,+,-) (+) Q(0,1)", 3),
+    ("D(4,+,-) (+) Q(0,2)", 3),
+    ("D(4,+,-) (+) Q(0,3)", 3),
+    ("D(4,+,-) (+) Q(1,0)", 3),
+    ("D(4,+,-) (+) Q(1,1)", 3),
+    ("D(4,+,-) (+) Q(1,2)", 3),
+    ("D(4,+,-) (+) Q(2,0)", 3),
+    ("D(4,+,-) (+) Q(2,1)", 3),
+    ("D(4,+,-) (+) Q(3,0)", 3),
+    ("D(4,-,+) (+) Q(0,0)", 3),
+    ("D(4,-,+) (+) Q(0,0)", 9),
+    ("D(4,-,+) (+) Q(0,1)", 3),
+    ("D(4,-,+) (+) Q(0,2)", 3),
+    ("D(4,-,+) (+) Q(0,3)", 3),
+    ("D(4,-,+) (+) Q(1,0)", 3),
+    ("D(4,-,+) (+) Q(1,1)", 3),
+    ("D(4,-,+) (+) Q(1,2)", 3),
+    ("D(4,-,+) (+) Q(2,0)", 3),
+    ("D(4,-,+) (+) Q(2,1)", 3),
+    ("D(4,-,+) (+) Q(3,0)", 3),
+    ("D(6,+,-) (+) Q(0,0)", 5),
+    ("D(6,+,-) (+) Q(0,1)", 5),
+    ("D(6,+,-) (+) Q(0,2)", 5),
+    ("D(6,+,-) (+) Q(0,3)", 5),
+    ("D(6,+,-) (+) Q(1,0)", 5),
+    ("D(6,+,-) (+) Q(1,1)", 5),
+    ("D(6,+,-) (+) Q(1,2)", 5),
+    ("D(6,+,-) (+) Q(2,0)", 5),
+    ("D(6,+,-) (+) Q(2,1)", 5),
+    ("D(6,+,-) (+) Q(3,0)", 5),
+    ("D(6,-,+) (+) Q(0,0)", 5),
+    ("D(6,-,+) (+) Q(0,1)", 5),
+    ("D(6,-,+) (+) Q(0,2)", 5),
+    ("D(6,-,+) (+) Q(0,3)", 5),
+    ("D(6,-,+) (+) Q(1,0)", 5),
+    ("D(6,-,+) (+) Q(1,1)", 5),
+    ("D(6,-,+) (+) Q(1,2)", 5),
+    ("D(6,-,+) (+) Q(2,0)", 5),
+    ("D(6,-,+) (+) Q(2,1)", 5),
+    ("D(6,-,+) (+) Q(3,0)", 5),
+    ("D(8,+,-) (+) Q(0,0)", 7),
+    ("D(8,+,-) (+) Q(0,1)", 7),
+    ("D(8,+,-) (+) Q(0,2)", 7),
+    ("D(8,+,-) (+) Q(0,3)", 7),
+    ("D(8,+,-) (+) Q(1,0)", 7),
+    ("D(8,+,-) (+) Q(1,1)", 7),
+    ("D(8,+,-) (+) Q(1,2)", 7),
+    ("D(8,+,-) (+) Q(2,0)", 7),
+    ("D(8,+,-) (+) Q(2,1)", 7),
+    ("D(8,+,-) (+) Q(3,0)", 7),
+    ("D(8,-,+) (+) Q(0,0)", 7),
+    ("D(8,-,+) (+) Q(0,1)", 7),
+    ("D(8,-,+) (+) Q(0,2)", 7),
+    ("D(8,-,+) (+) Q(0,3)", 7),
+    ("D(8,-,+) (+) Q(1,0)", 7),
+    ("D(8,-,+) (+) Q(1,1)", 7),
+    ("D(8,-,+) (+) Q(1,2)", 7),
+    ("D(8,-,+) (+) Q(2,0)", 7),
+    ("D(8,-,+) (+) Q(2,1)", 7),
+    ("D(8,-,+) (+) Q(3,0)", 7),
+}
+
+
+def test_odd_order_naive_is_punctured_line_times_plus():
+    """At odd n, (gamma, lambda) -> gamma(lambda*t) is a Nash isomorphism
+    A_n^{+1} x R* -> A_n, since lambda -> lambda^n is a Nash automorphism of
+    R*; beta is invariant under Nash isomorphisms, so naive = (u - 1)*plus
+    holds in Z[u], not only at u = -1.  Checked on engine cells only."""
+    checked = 0
+    failures = set()
+    for d in (2, 3, 4, 5):
+        for g in enumerate_simple(d):
+            for n in (3, 5, 7, 9):
+                plus, naive = (oracle_cell(g, n, ch).value for ch in ("plus", "naive"))
+                if plus is None or naive is None:
+                    continue
+                checked += 1
+                if naive != U_MINUS_1 * plus:
+                    failures.add((g.render(), n))
+    assert checked == 1626
+    assert failures == ODD_NAIVE_FAILURES
