@@ -13,7 +13,7 @@ import sys
 import click
 
 from .classifier import ade_table, distinguish, nonsimple_report, verify_paper_suite
-from .engine import EngineOutcome, beta_of
+from .engine import EngineOutcome, beta_of, effective_budget
 from .germs import (
     CHANNELS,
     SOURCES,
@@ -64,6 +64,11 @@ def _emit(text: str, out: str | None) -> None:
 @click.group()
 def main() -> None:
     """Exact zeta tables and blow-Nash classification for germ normal forms."""
+    # a bad ARCZETA_STRATUM_BUDGET is a usage error, not a failed engine run
+    try:
+        effective_budget()
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 @main.command()

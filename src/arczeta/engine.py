@@ -415,23 +415,44 @@ class _Stratum:
     alive: frozenset[int]
     prefactor: tuple[int, int]  # (a, b): u^a (u-1)^b
     depth: int
-    path: str
+
+
+#: One fired rule: (depth, template, var_ids, arg).  ``template`` is the
+#: rule's trace format, filled with the names of ``var_ids`` and then
+#: ``arg`` (a constraint index or a leaf value) unless it is None.
+Step = tuple[int, str, tuple[int, ...], object]
 
 
 @dataclass
 class EngineOutcome:
-    """Result of a decomposition: a value or an explicit failure."""
+    """Result of a decomposition: a value or an explicit failure.
+
+    ``leaves`` holds the value of each leaf in the order the run met them.
+    A traced run keeps its fired rules as ``steps`` and the system's
+    ``names``, from which ``trace`` renders; an untraced run keeps no steps.
+    """
 
     value: UPoly | None
     failure: str | None
     detail: str
     strata: int
-    leaves: list[tuple[str, UPoly]]
-    trace: list[str] = field(default_factory=list)
+    leaves: list[UPoly]
+    steps: list[Step] = field(default_factory=list)
+    names: Mapping[int, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return self.failure is None
+
+    @property
+    def trace(self) -> list[str]:
+        """One line per step, indented by its depth."""
+        names = self.names
+        return [
+            "  " * depth
+            + template % (*(names[v] for v in var_ids), *(() if arg is None else (arg,)))
+            for depth, template, var_ids, arg in self.steps
+        ]
 
     def audit(self) -> bool:
         """Additivity check: the leaf contributions, folded one by one,
@@ -439,7 +460,7 @@ class EngineOutcome:
         if not self.ok:
             return False
         total = ZERO
-        for _, v in self.leaves:
+        for v in self.leaves:
             total += v
         return total == self.value
 
@@ -464,19 +485,12 @@ def decompose(
     """
     limit = effective_budget(budget)
     names = system.names
-    # None when untraced: every trace line is guarded, so none is formatted
-    trace: list[str] | None = [] if collect_trace else None
-    leaves: list[tuple[str, UPoly]] = []
+    # None when untraced: every step is guarded, so none is recorded
+    steps: list[Step] | None = [] if collect_trace else None
+    leaves: list[UPoly] = []
     processed = 0
 
-    root = _Stratum(
-        constraints=list(system.constraints),
-        assumed=frozenset(),
-        alive=system.alive,
-        prefactor=(0, 0),
-        depth=0,
-        path="root",
-    )
+    root = _Stratum(list(system.constraints), frozenset(), system.alive, (0, 0), 0)
     stack = [root]
     rank = system.rank
 
@@ -489,17 +503,17 @@ def decompose(
                     "depth-exceeded",
                     f"stratum budget {limit} exhausted (set {BUDGET_ENV} to raise it)",
                 )
-            fate = _simplify(st, rank, names, trace)
+            fate = _simplify(st, rank, names, steps)
             if fate is None:
-                if trace is not None:
-                    _log(trace, st.depth, "[empty]")
+                if steps is not None:
+                    steps.append((st.depth, "[empty]", (), None))
             elif isinstance(fate, UPoly):
-                if trace is not None:
-                    _log(trace, st.depth, "[leaf] %s", fate)
-                leaves.append((st.path, fate))
+                if steps is not None:
+                    steps.append((st.depth, "[leaf] %s", (), fate))
+                leaves.append(fate)
             else:
                 stack.extend(fate)
-        value, failure, detail = u_sum(v for _, v in leaves), None, ""
+        value, failure, detail = u_sum(leaves), None, ""
     except _Failure as f:
         value, failure, detail = None, f.kind, f.detail
     return EngineOutcome(
@@ -508,38 +522,12 @@ def decompose(
         detail=detail,
         strata=processed,
         leaves=leaves,
-        trace=[] if trace is None else trace,
+        steps=[] if steps is None else steps,
+        names=names,
     )
 
 
-def _log(trace: list[str], depth: int, fmt: str, *args) -> None:
-    """Append one trace line, indented by ``depth``."""
-    trace.append("  " * depth + fmt % args)
-
-
-def _child(
-    st: _Stratum,
-    step: str,
-    constraints: list,
-    assumed: frozenset[int] | None = None,
-    alive: frozenset[int] | None = None,
-    prefactor: tuple[int, int] | None = None,
-) -> _Stratum:
-    """A sub-stratum of ``st`` one level down, its path extended by ``step``.
-
-    ``assumed``, ``alive`` and ``prefactor`` default to those of ``st``.
-    """
-    return _Stratum(
-        constraints,
-        st.assumed if assumed is None else assumed,
-        st.alive if alive is None else alive,
-        st.prefactor if prefactor is None else prefactor,
-        st.depth + 1,
-        f"{st.path} / {step}",
-    )
-
-
-def _simplify(st, rank, names, trace):
+def _simplify(st, rank, names, steps):
     """Run the rewrite rules to quiescence; return the stratum's fate.
 
     Returns None for an empty stratum, the value of a leaf, or the two
@@ -547,8 +535,9 @@ def _simplify(st, rank, names, trace):
     terminal is unmatched and nothing can be split.
 
     Rules read each constraint's cached ``MPoly.summary()``; ``rank``
-    orders the variable ids for splits and peels.  Trace lines go to
-    ``trace``, which is None when the run is untraced.
+    orders the variable ids for splits and peels; ``names`` serve only the
+    failure detail.  Fired rules are appended to ``steps``, which is None
+    when the run is untraced.
     """
     cleanup = True
     while True:
@@ -656,16 +645,16 @@ def _simplify(st, rank, names, trace):
                 st.constraints = new_cons
                 st.alive = st.alive - {v}
                 cleanup = split is not None
-                if trace is not None:
-                    _log(trace, st.depth, "[pivot] %s from eq#%s", names[v], i)
+                if steps is not None:
+                    steps.append((st.depth, "[pivot] %s from eq#%s", (v,), i))
             else:
                 st.constraints = cons[:i] + cons[i + 1 :]
                 st.alive = st.alive - {v}
                 a, b = st.prefactor
                 st.prefactor = (a, b + 1)
                 cleanup = False
-                if trace is not None:
-                    _log(trace, st.depth, "[pivot] %s from neq#%s (factor u-1)", names[v], i)
+                if steps is not None:
+                    steps.append((st.depth, "[pivot] %s from neq#%s (factor u-1)", (v,), i))
             if i < len(cons) - 1:
                 break
             cons = st.constraints
@@ -708,33 +697,32 @@ def _simplify(st, rank, names, trace):
         if pair is None:
             continue
         z, w = pair
-        zn, wn = names[z], names[w]
-        if trace is not None:
-            _log(trace, st.depth, "[peel] %s^2-%s^2 in #%s", zn, wn, i)
+        if steps is not None:
+            steps.append((st.depth, "[peel] %s^2-%s^2 in #%s", (z, w), i))
         # z and w occur in p only as their own bare squares
         reduced = p.subs_zero_many((z, w))
         # With a = z+w, b = z-w the constraint is ab + r: a != 0 solves for b
         # (factor u-1, or (u-1)^2 for a neq), a = 0 leaves r with b free (u).
-        tag, alive = f"peel({zn},{wn})", st.alive - {z, w}
+        alive, depth = st.alive - {z, w}, st.depth + 1
         before, after = st.constraints[:i], st.constraints[i + 1 :]
         a, b = st.prefactor
         drop = (a, b + (1 if rel == EQ else 2))
         kept = before + [(reduced, rel)] + after
         return [
-            _child(st, f"{tag}-solve", before + after, alive=alive, prefactor=drop),
-            _child(st, f"{tag}-slice", kept, alive=alive, prefactor=(a + 1, b)),
+            _Stratum(before + after, st.assumed, alive, drop, depth),
+            _Stratum(kept, st.assumed, alive, (a + 1, b), depth),
         ]
     for i in blocked:
         splittable = var_sets[i] - st.assumed
         if splittable:
             v = min(splittable, key=rank.__getitem__)
-            vn = names[v]
-            if trace is not None:
-                _log(trace, st.depth, "[split] %s", vn)
+            if steps is not None:
+                steps.append((st.depth, "[split] %s", (v,), None))
             zeroed = [(p.subs_zero(v), rel) for p, rel in st.constraints]
+            depth = st.depth + 1
             return [
-                _child(st, f"{vn}=0", zeroed, alive=st.alive - {v}),
-                _child(st, f"{vn}!=0", list(st.constraints), assumed=st.assumed | {v}),
+                _Stratum(zeroed, st.assumed, st.alive - {v}, st.prefactor, depth),
+                _Stratum(list(st.constraints), st.assumed | {v}, st.alive, st.prefactor, depth),
             ]
     frozen = [st.constraints[i][0].text(names) for i in blocked]
     raise _Failure("unmatched-terminal", "no terminal form for: " + "; ".join(frozen))

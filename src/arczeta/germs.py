@@ -280,6 +280,9 @@ def _normalize_jki(
     """
     given: dict[str, Fraction] = {}
     for name, value in params:
+        # as for k and i: 0.1, True or "1/2" would pass Fraction() silently
+        if type(value) not in (int, Fraction):
+            raise TypeError(f"params must hold int values or Fractions, got {name}={value!r}")
         if name in given:
             raise ValueError(f"J parameter {name!r} is given more than once")
         given[name] = value

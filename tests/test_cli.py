@@ -236,6 +236,20 @@ def test_zeta_budget_env_marks_unavailable():
     assert "u^5 - u^4" in proc.stdout  # n=2 fits even in a single-stratum budget
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("abc", "must be an integer, got 'abc'"), ("0", "must be positive, got 0")],
+)
+def test_bad_budget_env_is_exit_2(value, message):
+    """A budget the engine cannot use is a usage error (exit 2) with its
+    message, never a traceback and exit 1, which reads as a failed check."""
+    r = run("zeta", "A(3,+) (+) Q(1,1)", "--N", "4", "--source", "oracle",
+            env={engine.BUDGET_ENV: value})
+    assert r.exit_code == 2
+    assert f"{engine.BUDGET_ENV} {message}" in r.output
+    assert "Traceback" not in r.output
+
+
 # -- distinguish -------------------------------------------------------------------
 
 

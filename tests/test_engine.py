@@ -379,8 +379,9 @@ def test_leaves_sum_to_value():
     assert out.ok
     assert out.audit()
     assert len(out.leaves) >= 1
-    total = out.leaves[0][1]
-    for _, v in out.leaves[1:]:
+    assert all(isinstance(v, UPoly) for v in out.leaves)
+    total = out.leaves[0]
+    for v in out.leaves[1:]:
         total = total + v
     assert total == out.value
 
@@ -426,29 +427,28 @@ def test_trace_only_on_request():
 
 
 def test_untraced_run_formats_no_trace_line(monkeypatch):
+    """An untraced run records no step and renders no polynomial; a traced
+    run records one step per trace line and renders text only when its
+    trace is read."""
     rendered = []
-    to_str = UPoly.__str__
 
-    def counting(self):
-        rendered.append(self)
-        return to_str(self)
+    def counting(original):
+        def wrapper(self, *args):
+            rendered.append(self)
+            return original(self, *args)
 
-    monkeypatch.setattr(UPoly, "__str__", counting)
-    logged = []
-    log = engine._log
+        return wrapper
 
-    def logging(trace, depth, fmt, *args):
-        logged.append(fmt)
-        log(trace, depth, fmt, *args)
-
-    monkeypatch.setattr(engine, "_log", logging)
+    monkeypatch.setattr(UPoly, "__str__", counting(UPoly.__str__))
+    monkeypatch.setattr(MPoly, "text", counting(MPoly.text))
     # leaves, splits and a peel, as in the traced run below
     out = beta_of(D4PM11, ("a", "b", "c", "c"), 4, 1)
     assert out.ok and len(out.leaves) > 1
-    assert rendered == [] and logged == []
+    assert out.steps == [] and rendered == []
     traced = beta_of(D4PM11, ("a", "b", "c", "c"), 4, 1, collect_trace=True)
+    assert traced.steps and rendered == []
+    assert len(traced.steps) == len(traced.trace)
     assert len(rendered) == len(traced.leaves)
-    assert len(logged) == len(traced.trace)
 
 
 def test_decompose_accepts_prebuilt_system():
@@ -586,15 +586,62 @@ def _pinned_cells():
     return cells
 
 
+# the six rule templates of a traced run's steps
+PIVOT = "[pivot] %s from eq#%s"
+PIVOT_NEQ = "[pivot] %s from neq#%s (factor u-1)"
+PEEL = "[peel] %s^2-%s^2 in #%s"
+SPLIT = "[split] %s"
+EMPTY = "[empty]"
+LEAF = "[leaf] %s"
+
+
+def _leaf_paths(steps, names) -> list[str]:
+    """The path of each leaf, replayed from a traced run's steps.
+
+    A stratum's steps end with its one empty, leaf, peel or split step; a
+    peel or a split pushes its two children, and the second is run first.
+    """
+    stack, paths = ["root"], []
+    for _, template, var_ids, _ in steps:
+        if template in (PIVOT, PIVOT_NEQ):
+            continue
+        path = stack.pop()
+        if template == LEAF:
+            paths.append(path)
+        elif template == PEEL:
+            tag = "peel(%s,%s)" % tuple(names[v] for v in var_ids)
+            stack += [f"{path} / {tag}-solve", f"{path} / {tag}-slice"]
+        elif template == SPLIT:
+            vn = names[var_ids[0]]
+            stack += [f"{path} / {vn}=0", f"{path} / {vn}!=0"]
+    return paths
+
+
+def _traced_pinned_cell(g, n: int, ch: str):
+    poly, blocks = germ_poly(g)
+    return beta_of(poly, blocks, n, TARGETS[ch], budget=DEFAULT_BUDGET, collect_trace=True)
+
+
 def _pinned_record(g, n: int, ch: str) -> tuple[bytes, bool]:
     """Every outcome field of one traced cell, and whether it succeeded."""
-    poly, blocks = germ_poly(g)
-    out = beta_of(poly, blocks, n, TARGETS[ch], budget=DEFAULT_BUDGET, collect_trace=True)
+    out = _traced_pinned_cell(g, n, ch)
     record = [g.render(), str(n), ch, str(out.value), str(out.failure), out.detail]
     record.append(str(out.strata))
-    record += [f"{path}: {value}" for path, value in out.leaves]
+    paths = _leaf_paths(out.steps, out.names)
+    record += [f"{path}: {value}" for path, value in zip(paths, out.leaves, strict=True)]
     record += out.trace
     return ("\n".join(record) + "\n\n").encode(), out.ok
+
+
+def test_steps_use_the_six_rule_templates():
+    """Every fired rule is one of six templates, and the pinned cells with
+    one peeled cell fire all six; a new rule must bring its own template,
+    since consumers of the steps group them by template."""
+    runs = [_traced_pinned_cell(*cell) for cell in _pinned_cells()]
+    # no pinned cell has an isolated hyperbolic pair
+    runs.append(beta_of(D4PM11, ("a", "b", "c", "c"), 4, 1, collect_trace=True))
+    templates = {template for out in runs for _, template, _, _ in out.steps}
+    assert templates == {PIVOT, PIVOT_NEQ, PEEL, SPLIT, EMPTY, LEAF}
 
 
 def test_decompose_behaviour_is_pinned():

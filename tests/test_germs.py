@@ -189,11 +189,25 @@ def test_list_arguments_build_the_tuple_spec():
         ("AK", dict(sig=(1, 0), k=2, signs=(1.0,)), "signs"),
         ("AK", dict(sig=(1, 0), k=2, signs=(True,)), "signs"),
         ("JKI", dict(sig=(0, 0), k=2, i=0.0), "i"),
+        ("JKI", dict(sig=(0, 0), k=2, i=0, params=(("b", 0.1),)), "params"),
+        ("JKI", dict(sig=(0, 0), k=2, i=0, params=(("b", True),)), "params"),
+        ("JKI", dict(sig=(0, 0), k=2, i=0, params=(("b", "1/2"),)), "params"),
     ],
-    ids=["k-float", "sig-float", "sig-bool", "signs-float", "signs-bool", "i-float"],
+    ids=[
+        "k-float",
+        "sig-float",
+        "sig-bool",
+        "signs-float",
+        "signs-bool",
+        "i-float",
+        "params-float",
+        "params-bool",
+        "params-str",
+    ],
 )
 def test_float_and_bool_values_are_refused(family, fields, name):
-    # each would compare and hash equal to its int spec, e.g. A(2) (+) Q(1,0)
+    # each would compare and hash equal to its int spec, e.g. A(2) (+) Q(1,0),
+    # or, as a parameter, slip through Fraction() (0.1 becomes 3602879701896397/2**55)
     with pytest.raises(TypeError, match=rf"^{name} must hold int values"):
         GermSpec(family, **fields)
 

@@ -2,9 +2,10 @@
 
 ``germs._json`` is the only caller of the stdlib's JSON writer, so the
 format (sorted keys, two-space indents, ASCII escapes) is set in one
-place.  The classification table's one-pass writer in ``classifier`` is
-the only code that encodes JSON strings itself; a test there checks its
-text against ``json.dumps``.  A stdlib stand-in for a linter rule, in
+place.  The classification table's writer in ``classifier``, which renders
+each distinct pair body once from a template and splices in the encoded
+names, is the only code that encodes JSON strings itself; a test there
+checks its text against ``json.dumps``.  A stdlib stand-in for a linter rule, in
 the style of ``test_definitions``.
 """
 
