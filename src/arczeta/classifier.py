@@ -11,6 +11,7 @@ no out-of-band invariants enter the reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii
 
@@ -256,16 +257,27 @@ def enumerate_simple(d: int, kmax: int = 8) -> list[GermSpec]:
     Both members of each sign-equivalent pair are listed; canonical
     representatives are recovered with :func:`arczeta.germs.canonicalize`.
     The specs come corank by corank, signature by signature.
+
+    Each call returns a fresh list, but of the same spec objects for a
+    given (d, kmax), built once: every table then hands the cell caches
+    the objects their keys already hold, so a lookup matches by identity
+    and calls no ``GermSpec.__eq__``.
     """
     if d < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {d}")
+    return list(_simple_specs(d, kmax))
+
+
+@lru_cache(maxsize=None)
+def _simple_specs(d: int, kmax: int) -> tuple[GermSpec, ...]:
+    """The specs of ``enumerate_simple(d, kmax)``, built once per (d, kmax)."""
     specs: list[GermSpec] = []
     for corank in sorted({fam.corank for fam in FAMILY.values() if fam.simple}):
         for sig in _sigs(d - corank):
             for family, fam in FAMILY.items():
                 if fam.simple and fam.corank == corank:
                     specs += _family_specs(family, sig, kmax)
-    return specs
+    return tuple(specs)
 
 
 # The line starts of nesting depths 1, 3 and 4 in ``_json``'s two-space indents.

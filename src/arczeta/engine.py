@@ -444,6 +444,10 @@ class EngineOutcome:
     def ok(self) -> bool:
         return self.failure is None
 
+    def __getstate__(self) -> dict:
+        # ``names`` is the system's read-only layout view, which cannot be pickled
+        return {**self.__dict__, "names": dict(self.names)}
+
     @property
     def trace(self) -> list[str]:
         """One line per step, indented by its depth."""

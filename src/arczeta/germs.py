@@ -562,21 +562,28 @@ def resolve_cell(
 
     ``oracle`` stands in for ``oracle_cell`` as the source of engine
     outcomes, e.g. one that collects traces.
+
+    The closed form is read as ``_formula_outcome`` keeps it, the value
+    or the message of its ``OutOfCoverage``, so a cell beyond the
+    formulas raises and catches nothing; under ``formulas`` that message
+    is the note of the unavailable cell.  An unknown source or channel
+    raises ``ValueError`` before any cache or engine is consulted.
     """
-    if oracle is None:
-        oracle = oracle_cell
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}")
+    if channel not in TARGETS:
+        raise ValueError(f"unknown channel {channel!r}")
+    if oracle is None:
+        oracle = oracle_cell
     value = None
     if source != "oracle":
-        try:
-            value = formula_cell(g, n, channel)
-        except OutOfCoverage as oc:
+        value = _formula_outcome(g, n, channel)
+        if type(value) is str:
             if source == "formulas":
-                return Cell(None, "unavailable", str(oc))
-        else:
-            if source != "hybrid":
-                return Cell(value, "formula")
+                return Cell(None, "unavailable", value)
+            value = None
+        elif source != "hybrid":
+            return Cell(value, "formula")
     out = oracle(g, n, channel)
     if value is None:
         if out.ok:

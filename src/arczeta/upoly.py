@@ -23,11 +23,15 @@ class UPoly:
     """An immutable polynomial in u with integer coefficients.
 
     ``_c`` maps each exponent to its nonzero coefficient.  ``_text`` holds
-    the rendering once ``str`` has been asked for it; until then the slot
-    is empty, so building a polynomial never pays for its text.
+    the rendering once ``str`` has been asked for it, and ``_hash`` the
+    hash once ``hash`` has; until then each slot is empty, so building a
+    polynomial never pays for either.  A table interns its cell values by
+    hash, over and over for the same cached polynomials, so each hashes
+    its coefficients once.  Pickling and copying rebuild a polynomial
+    from its coefficients alone.
     """
 
-    __slots__ = ("_c", "_text")
+    __slots__ = ("_c", "_text", "_hash")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -45,6 +49,9 @@ class UPoly:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("UPoly is immutable")
+
+    def __reduce__(self) -> tuple:
+        return UPoly, (self._c,)
 
     # -- constructors -------------------------------------------------
 
@@ -137,11 +144,17 @@ class UPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
-        # a constant hashes as its int, since it compares equal to it
-        c = self._c
-        if not c or (len(c) == 1 and 0 in c):
-            return hash(c.get(0, 0))
-        return hash(frozenset(c.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            # a constant hashes as its int, since it compares equal to it
+            c = self._c
+            if not c or (len(c) == 1 and 0 in c):
+                h = hash(c.get(0, 0))
+            else:
+                h = hash(frozenset(c.items()))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __bool__(self) -> bool:
         return bool(self._c)

@@ -1,9 +1,11 @@
 """Classification scans: distinguishers, the A-D-E table, nonsimple reports,
 and the verification suite."""
 
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -22,6 +24,7 @@ from arczeta.classifier import (
     oracle_recheck,
     verify_paper_suite,
 )
+from arczeta.engine import beta_of
 from arczeta.formulas import arc_G
 from arczeta.germs import (
     CHANNELS,
@@ -30,7 +33,9 @@ from arczeta.germs import (
     GermSpec,
     analytic_equiv,
     canonicalize,
+    germ_poly,
     resolve_cell,
+    zeta_table,
 )
 from arczeta.upoly import UPoly, u_pow
 
@@ -226,6 +231,47 @@ def test_enumerate_simple_counts():
     assert len({canonicalize(g).render() for g in specs}) == 34
     with pytest.raises(ValueError):
         enumerate_simple(1)
+
+
+def test_enumerate_simple_shares_its_specs_not_its_list():
+    """Every call hands out the same spec objects, so the cell caches match
+    them by identity, in a list of its own."""
+    first, second = enumerate_simple(3), enumerate_simple(3, kmax=8)
+    assert first is not second
+    assert len(first) == len(second) and all(a is b for a, b in zip(first, second))
+    kept = list(second)
+    first.reverse()
+    second.clear()
+    third = enumerate_simple(3)
+    assert len(third) == len(kept) and all(a is b for a, b in zip(third, kept))
+
+
+def test_results_survive_pickle_and_deepcopy():
+    """A zeta table, a classification report and an engine outcome come back
+    equal, and their polynomials hash as before."""
+    table = zeta_table(A(2, 1, (1, 1)), 5)
+    report = ade_table(2, 3, 3)
+    poly, blocks = germ_poly(A(2, 1, (1, 1)))
+    outcome = beta_of(poly, blocks, 4, 1, collect_trace=True)
+
+    def cert_values(rep):
+        return [
+            v
+            for e in rep.entries
+            if e.certificate is not None and e.certificate.separated
+            for v in (e.certificate.value1, e.certificate.value2)
+        ]
+
+    assert cert_values(report)
+    for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        t, r, o = copy_of(table), copy_of(report), copy_of(outcome)
+        assert (t, r, o) == (table, report, outcome)
+        assert [hash(c) for _, cells in t.rows for c in cells.values()] == [
+            hash(c) for _, cells in table.rows for c in cells.values()
+        ]
+        assert list(map(hash, cert_values(r))) == list(map(hash, cert_values(report)))
+        assert list(map(hash, o.leaves)) == list(map(hash, outcome.leaves))
+        assert o.trace == outcome.trace and o.trace
 
 
 def test_ade_table_d2():

@@ -155,13 +155,13 @@ def test_zeta_trace_of_a_formula_table_runs_no_engine(monkeypatch):
 
 def test_zeta_cross_check_failure_exits_1(monkeypatch):
     g = parse_germ("A(2) (+) Q(1,1)")
-    real = germs.formula_cell
+    real = germs._formula_outcome
 
     def wrong_at_3_plus(h, n, ch):
         value = real(h, n, ch)
         return value + 1 if (h, n, ch) == (g, 3, "plus") else value
 
-    monkeypatch.setattr(germs, "formula_cell", wrong_at_3_plus)
+    monkeypatch.setattr(germs, "_formula_outcome", wrong_at_3_plus)
     r = run("zeta", "A(2) (+) Q(1,1)", "--N", "3")
     assert r.exit_code == 1
     assert r.stdout == ""

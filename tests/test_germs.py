@@ -18,6 +18,7 @@ from arczeta.germs import (
     FAMILY,
     TARGETS,
     Cell,
+    SOURCES,
     CrossCheckError,
     GermSpec,
     _dual,
@@ -449,12 +450,12 @@ def test_hybrid_raises_on_a_wrong_closed_form(monkeypatch):
     g = A(2)
     right = formula_cell(g, 3, "plus")
     wrong = right + u_pow(1)
-    real = germs.formula_cell
+    real = germs._formula_outcome
 
     def patched(h, n, ch):
         return wrong if (h, n, ch) == (g, 3, "plus") else real(h, n, ch)
 
-    monkeypatch.setattr(germs, "formula_cell", patched)
+    monkeypatch.setattr(germs, "_formula_outcome", patched)
     assert resolve_cell(g, 3, "minus", "hybrid").note == "oracle-checked"
     with pytest.raises(CrossCheckError) as info:
         resolve_cell(g, 3, "plus", "hybrid")
@@ -476,10 +477,21 @@ def test_unknown_source_raises_before_any_work(monkeypatch):
     def never(*args):
         raise AssertionError("consulted for an unknown source")
 
-    monkeypatch.setattr(germs, "formula_cell", never)
+    monkeypatch.setattr(germs, "_formula_outcome", never)
     for n in (3, 4):  # covered by a formula, and not
         with pytest.raises(ValueError, match="unknown source 'formula'"):
             resolve_cell(A(2), n, "plus", "formula", oracle=never)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_unknown_channel_raises_before_any_work(monkeypatch, source):
+    def never(*args):
+        raise AssertionError("consulted for an unknown channel")
+
+    monkeypatch.setattr(germs, "_formula_outcome", never)
+    for n in (3, 4):  # covered by a formula, and not
+        with pytest.raises(ValueError, match="unknown channel 'plu'"):
+            resolve_cell(A(2), n, "plu", source, oracle=never)
 
 
 @pytest.mark.parametrize("source", ["formulas", "oracle", "hybrid", "auto"])
@@ -494,6 +506,31 @@ def test_resolve_cell_consults_the_oracle_at_most_once(source):
         resolve_cell(A(2), n, "plus", source, oracle=oracle)
     expected = {"formulas": [], "oracle": [3, 4], "hybrid": [3, 4], "auto": [4]}
     assert calls == expected[source]
+
+
+@pytest.mark.parametrize("source", ["auto", "formulas"])
+def test_out_of_coverage_cell_constructs_no_exception(monkeypatch, source):
+    """A cell beyond the closed forms resolves from the kept message: no
+    OutOfCoverage is built, raised or caught, and the note is its text."""
+    g = A(2)  # coverage ends at n = k+1 = 3
+    resolve_cell(g, 4, "plus", source)  # keeps the closed form's one raising attempt
+    built = []
+    real_init = OutOfCoverage.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(OutOfCoverage, "__init__", counting)
+    c = resolve_cell(g, 4, "plus", source)
+    assert built == []
+    if source == "formulas":
+        assert c == Cell(None, "unavailable", "A_k cell l=4 > k+1=3: use the oracle")
+    else:
+        assert (c.value, c.provenance) == (2 * u_pow(9) - u_pow(8) - u_pow(7), "oracle")
+    with pytest.raises(OutOfCoverage):  # formula_cell still raises, and is counted
+        formula_cell(g, 4, "plus")
+    assert len(built) == 1
 
 
 def test_resolve_cell_unavailable_when_everything_fails():

@@ -1,5 +1,7 @@
 """Ring and rendering behaviour of the integer Laurent-free polynomials."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 
@@ -189,6 +191,35 @@ def test_immutability_and_hash():
         p._c = {}  # type: ignore[misc]
     assert hash(U + 1) == hash(p)
     assert len({U, U, u_pow(1)}) == 1
+
+
+def test_kept_hash_is_that_of_a_fresh_equal_polynomial():
+    """The hash is kept on first use, and rendering the text first or after
+    changes nothing: it is what a freshly built equal polynomial computes."""
+    for c in ({3: 1, 0: -1}, {2: -2, 5: 3}, {0: 7}, {}):
+        hashed_first, shown_first = UPoly(c), UPoly(c)
+        h = hash(hashed_first)
+        assert hashed_first._hash == h
+        str(hashed_first)
+        str(shown_first)
+        for p in (hashed_first, shown_first, hashed_first):
+            assert hash(p) == h == hash(UPoly(c))
+    assert hash(UPoly.const(7)) == hash(7) and hash(ZERO) == hash(0)
+
+
+@pytest.mark.parametrize(
+    "copy_of",
+    [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_pickle_and_copy_rebuild_from_the_coefficients(copy_of):
+    p = u_pow(3) - 1
+    h, text = hash(p), str(p)
+    q = copy_of(p)
+    # neither the kept text nor the kept hash travels with the coefficients
+    assert not hasattr(q, "_text") and not hasattr(q, "_hash")
+    assert q._c is not p._c
+    assert q == p and hash(q) == h and str(q) == text
 
 
 def test_upoly_is_not_a_fraction_ring():
