@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success, 1 = mathematical failure entries present
 (an undistinguished pair, a cross-check violation, a suite FAIL),
-2 = usage error (bad flags or a germ expression that does not parse).
+2 = usage error (bad flags, a germ expression that does not parse, or
+an ``--out`` file that cannot be written).
 Output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -56,9 +57,13 @@ def _render(report, fmt: str) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        click.echo(f"error: cannot write --out {out!r}: {exc.strerror}", err=True)
+        sys.exit(2)
 
 
 @click.group()

@@ -14,9 +14,11 @@ are real exceptions: J's ``i`` and moduli, A's optional sign at even k,
 and the A/D sign identity of ``_flip``.
 
 Tables are assembled from two independent paths: closed formulas where
-covered, and the stratification engine (the oracle) everywhere.  The
-hybrid source cross-checks the two and treats disagreement as a hard
-error; cells with neither path are explicitly unavailable.
+covered, and the stratification engine (the oracle) everywhere; the
+closed forms' one reader, ``formula_cell``, keeps each as a shared
+``Cell``.  The hybrid source cross-checks the two and treats
+disagreement as a hard error; cells with neither path are explicitly
+unavailable.
 """
 
 from __future__ import annotations
@@ -430,25 +432,24 @@ class CrossCheckError(RuntimeError):
         self.oracle = oracle
 
 
-def formula_cell(g: GermSpec, n: int, channel: str) -> UPoly:
-    """Closed-form cell value; raises OutOfCoverage beyond the formulas."""
-    value = _formula_outcome(g, n, channel)
-    if type(value) is str:
-        # a fresh exception per call: a stored one would grow its traceback
-        raise OutOfCoverage(value)
-    return value
+def _check_channel(channel: str) -> None:
+    """Raise ``ValueError`` for a channel that is not one of ``CHANNELS``."""
+    if channel not in TARGETS:
+        raise ValueError(f"unknown channel {channel!r}")
 
 
 @lru_cache(maxsize=None)
-def _formula_outcome(g: GermSpec, n: int, channel: str) -> UPoly | str:
-    """The closed-form value of a cell, or the message of its OutOfCoverage."""
+def formula_cell(g: GermSpec, n: int, channel: str) -> Cell:
+    """The closed-form cell, kept and shared: ``Cell(value, "formula")``
+    where the formulas cover it, else unavailable with their message."""
+    _check_channel(channel)
     cells = FAMILY[g.family].cells
     if cells is None:
-        return f"no closed forms for family {g.family}"
+        return Cell(None, "unavailable", f"no closed forms for family {g.family}")
     try:
-        return cells(g, n, TARGETS[channel])
+        return Cell(cells(g, n, TARGETS[channel]), "formula")
     except OutOfCoverage as exc:
-        return str(exc)
+        return Cell(None, "unavailable", str(exc))
 
 
 @lru_cache(maxsize=None)
@@ -533,7 +534,9 @@ def oracle_cell(g: GermSpec, n: int, channel: str) -> EngineOutcome:
     polynomial is the same.  The whole orbit shares that one outcome,
     a failure included, so the engine runs once per orbit; a failure's
     detail names the cell it ran on, which may be another member's.
+    An unknown channel raises ``ValueError``.
     """
+    _check_channel(channel)
     rep, rep_channel = _representative(g, n, channel)
     return _oracle_cached(rep, n, rep_channel, effective_budget())
 
@@ -542,7 +545,7 @@ def oracle_cell(g: GermSpec, n: int, channel: str) -> EngineOutcome:
 Oracle = Callable[[GermSpec, int, str], EngineOutcome]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     value: UPoly | None
     provenance: str  # "formula" | "oracle" | "unavailable"
@@ -563,27 +566,22 @@ def resolve_cell(
     ``oracle`` stands in for ``oracle_cell`` as the source of engine
     outcomes, e.g. one that collects traces.
 
-    The closed form is read as ``_formula_outcome`` keeps it, the value
-    or the message of its ``OutOfCoverage``, so a cell beyond the
-    formulas raises and catches nothing; under ``formulas`` that message
-    is the note of the unavailable cell.  An unknown source or channel
-    raises ``ValueError`` before any cache or engine is consulted.
+    The closed form is the ``Cell`` that ``formula_cell`` keeps; under
+    ``formulas``, and under ``auto`` where it is covered, that very
+    object is returned.  An unknown source or channel raises
+    ``ValueError`` before any cache or engine is consulted.
     """
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}")
-    if channel not in TARGETS:
-        raise ValueError(f"unknown channel {channel!r}")
+    _check_channel(channel)
     if oracle is None:
         oracle = oracle_cell
     value = None
     if source != "oracle":
-        value = _formula_outcome(g, n, channel)
-        if type(value) is str:
-            if source == "formulas":
-                return Cell(None, "unavailable", value)
-            value = None
-        elif source != "hybrid":
-            return Cell(value, "formula")
+        formula = formula_cell(g, n, channel)
+        value = formula.value
+        if source == "formulas" or (source == "auto" and value is not None):
+            return formula
     out = oracle(g, n, channel)
     if value is None:
         if out.ok:

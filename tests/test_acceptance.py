@@ -12,7 +12,6 @@ from fractions import Fraction
 from arczeta.classifier import ade_table, nonsimple_report, verify_paper_suite
 from arczeta.engine import beta_of
 from arczeta.formulas import (
-    OutOfCoverage,
     arc_E,
     arc_G,
     arc_Q,
@@ -93,9 +92,8 @@ def test_criterion_3_oracle_matches_formulas_on_grid():
     for g in _grid_germs():
         for n in range(2, 8):
             for channel in CHANNELS:
-                try:
-                    expected = formula_cell(g, n, channel)
-                except OutOfCoverage:
+                expected = formula_cell(g, n, channel).value
+                if expected is None:
                     continue
                 covered += 1
                 out = oracle_cell(g, n, channel)

@@ -757,7 +757,7 @@ def test_suite_fails_on_an_inconsistent_proof_derived_form(monkeypatch):
     def misread(g, n, channel):
         """The lem5 cells served as the stated form reads them."""
         if g.family == "DK" and g.sig == (0, 0) and n == g.k - 1:
-            return lem5.stated(g.k, *g.signs, TARGETS[channel])
+            return Cell(lem5.stated(g.k, *g.signs, TARGETS[channel]), "formula")
         return real(g, n, channel)
 
     monkeypatch.setattr(classifier, "VARIANTS", tuple(variants.values()))

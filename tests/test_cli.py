@@ -155,13 +155,13 @@ def test_zeta_trace_of_a_formula_table_runs_no_engine(monkeypatch):
 
 def test_zeta_cross_check_failure_exits_1(monkeypatch):
     g = parse_germ("A(2) (+) Q(1,1)")
-    real = germs._formula_outcome
+    real = germs.formula_cell
 
     def wrong_at_3_plus(h, n, ch):
-        value = real(h, n, ch)
-        return value + 1 if (h, n, ch) == (g, 3, "plus") else value
+        cell = real(h, n, ch)
+        return germs.Cell(cell.value + 1, "formula") if (h, n, ch) == (g, 3, "plus") else cell
 
-    monkeypatch.setattr(germs, "_formula_outcome", wrong_at_3_plus)
+    monkeypatch.setattr(germs, "formula_cell", wrong_at_3_plus)
     r = run("zeta", "A(2) (+) Q(1,1)", "--N", "3")
     assert r.exit_code == 1
     assert r.stdout == ""
@@ -214,6 +214,18 @@ def test_zeta_out_file(tmp_path):
     assert r.exit_code == 0
     data = json.loads(target.read_text())
     assert data["N"] == 3
+
+
+@pytest.mark.parametrize(
+    "args", [("zeta", "A(2) (+) Q(1,1)", "--N", "3"), ("table", "--d", "2")], ids=["zeta", "table"]
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, args):
+    target = tmp_path / "missing" / "x"
+    r = run(*args, "--out", str(target))
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: cannot write --out {str(target)!r}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_zeta_deterministic():

@@ -245,7 +245,7 @@ def test_e_and_cube_coverage_boundary():
 def _derived(v, args):
     """A variant's proof-derived reading: the closed form of the cell it names."""
     fields, n, target = v.cell(*args)
-    return formula_cell(GermSpec(**fields), n, CHANNEL_OF[target])
+    return formula_cell(GermSpec(**fields), n, CHANNEL_OF[target]).value
 
 
 BY_ID = {v.id: v for v in VARIANTS}

@@ -381,19 +381,20 @@ def test_every_family_entry_is_consistent(family):
     assert _dual(_dual(g)) == g
     for ch in CHANNELS:
         if fam.cells is None:
-            with pytest.raises(OutOfCoverage):
-                formula_cell(g, 2, ch)
+            assert formula_cell(g, 2, ch) == Cell(
+                None, "unavailable", f"no closed forms for family {family}"
+            )
         else:
             # the order-2 cells see only the quadratic suspension
-            assert formula_cell(g, 2, ch) == arc_order2(g.d, g.sig, TARGETS[ch])
+            assert formula_cell(g, 2, ch) == Cell(arc_order2(g.d, g.sig, TARGETS[ch]), "formula")
 
 
 # -- cell resolution -----------------------------------------------------------
 
 
 def test_formula_cell_matches_closed_forms():
-    assert formula_cell(A(2), 3, "plus") == 2 * u_pow(7) - u_pow(6)
-    assert formula_cell(GermSpec("E8", (0, 0)), 5, "plus") == u_pow(8)
+    assert formula_cell(A(2), 3, "plus") == Cell(2 * u_pow(7) - u_pow(6), "formula")
+    assert formula_cell(GermSpec("E8", (0, 0)), 5, "plus") == Cell(u_pow(8), "formula")
 
 
 def test_formula_cell_keeps_out_of_coverage(monkeypatch):
@@ -405,16 +406,21 @@ def test_formula_cell_keeps_out_of_coverage(monkeypatch):
         return family.cells(g, n, t)
 
     monkeypatch.setitem(FAMILY, "AK", dataclasses.replace(family, cells=counting))
-    germs._formula_outcome.cache_clear()
-    raised = []
-    for _ in range(2):
-        with pytest.raises(OutOfCoverage) as info:
-            formula_cell(A(2), 4, "plus")  # coverage ends at n = k+1 = 3
-        raised.append(info.value)
-    assert [str(e) for e in raised] == ["A_k cell l=4 > k+1=3: use the oracle"] * 2
-    assert raised[0] is not raised[1]  # a fresh exception, its traceback not grown
-    assert len(calls) == 1
-    germs._formula_outcome.cache_clear()
+    formula_cell.cache_clear()
+    kept = [formula_cell(A(2), n, "plus") for n in (3, 3, 4, 4)]  # covered up to n = k+1 = 3
+    assert kept[0] == Cell(2 * u_pow(7) - u_pow(6), "formula")
+    assert kept[2] == Cell(None, "unavailable", "A_k cell l=4 > k+1=3: use the oracle")
+    assert kept[1] is kept[0] and kept[3] is kept[2]  # one shared Cell per key
+    assert calls == [(A(2), 3, 1), (A(2), 4, 1)]
+    formula_cell.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "source, n", [("formulas", 3), ("formulas", 4), ("auto", 3)],
+    ids=["formulas-covered", "formulas-uncovered", "auto-covered"],
+)
+def test_resolve_cell_serves_the_kept_closed_form(source, n):
+    assert resolve_cell(A(2), n, "plus", source) is formula_cell(A(2), n, "plus")
 
 
 def test_resolve_cell_sources():
@@ -448,14 +454,14 @@ def test_hybrid_raises_on_a_wrong_closed_form(monkeypatch):
     """A closed form that disagrees with the engine is a defect: hybrid raises
     and names the cell and both values."""
     g = A(2)
-    right = formula_cell(g, 3, "plus")
+    right = formula_cell(g, 3, "plus").value
     wrong = right + u_pow(1)
-    real = germs._formula_outcome
+    real = germs.formula_cell
 
     def patched(h, n, ch):
-        return wrong if (h, n, ch) == (g, 3, "plus") else real(h, n, ch)
+        return Cell(wrong, "formula") if (h, n, ch) == (g, 3, "plus") else real(h, n, ch)
 
-    monkeypatch.setattr(germs, "_formula_outcome", patched)
+    monkeypatch.setattr(germs, "formula_cell", patched)
     assert resolve_cell(g, 3, "minus", "hybrid").note == "oracle-checked"
     with pytest.raises(CrossCheckError) as info:
         resolve_cell(g, 3, "plus", "hybrid")
@@ -470,14 +476,14 @@ def test_hybrid_keeps_the_closed_form_when_the_oracle_fails():
     g = A(2)
     failed = EngineOutcome(None, "depth-exceeded", "stub", 0, [])
     c = resolve_cell(g, 3, "plus", "hybrid", oracle=lambda *args: failed)
-    assert c == Cell(formula_cell(g, 3, "plus"), "formula", "cross-check unavailable (depth-exceeded)")
+    assert c == Cell(formula_cell(g, 3, "plus").value, "formula", "cross-check unavailable (depth-exceeded)")
 
 
 def test_unknown_source_raises_before_any_work(monkeypatch):
     def never(*args):
         raise AssertionError("consulted for an unknown source")
 
-    monkeypatch.setattr(germs, "_formula_outcome", never)
+    monkeypatch.setattr(germs, "formula_cell", never)
     for n in (3, 4):  # covered by a formula, and not
         with pytest.raises(ValueError, match="unknown source 'formula'"):
             resolve_cell(A(2), n, "plus", "formula", oracle=never)
@@ -488,10 +494,16 @@ def test_unknown_channel_raises_before_any_work(monkeypatch, source):
     def never(*args):
         raise AssertionError("consulted for an unknown channel")
 
-    monkeypatch.setattr(germs, "_formula_outcome", never)
+    monkeypatch.setattr(germs, "formula_cell", never)
     for n in (3, 4):  # covered by a formula, and not
         with pytest.raises(ValueError, match="unknown channel 'plu'"):
             resolve_cell(A(2), n, "plu", source, oracle=never)
+
+
+@pytest.mark.parametrize("reader", [formula_cell, oracle_cell], ids=["formula", "oracle"])
+def test_cell_readers_reject_an_unknown_channel(reader):
+    with pytest.raises(ValueError, match="unknown channel 'plu'"):
+        reader(A(2), 3, "plu")
 
 
 @pytest.mark.parametrize("source", ["formulas", "oracle", "hybrid", "auto"])
@@ -510,7 +522,7 @@ def test_resolve_cell_consults_the_oracle_at_most_once(source):
 
 @pytest.mark.parametrize("source", ["auto", "formulas"])
 def test_out_of_coverage_cell_constructs_no_exception(monkeypatch, source):
-    """A cell beyond the closed forms resolves from the kept message: no
+    """A cell beyond the closed forms resolves from the kept cell: no
     OutOfCoverage is built, raised or caught, and the note is its text."""
     g = A(2)  # coverage ends at n = k+1 = 3
     resolve_cell(g, 4, "plus", source)  # keeps the closed form's one raising attempt
@@ -528,8 +540,8 @@ def test_out_of_coverage_cell_constructs_no_exception(monkeypatch, source):
         assert c == Cell(None, "unavailable", "A_k cell l=4 > k+1=3: use the oracle")
     else:
         assert (c.value, c.provenance) == (2 * u_pow(9) - u_pow(8) - u_pow(7), "oracle")
-    with pytest.raises(OutOfCoverage):  # formula_cell still raises, and is counted
-        formula_cell(g, 4, "plus")
+    formula_cell.cache_clear()  # a cold closed form raises once, and is counted
+    assert formula_cell(g, 4, "plus") == Cell(None, "unavailable", "A_k cell l=4 > k+1=3: use the oracle")
     assert len(built) == 1
 
 

@@ -5,7 +5,8 @@ it times as rendering, and the ring methods it counts.  A rename or a
 moved binding in the package breaks ``perfbench/run.py --trace 1``, so
 every target must resolve on the loaded package, installing the hooks
 must succeed and be undone cleanly, and the hooks must read the engine's
-counters off what ``build_system`` and ``decompose`` return.
+counters off what ``build_system`` and ``decompose`` return.  The span on
+``formula_cell`` must see every closed form ``resolve_cell`` reads.
 """
 
 import sys
@@ -17,6 +18,15 @@ from arczeta.mpoly import MPoly
 from arczeta.upoly import UPoly
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PKG = SimpleNamespace(
+    classifier=classifier,
+    engine=engine,
+    formulas=formulas,
+    germs=germs,
+    parser=parser,
+    MPoly=MPoly,
+    UPoly=UPoly,
+)
 
 
 def test_benchmark_hooks_resolve(monkeypatch):
@@ -25,15 +35,7 @@ def test_benchmark_hooks_resolve(monkeypatch):
         import layers
         import spans
 
-        pkg = SimpleNamespace(
-            classifier=classifier,
-            engine=engine,
-            formulas=formulas,
-            germs=germs,
-            parser=parser,
-            MPoly=MPoly,
-            UPoly=UPoly,
-        )
+        pkg = PKG
         for module, attr in layers.SPANS.values():
             assert callable(getattr(getattr(pkg, module), attr)), (module, attr)
         for methods in layers.RENDERERS.values():
@@ -73,6 +75,31 @@ def test_benchmark_hooks_resolve(monkeypatch):
             tracer.remove()
         for name, namespace in originals.items():
             assert vars(getattr(pkg, name)) == namespace
+    finally:
+        for name in ("layers", "spans"):
+            sys.modules.pop(name, None)
+
+
+def test_closed_form_span_counts_every_resolved_cell(monkeypatch):
+    """``resolve_cell`` reads the closed forms through the ``formula_cell``
+    the traced run wraps, so a covered and an uncovered cell under ``auto``
+    are two calls on the ``formulas.cell`` span."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        import layers
+        import spans
+
+        g = germs.GermSpec("AK", (1, 1), k=2, signs=(1,))  # formulas cover n <= 3
+        tracer = spans.Tracer()
+        try:
+            layers.install(tracer, PKG)
+            for n in (3, 4):
+                germs.resolve_cell(g, n, "plus", "auto")
+            calls = {name: row["calls"] for name, row in tracer.summary().items()}
+        finally:
+            tracer.remove()
+        assert calls.get("germs.resolve_cell") == 2
+        assert calls.get("formulas.cell") == 2
     finally:
         for name in ("layers", "spans"):
             sys.modules.pop(name, None)
