@@ -364,12 +364,6 @@ class ClassificationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def certificate_for(self, germ1: str, germ2: str) -> PairEntry | None:
-        for e in self.entries:
-            if {e.germ1, e.germ2} == {germ1, germ2}:
-                return e
-        return None
-
     def to_json(self) -> str:
         """The report as ``_json`` writes it, with each distinct pair body rendered once.
 

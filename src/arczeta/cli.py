@@ -2,19 +2,25 @@
 
 Exit codes: 0 = success, 1 = mathematical failure entries present
 (an undistinguished pair, a cross-check violation, a suite FAIL),
-2 = usage error (bad flags, a germ expression that does not parse, or
-an ``--out`` file that cannot be written).
+2 = usage error (bad flags, a germ expression that does not parse, an
+``--N`` above the engine's largest arc order while the source can reach
+the engine, or an ``--out`` file that cannot be written).  The last two
+are found before anything is computed, where they can be.
 Output is deterministic: identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
 
+import errno
+import os
+import stat
 import sys
+from typing import NoReturn
 
 import click
 
 from .classifier import ade_table, distinguish, nonsimple_report, verify_paper_suite
-from .engine import EngineOutcome, beta_of, effective_budget
+from .engine import MAX_ORDER, EngineOutcome, beta_of, effective_budget
 from .germs import (
     CHANNELS,
     SOURCES,
@@ -54,6 +60,39 @@ def _render(report, fmt: str) -> str:
     return report.to_text()
 
 
+def _usage_exit(message: str) -> NoReturn:
+    """A usage error found by a check of ours: one ``error:`` line, exit 2."""
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
+
+
+def _check_order(n_max: int, source: str) -> None:
+    """Refuse, before computing, an --N the engine cannot build when ``source`` can reach it."""
+    if n_max > MAX_ORDER and source != "formulas":
+        _usage_exit(f"--N {n_max} is above the engine's largest arc order, {MAX_ORDER}")
+
+
+def _check_out(ctx: click.Context, param: click.Parameter, out: str | None) -> str | None:
+    """--out's callback: refuse a target whose directory is missing or
+    unwritable before anything is computed.  It creates no file; anything
+    else ``open`` finds wrong is reported by ``_emit`` when it writes."""
+    if out is not None:
+        parent = os.path.dirname(out) or os.curdir
+        try:
+            if not stat.S_ISDIR(os.stat(parent).st_mode):
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+            if not os.access(parent, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        except OSError as exc:
+            _usage_exit(f"cannot write --out {out!r}: {exc.strerror}")
+    return out
+
+
+_out_option = click.option(
+    "--out", type=click.Path(dir_okay=False, writable=True), default=None, callback=_check_out
+)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
@@ -62,8 +101,7 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        click.echo(f"error: cannot write --out {out!r}: {exc.strerror}", err=True)
-        sys.exit(2)
+        _usage_exit(f"cannot write --out {out!r}: {exc.strerror}")
 
 
 @click.group()
@@ -81,12 +119,13 @@ def main() -> None:
 @click.option("--N", "n_max", type=_ORDER, default=6, show_default=True, help="Largest arc order.")
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
 @click.option("--source", type=_SOURCES, default="hybrid", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_out_option
 @click.option("--trace", is_flag=True, help="Append engine traces for oracle-computed cells.")
 def zeta(germ_expr: str, n_max: int, fmt: str, source: str, out: str | None, trace: bool) -> None:
     """Zeta table of one germ expression up to order N."""
     if trace and fmt != "text":
         raise click.UsageError("--trace appends text lines, so it needs --format text")
+    _check_order(n_max, source)
     g = _parse(germ_expr)
     # With --trace every engine run collects its trace, so each cell is
     # decomposed once; the oracle cache, which holds no traces, is bypassed.
@@ -124,9 +163,10 @@ def zeta(germ_expr: str, n_max: int, fmt: str, source: str, out: str | None, tra
 @click.option("--N", "n_max", type=_ORDER, default=9, show_default=True)
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
 @click.option("--source", type=_SOURCES, default="auto", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_out_option
 def distinguish_cmd(germ1: str, germ2: str, n_max: int, fmt: str, source: str, out: str | None) -> None:
     """First zeta-table cell where two germs differ, if any up to N."""
+    _check_order(n_max, source)
     g1, g2 = _parse(germ1), _parse(germ2)
     if g1.d != g2.d:
         raise click.UsageError(
@@ -174,9 +214,10 @@ def distinguish_cmd(germ1: str, germ2: str, n_max: int, fmt: str, source: str, o
 @click.option("--N", "n_max", type=_ORDER, default=9, show_default=True)
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
 @click.option("--source", type=_SOURCES, default="auto", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_out_option
 def table(dim: int, kmax: int, n_max: int, fmt: str, source: str, out: str | None) -> None:
     """Pairwise classification of all simple germs at ambient dimension d."""
+    _check_order(n_max, source)
     report = ade_table(dim, kmax, n_max, source)
     _emit(_render(report, fmt), out)
     if not report.ok:
@@ -188,9 +229,10 @@ def table(dim: int, kmax: int, n_max: int, fmt: str, source: str, out: str | Non
 @click.option("--N", "n_max", type=_ORDER, default=5, show_default=True)
 @click.option("--kmax", type=_KMAX, default=8, show_default=True)
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_out_option
 def nonsimple(instances: tuple[str, ...], n_max: int, kmax: int, fmt: str, out: str | None) -> None:
     """Separate J-family instances from every simple corank-2 class."""
+    _check_order(n_max, "auto")  # the distinguishers resolve cells with "auto"
     germs = [_parse(expr) for expr in instances]
     for g in germs:
         if g.family != "JKI":
@@ -203,7 +245,7 @@ def nonsimple(instances: tuple[str, ...], n_max: int, kmax: int, fmt: str, out: 
 
 @main.command()
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_out_option
 def verify(fmt: str, out: str | None) -> None:
     """Run the verification suite: grids, frozen values, adjudications."""
     report = verify_paper_suite()
@@ -217,7 +259,7 @@ def verify(fmt: str, out: str | None) -> None:
     "--max", "top", type=click.IntRange(min=0), default=4, show_default=True, help="Largest p and q."
 )
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_out_option
 def catalog(top: int, fmt: str, out: str | None) -> None:
     """Virtual Poincaré polynomials of the diagonal quadric sets."""
     rows = []

@@ -34,7 +34,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .mpoly import Coeff, Monomial, MPoly
+from .mpoly import Coeff, Monomial, MPoly, mask_ids
 from .quadric import (
     beta_D_curve,
     beta_D_curve_zero,
@@ -50,6 +50,7 @@ __all__ = [
     "NEQ",
     "DEFAULT_BUDGET",
     "BUDGET_ENV",
+    "MAX_ORDER",
     "ArcSystem",
     "EngineOutcome",
     "build_system",
@@ -89,9 +90,9 @@ class ArcSystem:
     """Constraint system for one arc-space cell.
 
     A variable is a bare integer id.  ``names`` gives each id its trace
-    name, ``rank`` orders the ids for splits and peels, and ``alive``
-    holds them all; ``build_system`` passes the shared, read-only ones of
-    its layout (see ``_layout``).
+    name, ``rank`` orders the ids for splits and peels, and ``alive`` is
+    the mask of them all (bit v for id v); ``build_system`` passes the
+    shared, read-only ones of its layout (see ``_layout``).
     """
 
     n: int
@@ -99,20 +100,26 @@ class ArcSystem:
     constraints: list[tuple[MPoly, str]]
     names: Mapping[int, str]
     rank: Mapping[int, int]
-    alive: frozenset[int]
+    alive: int
 
     @property
     def total_vars(self) -> int:
-        return len(self.alive)
+        return self.alive.bit_count()
 
 
 # Arc coefficient v_{j,s} (coordinate j, level s) has id j*_LEVEL_STRIDE + s-1.
 # The ids do not depend on the cell order n, so one expansion serves every
 # cell of a germ, and they sort in (coordinate, level) order, which fixes the
 # order of terminal recognition, of the nonvanishing assumptions in _T and
-# of the terms in failure texts.
-_LEVEL_STRIDE = 1024
-_NO_VARS: frozenset[int] = frozenset()
+# of the terms in failure texts.  A set of ids is an int mask, bit v for id
+# v, and every mask operation of a stratum costs in proportion to the mask's
+# length, up to d*_LEVEL_STRIDE bits for d coordinates, so the stride is kept
+# short.  A level s <= n must stay below it, which caps the arc order at
+# MAX_ORDER: far above the tables' n = 9 and the 2D + 3 = 63 that the longest
+# weighted-homogeneous period (E8, D = 30) needs.
+_LEVEL_STRIDE = 256
+#: The largest arc order n that ``build_system`` accepts.
+MAX_ORDER = _LEVEL_STRIDE
 
 
 def _levels(m: int, e: int, low: int = 1) -> Iterator[tuple[int, ...]]:
@@ -208,9 +215,9 @@ def _expansion(germ: MPoly) -> _Expansion:
 @lru_cache(maxsize=128)
 def _layout(
     blocks: tuple[str, ...], n: int
-) -> tuple[Mapping[int, str], Mapping[int, int], frozenset[int]]:
-    """The names, split ranks and ids of a cell's variables over ``blocks``
-    at order n, built once.
+) -> tuple[Mapping[int, str], Mapping[int, int], int]:
+    """The names, split ranks and id mask of a cell's variables over
+    ``blocks`` at order n, built once.
 
     Variable v_{j,s} of block letter ``blocks[j]`` is named ``c{s}^{coord}``
     in a quadric block, ``coord`` counting the quadric blocks up to j, and
@@ -223,6 +230,7 @@ def _layout(
     """
     names: dict[int, str] = {}
     rank: dict[int, int] = {}
+    alive = 0
     quadrics = 0
     for j, block in enumerate(blocks):
         if block not in _BLOCK_RANK:
@@ -232,7 +240,8 @@ def _layout(
             vid = j * _LEVEL_STRIDE + s - 1
             names[vid] = f"c{s}^{quadrics}" if block == "c" else f"{block}{s}"
             rank[vid] = (_BLOCK_RANK[block] * (n + 1) + s) * len(blocks) + j
-    return MappingProxyType(names), MappingProxyType(rank), frozenset(names)
+            alive |= 1 << vid
+    return MappingProxyType(names), MappingProxyType(rank), alive
 
 
 def build_system(
@@ -252,20 +261,20 @@ def build_system(
     coefficient (``MPoly.shifted``), so it reuses that coefficient's
     summary and zeroings.  Variable ids are keyed by (coordinate,
     level), independent of n.  Their names, split ranks and the initial
-    ``alive`` set come from one read-only layout per (blocks, n) (see
+    ``alive`` mask come from one read-only layout per (blocks, n) (see
     ``_layout``), shared by every system over it.
     Integer germs keep ``int`` coefficients; ``Fraction`` appears only
     where the germ has one.
     """
     if n < 2:
         raise ValueError(f"arc order must be >= 2, got {n}")
-    if n > _LEVEL_STRIDE:
-        raise ValueError(f"arc order must be <= {_LEVEL_STRIDE}, got {n}")
+    if n > MAX_ORDER:
+        raise ValueError(f"arc order must be <= {MAX_ORDER}, got {n}")
     if target not in (1, -1, "naive"):
         raise ValueError(f"target must be +1, -1 or 'naive', got {target!r}")
     names, rank, alive = _layout(tuple(blocks), n)
     d = len(blocks)
-    if any(j >= d for j in germ.vars()):
+    if germ.summary().mask >> d:
         raise ValueError(f"germ has variables beyond the {d} blocks")
 
     tpoly = _expansion(germ)
@@ -306,7 +315,7 @@ def _recognize(p: MPoly, rel: str) -> UPoly | None:
         inner = _recognize(p, EQ)
         if inner is None:
             return None
-        return u_pow(len(p.vars())) - inner
+        return u_pow(p.summary().mask.bit_count()) - inner
     if p.is_zero():
         return ONE
     if p.is_const():
@@ -378,29 +387,31 @@ def _match_cusp_curve(
 
 
 @lru_cache(maxsize=256)
-def _T(p: MPoly, rel: str, assumed: frozenset[int], ambient: frozenset[int]) -> UPoly | None:
+def _T(p: MPoly, rel: str, assumed: int, ambient: int) -> UPoly | None:
     """beta of {p rel 0, v != 0 for v in assumed} inside R^ambient.
 
-    A pure function of immutable arguments, memoised in a small LRU: the
-    strata of one cell ask for the same terminals many times.
+    ``assumed`` and ``ambient`` are id masks.  A pure function of
+    immutable arguments, memoised in a small LRU: the strata of one cell
+    ask for the same terminals many times.  The lowest id is sliced first.
     """
+    mask = p.summary().mask
     if assumed:
-        v = min(assumed)
-        rest = assumed - {v}
-        if v not in p.vars():
-            sub = _T(p, rel, rest, ambient - {v})
+        low = assumed & -assumed
+        rest = assumed ^ low
+        if not mask & low:
+            sub = _T(p, rel, rest, ambient & ~low)
             return None if sub is None else U_MINUS_1 * sub
         whole = _T(p, rel, rest, ambient)
         if whole is None:
             return None
-        sliced = _T(p.subs_zero(v), rel, rest, ambient - {v})
+        sliced = _T(p.subs_zero(low.bit_length() - 1), rel, rest, ambient & ~low)
         if sliced is None:
             return None
         return whole - sliced
     base = _recognize(p, rel)
     if base is None:
         return None
-    return u_pow(len(ambient) - len(p.vars())) * base
+    return u_pow(ambient.bit_count() - mask.bit_count()) * base
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +422,8 @@ def _T(p: MPoly, rel: str, assumed: frozenset[int], ambient: frozenset[int]) -> 
 @dataclass
 class _Stratum:
     constraints: list[tuple[MPoly, str]]
-    assumed: frozenset[int]
-    alive: frozenset[int]
+    assumed: int  # id masks
+    alive: int
     prefactor: tuple[int, int]  # (a, b): u^a (u-1)^b
     depth: int
 
@@ -494,7 +505,7 @@ def decompose(
     leaves: list[UPoly] = []
     processed = 0
 
-    root = _Stratum(list(system.constraints), frozenset(), system.alive, (0, 0), 0)
+    root = _Stratum(list(system.constraints), 0, system.alive, (0, 0), 0)
     stack = [root]
     rank = system.rank
 
@@ -538,9 +549,9 @@ def _simplify(st, rank, names, steps):
     child strata of a peel or a split; raises ``_Failure`` when a
     terminal is unmatched and nothing can be split.
 
-    Rules read each constraint's cached ``MPoly.summary()``; ``rank``
-    orders the variable ids for splits and peels; ``names`` serve only the
-    failure detail.  Fired rules are appended to ``steps``, which is None
+    Rules read each constraint's cached ``MPoly.summary()``, and every set
+    of variables is an id mask; ``rank`` orders the variable ids for
+    splits and peels; ``names`` serve only the failure detail.  Fired rules are appended to ``steps``, which is None
     when the run is untraced.
     """
     cleanup = True
@@ -570,13 +581,13 @@ def _simplify(st, rank, names, steps):
                 if not content:
                     continue
                 if rel == NEQ:
-                    fresh = [v for v, _ in content if v not in st.assumed]
-                    if fresh:
-                        st.assumed = st.assumed | frozenset(fresh)
+                    for v, _ in content:
+                        st.assumed |= 1 << v
                     st.constraints[i] = (p.divide_by(dict(content)), rel)
                     changed = True
                 else:
-                    div = {v: e for v, e in content if v in st.assumed}
+                    assumed = st.assumed
+                    div = {v: e for v, e in content if assumed >> v & 1}
                     if div:
                         st.constraints[i] = (p.divide_by(div), rel)
                         changed = True
@@ -584,13 +595,13 @@ def _simplify(st, rank, names, steps):
                 continue
 
             # forced zeros
-            forced: set[int] = set()
+            forced = 0
             for p, rel in st.constraints:
                 if rel != EQ:
                     continue
                 single = p.single_term()
                 if single is not None and len(single[0]) == 1:
-                    forced.add(single[0][0][0])
+                    forced |= 1 << single[0][0][0]
                     continue
                 verdict = _definite(p, st.assumed)
                 if verdict == "empty":
@@ -600,8 +611,8 @@ def _simplify(st, rank, names, steps):
             if forced:
                 if forced & st.assumed:
                     return None
-                st.constraints = [(p.subs_zero_many(forced), rel) for p, rel in st.constraints]
-                st.alive = st.alive - forced
+                st.constraints = [(p.subs_zero_mask(forced), rel) for p, rel in st.constraints]
+                st.alive &= ~forced
                 continue
 
         # pivot discharges, deepest constraint first: a variable is a pivot
@@ -612,24 +623,25 @@ def _simplify(st, rank, names, steps):
         # other pivot set as it was, so the scan goes on one constraint up
         # with the same prefix unions; any other discharge restarts it.
         cons = st.constraints
-        earlier = [_NO_VARS]
+        earlier = [0]
         for p, _ in cons[:-1]:
-            earlier.append(earlier[-1] | p.vars())
+            earlier.append(earlier[-1] | p.summary().mask)
         assumed = st.assumed
+        unassumed = ~assumed
         i = len(cons) - 1
         while i >= 0:
             p, rel = cons[i]
-            before = earlier[i]
-            later = _NO_VARS
+            # taken: the variables of earlier (or, for a neq, of any other)
+            # constraints and the assumed ones, none of which can be a pivot
+            taken = earlier[i] | assumed
             if rel == NEQ:
-                later = later.union(*(q.vars() for q, _ in cons[i + 1 :]))
+                for q, _ in cons[i + 1 :]:
+                    taken |= q.summary().mask
             v = None
             for w, rest in p.summary().pivots.items():
                 if (
-                    w not in before
-                    and w not in later
-                    and w not in assumed
-                    and rest <= assumed
+                    not taken >> w & 1
+                    and not rest & unassumed
                     and (v is None or rank[w] < rank[v])
                 ):
                     v = w
@@ -641,19 +653,19 @@ def _simplify(st, rank, names, steps):
                 split = None
                 new_cons = cons[:i]
                 for q, qrel in cons[i + 1 :]:
-                    if v in q.vars():
+                    if q.summary().mask >> v & 1:
                         if split is None:
                             split = p.linear_split(v)
                         q = q.subs_clear(v, *split)
                     new_cons.append((q, qrel))
                 st.constraints = new_cons
-                st.alive = st.alive - {v}
+                st.alive &= ~(1 << v)
                 cleanup = split is not None
                 if steps is not None:
                     steps.append((st.depth, "[pivot] %s from eq#%s", (v,), i))
             else:
                 st.constraints = cons[:i] + cons[i + 1 :]
-                st.alive = st.alive - {v}
+                st.alive &= ~(1 << v)
                 a, b = st.prefactor
                 st.prefactor = (a, b + 1)
                 cleanup = False
@@ -668,27 +680,29 @@ def _simplify(st, rank, names, steps):
 
     # terminal attempt: a constraint sharing no variable with another is
     # recognized on its own
-    var_sets = [p.vars() for p, _ in st.constraints]
+    masks = [p.summary().mask for p, _ in st.constraints]
     # seen: the variables of some constraint; shared: those of two or more
-    seen: set[int] = set()
-    shared: set[int] = set()
-    for vs in var_sets:
-        shared |= seen.intersection(vs)
-        seen |= vs
+    seen = shared = 0
+    for mask in masks:
+        shared |= seen & mask
+        seen |= mask
+    assumed = st.assumed
     blocked: list[int] = []
     values: list[UPoly] = []
     for i, (p, rel) in enumerate(st.constraints):
-        if not shared.isdisjoint(var_sets[i]):
+        mask = masks[i]
+        if shared & mask:
             blocked.append(i)
             continue
-        val = _T(p, rel, st.assumed & var_sets[i], var_sets[i])
+        val = _T(p, rel, assumed & mask, mask)
         if val is None:
             blocked.append(i)
         else:
             values.append(val)
     if not blocked:
-        free = len(st.alive.difference(st.assumed, seen))
-        loose = len((st.alive & st.assumed).difference(seen))
+        unseen = st.alive & ~seen
+        free = (unseen & ~assumed).bit_count()
+        loose = (unseen & assumed).bit_count()
         a, b = st.prefactor
         value = _u_class(a + free, b + loose)
         for val in values:
@@ -697,57 +711,58 @@ def _simplify(st, rank, names, steps):
 
     for i in blocked:
         p, rel = st.constraints[i]
-        pair = _peelable_pair(p, shared, st.assumed, rank)
+        pair = _peelable_pair(p, shared, assumed, rank)
         if pair is None:
             continue
         z, w = pair
         if steps is not None:
             steps.append((st.depth, "[peel] %s^2-%s^2 in #%s", (z, w), i))
         # z and w occur in p only as their own bare squares
-        reduced = p.subs_zero_many((z, w))
+        both = 1 << z | 1 << w
+        reduced = p.subs_zero_mask(both)
         # With a = z+w, b = z-w the constraint is ab + r: a != 0 solves for b
         # (factor u-1, or (u-1)^2 for a neq), a = 0 leaves r with b free (u).
-        alive, depth = st.alive - {z, w}, st.depth + 1
+        alive, depth = st.alive & ~both, st.depth + 1
         before, after = st.constraints[:i], st.constraints[i + 1 :]
         a, b = st.prefactor
         drop = (a, b + (1 if rel == EQ else 2))
         kept = before + [(reduced, rel)] + after
         return [
-            _Stratum(before + after, st.assumed, alive, drop, depth),
-            _Stratum(kept, st.assumed, alive, (a + 1, b), depth),
+            _Stratum(before + after, assumed, alive, drop, depth),
+            _Stratum(kept, assumed, alive, (a + 1, b), depth),
         ]
     for i in blocked:
-        splittable = var_sets[i] - st.assumed
+        splittable = masks[i] & ~assumed
         if splittable:
-            v = min(splittable, key=rank.__getitem__)
+            v = min(mask_ids(splittable), key=rank.__getitem__)
             if steps is not None:
                 steps.append((st.depth, "[split] %s", (v,), None))
             zeroed = [(p.subs_zero(v), rel) for p, rel in st.constraints]
-            depth = st.depth + 1
+            bit, depth = 1 << v, st.depth + 1
             return [
-                _Stratum(zeroed, st.assumed, st.alive - {v}, st.prefactor, depth),
-                _Stratum(list(st.constraints), st.assumed | {v}, st.alive, st.prefactor, depth),
+                _Stratum(zeroed, assumed, st.alive & ~bit, st.prefactor, depth),
+                _Stratum(list(st.constraints), assumed | bit, st.alive, st.prefactor, depth),
             ]
     frozen = [st.constraints[i][0].text(names) for i in blocked]
     raise _Failure("unmatched-terminal", "no terminal form for: " + "; ".join(frozen))
 
 
 def _peelable_pair(
-    p: MPoly, shared: set[int], assumed: frozenset[int], rank: dict[int, int]
+    p: MPoly, shared: int, assumed: int, rank: Mapping[int, int]
 ) -> tuple[int, int] | None:
     """A hyperbolic pair z^2 - w^2 isolated in constraint p, if any.
 
     Both variables must occur only through their own square term in this
-    constraint, in no other (``shared`` holds the variables of two or
-    more constraints), and carry no nonvanishing assumption; the rotated
-    coordinates (z+w, z-w) then split the stratum algebraically.
+    constraint, in no other (the mask ``shared`` holds the variables of
+    two or more constraints), and carry no nonvanishing assumption (the
+    mask ``assumed``); the rotated coordinates (z+w, z-w) then split the
+    stratum algebraically.
     """
     squares = p.summary().squares
     if len(squares) < 2:
         return None
-    order = sorted(
-        (v for v in squares if v not in shared and v not in assumed), key=rank.__getitem__
-    )
+    taken = shared | assumed
+    order = sorted((v for v in squares if not taken >> v & 1), key=rank.__getitem__)
     pos = next((v for v in order if squares[v] > 0), None)
     neg = next((v for v in order if squares[v] < 0), None)
     if pos is None or neg is None:
@@ -755,8 +770,11 @@ def _peelable_pair(
     return pos, neg
 
 
-def _definite(p: MPoly, assumed: frozenset[int]) -> str | frozenset[int] | None:
-    """Detect sum-of-same-sign even powers: forces zeros or emptiness."""
+def _definite(p: MPoly, assumed: int) -> str | int | None:
+    """Detect sum-of-same-sign even powers: forces zeros or emptiness.
+
+    Returns "empty", the mask of the variables forced to zero, or None.
+    """
     shape = p.summary().definite
     if shape is None:
         return None

@@ -1,29 +1,35 @@
 """Sparse multivariate polynomials over the rationals.
 
 The stratification engine manipulates constraint polynomials in arc
-coefficients.  Variables are integer labels; a monomial is a sorted
-tuple of (variable, exponent) pairs.  Instances are treated as
-immutable: every operation returns a new polynomial.
+coefficients.  Variables are non-negative integer labels; a monomial is a
+sorted tuple of (variable, exponent) pairs.  A set of variables is one
+``int`` bitmask, bit v standing for variable v, so the engine's unions,
+intersections and subset tests on them are single integer operations.
+Instances are treated as immutable: every operation returns a new
+polynomial.
 
 Because a polynomial never changes, the structural facts the engine's
-rewrite rules read off it (its variables, content monomial, pivot
+rewrite rules read off it (its variable mask, content monomial, pivot
 candidates, isolated squares and definite shape; see :class:`Summary`)
 are computed once, on first request, and kept on the instance.  The
 contract that makes this safe: ``_t`` is never reassigned or mutated
 after construction, so in particular never after ``summary()`` has been
 read.  Code that builds a polynomial term by term does so in a fresh
-dict and wraps it once (``_wrap``).
+dict and wraps it once (``_wrap``).  ``vars()`` is the frozenset view of
+the mask, built on each call, for callers that want a set.
 
-Zeroings are kept the same way: ``subs_zero_many`` stores each result on
-the polynomial it came from, keyed by the zeroed variables that occur, so
-the engine's strata, which zero the same shared constraint again and
-again, get the identical object back, summary and all.  Divisions are
-kept beside them: ``divide_by`` stores its quotient in the same dict,
-keyed by the divisor as a sorted monomial, so the strata of a split,
-which divide the same constraint by the same assumed factor, share one
-quotient.  There is no global cache: the results live as long as their
-root polynomial, which is one of a germ's expansion coefficients (kept
-for the last two germs).
+Zeroings are kept the same way: ``subs_zero_mask`` stores each result on
+the polynomial it came from, keyed by the mask of the zeroed variables
+that occur, so the engine's strata, which zero the same shared constraint
+again and again, get the identical object back, summary and all;
+``subs_zero(v)`` and ``subs_zero_many(vs)`` are the same zeroing with the
+mask built from ``v`` or ``vs``.  Divisions are kept beside them:
+``divide_by`` stores its quotient in the same dict, keyed by the divisor
+as a sorted monomial (a tuple, never an ``int``), so the strata of a
+split, which divide the same constraint by the same assumed factor, share
+one quotient.  There is no global cache: the results live as long as
+their root polynomial, which is one of a germ's expansion coefficients
+(kept for the last two germs).
 
 A signed cell's last constraint ``c - e`` is a shifted view of the
 expansion coefficient ``c`` (``MPoly.shifted``): it takes its summary
@@ -40,15 +46,22 @@ operation divides coefficients, so an ``int`` never turns into a float.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Collection, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-__all__ = ["Coeff", "Monomial", "MPoly", "Summary"]
+__all__ = ["Coeff", "Monomial", "MPoly", "Summary", "mask_ids"]
 
 Monomial = tuple[tuple[int, int], ...]
 Coeff = int | Fraction
 
 _ONE_M: Monomial = ()
-_NO_VARS: frozenset[int] = frozenset()
+
+
+def mask_ids(mask: int) -> Iterator[int]:
+    """The variables of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _mmul(a: Monomial, b: Monomial) -> Monomial:
@@ -83,16 +96,18 @@ def _coerce(c: Coeff) -> Coeff:
 class Summary:
     """The structure of one polynomial that the engine's rules match on.
 
-    * ``vars``: the variables that occur.
+    Sets of variables are ``int`` masks, bit v for variable v.
+
+    * ``mask``: the variables that occur.
     * ``content``: the per-variable minimum exponent over all terms, as a
       sorted monomial; empty if there is a constant term.
     * ``pivots``: each variable that occurs in exactly one term, with
-      exponent 1, mapped to the set of that term's other variables.
+      exponent 1, mapped to the mask of that term's other variables.
     * ``squares``: each variable whose only occurrence is a bare
       ``c*v^2`` term, mapped to ``c``.
-    * ``definite``: ``(sign, involved)`` when every non-constant term is
-      an even power of one variable with coefficient sign ``sign``
-      (0 if there is no such term), else None.
+    * ``definite``: ``(sign, involved)``, ``involved`` a mask, when every
+      non-constant term is an even power of one variable with
+      coefficient sign ``sign`` (0 if there is no such term), else None.
 
     The mappings are shared with every reader and must not be mutated.
 
@@ -101,7 +116,7 @@ class Summary:
     first four fields are read off those records.
     """
 
-    __slots__ = ("vars", "content", "pivots", "squares", "definite")
+    __slots__ = ("mask", "content", "pivots", "squares", "definite")
 
     def __init__(self, t: dict[Monomial, Coeff]) -> None:
         # v -> [terms with v, least exponent of v, first term with v]
@@ -115,16 +130,19 @@ class Summary:
                     r[0] += 1
                     if e < r[1]:
                         r[1] = e
-        pivots: dict[int, frozenset[int]] = {}
+        mask = 0
+        pivots: dict[int, int] = {}
         squares: dict[int, Coeff] = {}
         for v, (count, e, m) in seen.items():
+            mask |= 1 << v
             if count != 1:
                 continue
             if e == 1:
-                if len(m) == 1:
-                    pivots[v] = _NO_VARS
-                else:
-                    pivots[v] = frozenset([w for w, _ in m if w != v])
+                rest = 0
+                for w, _ in m:
+                    if w != v:
+                        rest |= 1 << w
+                pivots[v] = rest
             elif e == 2 and len(m) == 1:
                 squares[v] = t[m]
         content = _ONE_M
@@ -132,7 +150,7 @@ class Summary:
             # a variable of the content occurs in every term, the first included
             size = len(t)
             content = tuple([(v, seen[v][1]) for v, _ in next(iter(t)) if seen[v][0] == size])
-        self.vars: frozenset[int] = frozenset(seen)
+        self.mask = mask
         self.content: Monomial = content
         self.pivots = pivots
         self.squares = squares
@@ -147,13 +165,14 @@ class Summary:
         if not self.content:
             return self
         s = Summary.__new__(Summary)
-        s.vars, s.content, s.pivots = self.vars, _ONE_M, self.pivots
+        s.mask, s.content, s.pivots = self.mask, _ONE_M, self.pivots
         s.squares, s.definite = self.squares, self.definite
         return s
 
 
-def _definite_shape(t: dict[Monomial, Coeff]) -> tuple[int, frozenset[int]] | None:
+def _definite_shape(t: dict[Monomial, Coeff]) -> tuple[int, int] | None:
     sign = 0
+    involved = 0
     for m, c in t.items():
         if not m:
             continue
@@ -164,7 +183,8 @@ def _definite_shape(t: dict[Monomial, Coeff]) -> tuple[int, frozenset[int]] | No
             sign = s
         elif s != sign:
             return None
-    return sign, frozenset(m[0][0] for m in t if m)
+        involved |= 1 << m[0][0]
+    return sign, involved
 
 
 class MPoly:
@@ -175,8 +195,8 @@ class MPoly:
             {m: c for m, c in terms.items() if c} if terms else {}
         )
         self._s: Summary | None = None
-        # zeroings keyed by frozensets, divisions by sorted monomials
-        self._z: dict[frozenset[int] | Monomial, MPoly] | None = None
+        # zeroings keyed by int masks, divisions by sorted monomials
+        self._z: dict[int | Monomial, MPoly] | None = None
 
     @classmethod
     def _wrap(cls, terms: dict[Monomial, Coeff]) -> MPoly:
@@ -226,7 +246,8 @@ class MPoly:
         return s
 
     def vars(self) -> frozenset[int]:
-        return self.summary().vars
+        """The variables that occur: the set view of ``summary().mask``."""
+        return frozenset(mask_ids(self.summary().mask))
 
     def single_term(self) -> tuple[Monomial, Coeff] | None:
         if len(self._t) != 1:
@@ -308,17 +329,25 @@ class MPoly:
         return MPoly._wrap(layers[1]), MPoly._wrap(layers.get(0, {}))
 
     def subs_zero(self, v: int) -> MPoly:
-        return self.subs_zero_many((v,))
+        """Set ``v`` to zero: ``subs_zero_mask(1 << v)``."""
+        return self.subs_zero_mask(1 << v)
 
-    def subs_zero_many(self, vs: Collection[int]) -> MPoly:
-        """Set every variable in ``vs`` to zero, in one pass over the terms.
+    def subs_zero_many(self, vs: Iterable[int]) -> MPoly:
+        """Set every variable in ``vs`` to zero: ``subs_zero_mask`` of their mask."""
+        mask = 0
+        for v in vs:
+            mask |= 1 << v
+        return self.subs_zero_mask(mask)
 
-        Returns ``self`` when no variable of ``vs`` occurs.  Otherwise the
-        result is kept on ``self``, keyed by the variables that occur, so
-        a repeated zeroing returns the identical polynomial, with its
-        summary and its own zeroings.
+    def subs_zero_mask(self, mask: int) -> MPoly:
+        """Set every variable of ``mask`` to zero, in one pass over the terms.
+
+        Returns ``self`` when no variable of ``mask`` occurs.  Otherwise the
+        result is kept on ``self``, keyed by the mask of the variables that
+        occur, so a repeated zeroing returns the identical polynomial, with
+        its summary and its own zeroings.
         """
-        key = self.vars().intersection(vs)
+        key = mask & self.summary().mask
         if not key:
             return self
         z = self._z
@@ -329,12 +358,12 @@ class MPoly:
             r = z[key] = self._zeroed(key)
         return r
 
-    def _zeroed(self, key: frozenset[int]) -> MPoly:
-        """The terms free of every variable in ``key``."""
+    def _zeroed(self, key: int) -> MPoly:
+        """The terms free of every variable of the mask ``key``."""
         out: dict[Monomial, Coeff] = {}
         for m, c in self._t.items():
             for w, _ in m:
-                if w in key:
+                if key >> w & 1:
                     break
             else:
                 out[m] = c
@@ -366,8 +395,8 @@ class MPoly:
         """Divide every term by ``mono``; ValueError unless it divides the content.
 
         The quotient is kept on ``self`` next to its zeroings, keyed by
-        ``mono`` as a sorted monomial (a zeroing's key is a frozenset, so
-        the two never meet), and a repeated division returns the
+        ``mono`` as a sorted monomial (a zeroing's key is an ``int`` mask,
+        so the two never meet), and a repeated division returns the
         identical polynomial.  A monomial that does not divide raises on
         every call and leaves nothing behind.
         """
@@ -429,7 +458,7 @@ class _Shifted(MPoly):
     arithmetic on it returns a plain ``MPoly``.  Its summary is the
     body's with an empty content, and each of its zeroings is the body's
     zeroing (kept on the body) shifted by ``e``, kept on the view by
-    ``subs_zero_many``.
+    ``subs_zero_mask``.
     """
 
     __slots__ = ("_body", "_e")
@@ -449,5 +478,5 @@ class _Shifted(MPoly):
             s = self._s = self._body.summary().with_constant()
         return s
 
-    def _zeroed(self, key: frozenset[int]) -> MPoly:
-        return _Shifted(self._body.subs_zero_many(key), self._e)
+    def _zeroed(self, key: int) -> MPoly:
+        return _Shifted(self._body.subs_zero_mask(key), self._e)

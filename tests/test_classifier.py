@@ -51,6 +51,14 @@ def D(k, e1, e2, sig):
 # -- distinguish ---------------------------------------------------------------
 
 
+def certificate_for(rep, germ1: str, germ2: str):
+    """The table entry of the pair {germ1, germ2}, or None."""
+    for e in rep.entries:
+        if {e.germ1, e.germ2} == {germ1, germ2}:
+            return e
+    return None
+
+
 def test_distinguish_neighbouring_a_germs():
     dist = distinguish(A(2, 1, (1, 1)), A(3, 1, (1, 1)), N=6)
     assert dist.separated
@@ -282,16 +290,16 @@ def test_ade_table_d2():
     assert len(rep.classes) == 34
     assert len(rep.entries) == 52 * 51 // 2
     # equivalent pairs agree on every available cell
-    e = rep.certificate_for("A(2) (+) Q(1,0)", "A(2,-) (+) Q(1,0)")
+    e = certificate_for(rep, "A(2) (+) Q(1,0)", "A(2,-) (+) Q(1,0)")
     assert e is not None and e.relation == "equivalent"
     assert e.agreed_cells > 0
     # order-4 D4 class cell separates it from each cube-jet E class
-    e = rep.certificate_for("D(4,+,+) (+) Q(0,0)", "E7 (+) Q(0,0)")
+    e = certificate_for(rep, "D(4,+,+) (+) Q(0,0)", "E7 (+) Q(0,0)")
     assert e.relation == "distinct"
     assert (e.certificate.n, e.certificate.channel) == (4, "plus")
-    e = rep.certificate_for("D(4,+,+) (+) Q(0,0)", "E8 (+) Q(0,0)")
+    e = certificate_for(rep, "D(4,+,+) (+) Q(0,0)", "E8 (+) Q(0,0)")
     assert (e.certificate.n, e.certificate.channel) == (4, "plus")
-    assert rep.certificate_for("E7 (+) Q(0,0)", "no such germ") is None
+    assert certificate_for(rep, "E7 (+) Q(0,0)", "no such germ") is None
 
 
 def test_ade_table_d3():
@@ -300,7 +308,7 @@ def test_ade_table_d3():
     assert len(rep.specs) == 90
     assert len(rep.classes) == 58
     # corank separates A from D/E immediately
-    e = rep.certificate_for("A(2) (+) Q(2,0)", "E7 (+) Q(1,0)")
+    e = certificate_for(rep, "A(2) (+) Q(2,0)", "E7 (+) Q(1,0)")
     assert e.certificate.n == 2
 
 
@@ -343,7 +351,7 @@ def test_ade_table_reports_a_broken_equivalent_pair(monkeypatch):
         f"{v} vs {v + bump}",
     )
     # the scan stops at the first disagreement: n=2 and n=3/plus agreed
-    e = rep.certificate_for("D(4,+,+) (+) Q(0,0)", g)
+    e = certificate_for(rep, "D(4,+,+) (+) Q(0,0)", g)
     assert (e.relation, e.certificate, e.agreed_cells) == ("equivalent", None, 4)
 
 
@@ -361,7 +369,7 @@ def test_ade_table_reports_an_unseparated_distinct_pair(monkeypatch):
     assert rep.failures == (
         "no distinguisher at n <= 5 for E7 (+) Q(0,0) vs E8 (+) Q(0,0) (unavailable: none)",
     )
-    e = rep.certificate_for("E7 (+) Q(0,0)", "E8 (+) Q(0,0)")
+    e = certificate_for(rep, "E7 (+) Q(0,0)", "E8 (+) Q(0,0)")
     assert e.relation == "distinct" and not e.certificate.separated
 
 
@@ -436,7 +444,7 @@ def test_ade_table_json_is_canonical(monkeypatch):
 
     _patch_cells(monkeypatch, rewrite)
     rep = ade_table(2, kmax=4, N=5)
-    e = rep.certificate_for("E7 (+) Q(0,0)", "E8 (+) Q(0,0)")
+    e = certificate_for(rep, "E7 (+) Q(0,0)", "E8 (+) Q(0,0)")
     assert e.relation == "distinct" and not e.certificate.separated
     assert e.unavailable == ("n=3/naive",) and not rep.ok
     assert any(

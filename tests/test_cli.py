@@ -12,7 +12,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from arczeta import classifier, engine, germs
+from arczeta import classifier, cli, engine, germs
 from arczeta.cli import main
 from arczeta.parser import parse_germ
 
@@ -226,6 +226,70 @@ def test_unwritable_out_is_a_usage_error(tmp_path, args):
     assert r.stdout == ""
     assert r.stderr == f"error: cannot write --out {str(target)!r}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+def _refuse_compute(monkeypatch):
+    """Make every computing entry point of the commands fail if it is called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the usage error")
+
+    for name in ("zeta_table", "distinguish", "ade_table", "nonsimple_report", "beta_of"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "args", [("zeta", "A(2) (+) Q(1,1)", "--N", "3"), ("table", "--d", "2")], ids=["zeta", "table"]
+)
+def test_unwritable_out_fails_before_computing(tmp_path, monkeypatch, args):
+    _refuse_compute(monkeypatch)
+    target = tmp_path / "missing" / "x"
+    r = run(*args, "--out", str(target))
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: cannot write --out {str(target)!r}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
+def test_out_is_written_only_when_the_output_is_ready(tmp_path, monkeypatch):
+    """The early --out check creates and truncates nothing: a refused
+    command leaves an existing target as it was."""
+    _refuse_compute(monkeypatch)
+    target = tmp_path / "kept.txt"
+    target.write_text("before")
+    r = run("zeta", "A(2) (+) Q(1,1)", "--N", str(engine.MAX_ORDER + 1), "--out", str(target))
+    assert r.exit_code == 2
+    assert target.read_text() == "before"
+
+
+ABOVE = str(engine.MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("zeta", "Q (+) Q(1,0)", "--N", ABOVE),
+        ("zeta", "Q (+) Q(1,0)", "--N", ABOVE, "--source", "auto"),
+        ("distinguish", "A(2) (+) Q(1,0)", "A(3,+) (+) Q(1,0)", "--N", ABOVE),
+        ("table", "--d", "2", "--N", ABOVE, "--source", "oracle"),
+        ("nonsimple", "J(2,0) (+) Q(1,1)", "--N", ABOVE),
+    ],
+    ids=["zeta", "zeta-auto", "distinguish", "table", "nonsimple"],
+)
+def test_order_above_the_engine_limit_is_exit_2_before_computing(monkeypatch, args):
+    _refuse_compute(monkeypatch)
+    r = run(*args)
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr == (
+        f"error: --N {ABOVE} is above the engine's largest arc order, {engine.MAX_ORDER}\n"
+    )
+
+
+def test_formula_source_keeps_any_order():
+    r = run("zeta", "A(2) (+) Q(1,1)", "--N", ABOVE, "--source", "formulas", "--format", "csv")
+    assert r.exit_code == 0
+    assert list(csv.reader(io.StringIO(r.stdout)))[-1][2:4] == [ABOVE, "naive"]
 
 
 def test_zeta_deterministic():

@@ -29,6 +29,19 @@ def _v(j: int) -> MPoly:
     return MPoly.var(j)
 
 
+# A variable's id is coordinate * STRIDE + level - 1; a set of ids is an int
+# mask, bit v for id v, which _ids reads back as a set.
+STRIDE = engine._LEVEL_STRIDE
+
+
+def _ids(mask: int) -> set[int]:
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
+def _mask(vs) -> int:
+    return sum(1 << v for v in set(vs))
+
+
 Q21 = _v(0) ** 2 + _v(1) ** 2 - _v(2) ** 2          # Q_{2,1}
 # x1^3 + Q_{1,1}(y), corank 2: x2 is a mute degenerate direction
 CUBE11 = _v(0) ** 3 + _v(2) ** 2 - _v(3) ** 2
@@ -66,14 +79,33 @@ def test_build_system_validation():
         build_system(Q21, ("c", "c", "c"), 1025, 1)  # beyond the level stride
 
 
+def test_build_system_order_limit():
+    """Levels stay below the id stride: order MAX_ORDER is the largest cell."""
+    assert engine.MAX_ORDER == STRIDE == 256
+    x2 = MPoly.var(0, 2)
+    system = build_system(x2, ("c",), 256, 1)
+    assert system.total_vars == 256
+    assert _ids(system.alive) == set(range(256))
+    with pytest.raises(ValueError, match="arc order must be <= 256, got 257"):
+        build_system(x2, ("c",), 257, 1)
+
+
 # Each block tuple's ids at n = 4 in split order: the suspension (quadric)
-# coefficients by level, then coordinate, before b, before a.
+# coefficients by level, then coordinate, before b, before a.  Written as
+# (coordinate, level - 1).
 SPLIT_ORDER = {
-    ("a", "b", "c", "c"): [
-        2048, 3072, 2049, 3073, 2050, 3074, 2051, 3075, 1024, 1025, 1026, 1027, 0, 1, 2, 3,
-    ],
-    ("a", "a", "c"): [2048, 2049, 2050, 2051, 0, 1024, 1, 1025, 2, 1026, 3, 1027],
-    ("c",): [0, 1, 2, 3],
+    blocks: [j * STRIDE + s for j, s in order]
+    for blocks, order in {
+        ("a", "b", "c", "c"): [
+            (2, 0), (3, 0), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3),
+            (1, 0), (1, 1), (1, 2), (1, 3), (0, 0), (0, 1), (0, 2), (0, 3),
+        ],
+        ("a", "a", "c"): [
+            (2, 0), (2, 1), (2, 2), (2, 3), (0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2),
+            (0, 3), (1, 3),
+        ],
+        ("c",): [(0, 0), (0, 1), (0, 2), (0, 3)],
+    }.items()
 }
 
 
@@ -87,10 +119,12 @@ def test_layout_names_and_orders_variables():
                 quadrics += block == "c"
                 for s in range(1, n + 1):
                     name = f"c{s}^{quadrics}" if block == "c" else f"{block}{s}"
-                    expected[j * 1024 + s - 1] = name
+                    expected[j * STRIDE + s - 1] = name
             assert dict(names) == expected
-            assert alive == set(rank) == set(expected)
-            assert sorted(alive, key=rank.__getitem__) == [v for v in order if v % 1024 < n]
+            assert _ids(alive) == set(rank) == set(expected)
+            assert sorted(_ids(alive), key=rank.__getitem__) == [
+                v for v in order if v % STRIDE < n
+            ]
     with pytest.raises(ValueError, match="unknown block 'x'"):
         engine._layout(("a", "x"), 2)
 
@@ -157,7 +191,7 @@ def test_rotation_is_a_traced_peel():
 def _hand_built(names: dict[int, str], constraints) -> ArcSystem:
     """A system over the ids of ``names``, which splits them in the order listed."""
     rank = {v: r for r, v in enumerate(names)}
-    return ArcSystem(1, 1, constraints, names, rank, frozenset(names))
+    return ArcSystem(1, 1, constraints, names, rank, _mask(names))
 
 
 def _c1(ids) -> dict[int, str]:
@@ -283,13 +317,13 @@ def test_substituting_pivot_is_followed_by_cleanup(monkeypatch):
     assert out.value == 0 and out.leaves == []
     # the later equation becomes v2^2 = 0: the forced-zero rule sets v2 = 0
     zeroed = []
-    subs_zero_many = MPoly.subs_zero_many
+    subs_zero_mask = MPoly.subs_zero_mask
 
-    def recording(self, vs):
-        zeroed.append(set(vs))
-        return subs_zero_many(self, vs)
+    def recording(self, mask):
+        zeroed.append(_ids(mask))
+        return subs_zero_mask(self, mask)
 
-    monkeypatch.setattr(MPoly, "subs_zero_many", recording)
+    monkeypatch.setattr(MPoly, "subs_zero_mask", recording)
     out = decompose(
         _hand_built(_c1(range(3)), [(v0 + v1**2, EQ), (v0 + v1**2 + v2**2, EQ)]),
         collect_trace=True,
@@ -527,10 +561,10 @@ def test_build_system_matches_reference_expansion(spec):
         for n in order:
             for target in (1, -1, "naive"):
                 system = build_system(poly, blocks, n, target)
-                vids = sorted(system.alive)
+                vids = sorted(_ids(system.alive))
                 # one id per (coordinate, level), sorted in that order, whatever n is
                 levels = [(j, s) for j in range(d) for s in range(1, n + 1)]
-                assert [(v // 1024, v % 1024 + 1) for v in vids] == levels
+                assert [(v // STRIDE, v % STRIDE + 1) for v in vids] == levels
                 vid = {(j, s): vids[j * n + s - 1] for j in range(d) for s in range(1, n + 1)}
                 for key, value in vid.items():
                     assert vid_of.setdefault(key, value) == value
@@ -695,7 +729,7 @@ def test_terminal_slice_that_frees_another_assumed_variable():
     """{a*b = 1, a != 0, b != 0} is the hyperbola, which is R* (beta u - 1).
     _T slices off a = 0, which leaves -1, free of the other assumed b."""
     a, b, one = _v(0), _v(1), MPoly.const(1)
-    both = frozenset({0, 1})
+    both = _mask({0, 1})
     assert engine._T(a * b - one, EQ, both, both) == u_pow(1) - 1
     out = decompose(_hand_built(_c1(range(2)), [(a * b - one, EQ), (a * b, NEQ)]))
     assert out.ok, out.detail

@@ -2,7 +2,9 @@
 
 Each summary entry replaced a term scan in the engine's rewrite rules.
 The scans are kept here as reference implementations, and the summary
-must agree with them on random sparse polynomials.
+must agree with them on random sparse polynomials.  The references work
+on sets of variables; the summary and the zeroing keys hold int masks, bit
+v for variable v, which ``ids`` and ``mask_of`` convert.
 """
 
 from fractions import Fraction
@@ -15,6 +17,15 @@ from arczeta.engine import _definite
 from arczeta.mpoly import MPoly
 
 VARS = range(5)
+
+
+def ids(mask: int) -> frozenset[int]:
+    """The variables of a mask, read bit by bit."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def mask_of(vs) -> int:
+    return sum(1 << v for v in set(vs))
 
 coefficients = st.one_of(
     st.integers(-3, 3).filter(bool),
@@ -157,7 +168,14 @@ def ref_summary_fields(t: dict) -> tuple:
 
 def fields(p: MPoly) -> tuple:
     s = p.summary()
-    return (s.vars, s.content, s.pivots, s.squares, s.definite)
+    return (s.mask, s.content, s.pivots, s.squares, s.definite)
+
+
+def set_fields(s) -> tuple:
+    """A summary's fields with every mask read as the set of its variables."""
+    definite = None if s.definite is None else (s.definite[0], ids(s.definite[1]))
+    pivots = {v: ids(rest) for v, rest in s.pivots.items()}
+    return (ids(s.mask), s.content, pivots, s.squares, definite)
 
 
 # -- properties -------------------------------------------------------------------
@@ -166,12 +184,13 @@ def fields(p: MPoly) -> tuple:
 @given(polys(), assumed_sets)
 def test_summary_matches_term_scans(p, assumed):
     s = p.summary()
-    assert s.vars == frozenset(v for m, _ in p.terms() for v, _ in m)
+    assert ids(s.mask) == frozenset(v for m, _ in p.terms() for v, _ in m)
     assert dict(s.content) == ref_content(p)
-    pivots = {v: rest for v, rest in s.pivots.items() if rest <= assumed}
+    pivots = {v: ids(rest) for v, rest in s.pivots.items() if ids(rest) <= assumed}
     assert pivots == ref_pivots(p, assumed)
     assert s.squares == ref_squares(p)
-    assert _definite(p, assumed) == ref_definite(p, assumed)
+    verdict = _definite(p, mask_of(assumed))
+    assert (ids(verdict) if isinstance(verdict, int) else verdict) == ref_definite(p, assumed)
 
 
 @given(polys())
@@ -184,8 +203,32 @@ def test_summary_equals_its_per_field_definitions(p):
     terms = dict(p.terms())
     s = MPoly(terms).summary()
     ref = ref_summary_fields(terms)
-    assert (s.vars, s.content, s.pivots, s.squares, s.definite) == ref
+    assert set_fields(s) == ref
     assert list(s.pivots) == list(ref[2]) and list(s.squares) == list(ref[3])
+
+
+@given(polys())
+@example(MPoly({((0, 1), (3, 2)): 2, ((4, 1),): 1, ((2, 4),): -1}))
+def test_summary_masks_are_the_term_scan_sets(p):
+    """Every mask has bit v exactly for the variables v that a scan over
+    the terms finds: all of them, a pivot term's others, a definite form's."""
+    terms = dict(p.terms())
+    s = p.summary()
+    scanned = 0
+    for m in terms:
+        for v, _ in m:
+            scanned |= 1 << v
+    assert s.mask == scanned
+    assert p.vars() == ids(s.mask) == frozenset(v for m in terms for v, _ in m)
+    ref = ref_summary_fields(terms)
+    assert {v: ids(rest) for v, rest in s.pivots.items()} == ref[2]
+    for v, rest in s.pivots.items():
+        (m,) = [m for m in terms if v in dict(m)]
+        assert rest == mask_of(w for w, _ in m if w != v)
+    if ref[4] is None:
+        assert s.definite is None
+    else:
+        assert s.definite == (ref[4][0], mask_of(ref[4][1]))
 
 
 @given(polys())
@@ -214,6 +257,23 @@ def test_subs_zero_many_matches_one_at_a_time(p, vs):
     assert p.subs_zero_many(vs) == q
     if p.vars().isdisjoint(vs):
         assert p.subs_zero_many(vs) is p
+
+
+@given(polys(), st.sampled_from(VARS), st.frozensets(st.sampled_from(VARS)))
+def test_zeroing_entry_points_share_one_kept_result(p, v, vs):
+    """``subs_zero(v)``, ``subs_zero_many(vs)`` and ``subs_zero_mask`` are one
+    zeroing, kept under one mask key, on a polynomial and on a shifted view."""
+    body = MPoly({m: c for m, c in p.terms() if m})
+    for q in (p, body.shifted(1)):
+        one = q.subs_zero(v)
+        assert q.subs_zero_many([v]) is one
+        assert q.subs_zero_mask(1 << v) is one
+        many = q.subs_zero_mask(mask_of(vs))
+        assert q.subs_zero_many(vs) is many
+        assert q.subs_zero_many(sorted(vs, reverse=True)) is many
+        if len(vs) == 1:
+            assert q.subs_zero(min(vs)) is many
+        assert set(q._z or ()) <= {mask_of(q.vars() & {v}), mask_of(q.vars() & vs)}
 
 
 def ref_subs_zero(p: MPoly, vs) -> MPoly:
@@ -266,7 +326,7 @@ def test_divisions_are_kept_on_the_parent(p, mono, vs):
             with pytest.raises(ValueError):
                 p.divide_by(mono)
             # nothing is stored but the zeroing asked for above
-            assert set(p._z or ()) <= {p.vars() & vs}
+            assert set(p._z or ()) <= {mask_of(p.vars() & vs)}
         assert p.subs_zero_many(vs) is zeroed
         assert zeroed == ref_subs_zero(p, vs)
     assert dict(p.terms()) == dict(fresh.terms())

@@ -103,3 +103,30 @@ def test_closed_form_span_counts_every_resolved_cell(monkeypatch):
     finally:
         for name in ("layers", "spans"):
             sys.modules.pop(name, None)
+
+
+def test_engine_zeroings_reach_the_counted_method(monkeypatch):
+    """perfbench counts ``MPoly.subs_zero``, so the engine's one-variable
+    zeroings (the split's zero branch and ``_T``'s slice) must call it: a
+    cell with a split records a nonzero ``mpoly.subs_zero.calls``.  The
+    quadric cell below has two splits of two constraints each and two
+    ``_T`` slices, so both call sites are seen."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        import layers
+        import spans
+
+        germ = MPoly.var(0, 2) + MPoly.var(1, 2) - MPoly.var(2, 2)
+        engine._T.cache_clear()
+        tracer = spans.Tracer()
+        try:
+            layers.install(tracer, PKG)
+            outcome = engine.beta_of(germ, ("c", "c", "c"), 3, 1, collect_trace=True)
+        finally:
+            tracer.remove()
+        assert any(line.lstrip().startswith("[split]") for line in outcome.trace)
+        assert tracer.counts.get("mpoly.subs_zero.calls", 0) > 0
+        assert tracer.counts["mpoly.subs_zero.calls"] == 2 * 2 + 2
+    finally:
+        for name in ("layers", "spans"):
+            sys.modules.pop(name, None)
