@@ -28,8 +28,10 @@ from .germs import (
     CHANNELS,
     FAMILY,
     GermSpec,
+    Oracle,
     _csv,
     _json,
+    _table_oracle,
     canonicalize,
     formula_cell,
     oracle_cell,
@@ -137,7 +139,8 @@ def distinguish(
             f"{g1.d} vs {g2.d} (tables omit the u^(-n*d) normalization)"
         )
     interned: dict[UPoly, int] = {}
-    row1, row2 = _Row(g1, source, interned), _Row(g2, source, interned)
+    oracle = _table_oracle(source)
+    row1, row2 = _Row(g1, source, interned, oracle), _Row(g2, source, interned, oracle)
     return _scan(g1.render(), g2.render(), row1, row2, N, source)
 
 
@@ -149,21 +152,31 @@ class _Row:
     Rows that share ``interned`` give equal values equal ids, whether or
     not they are the same object, so the scan compares ids and reads
     ``values`` only for a certificate.  A row calls ``resolve_cell`` as
-    the module names it at the time, so a patched lookup takes effect.
+    the module names it at the time, so a patched lookup takes effect,
+    and passes it ``oracle``: the table's, bound to its budget, or None.
     """
 
-    __slots__ = ("spec", "source", "interned", "values", "ids")
+    __slots__ = ("spec", "source", "interned", "oracle", "values", "ids")
 
-    def __init__(self, spec: GermSpec, source: str, interned: dict[UPoly, int]) -> None:
+    def __init__(
+        self,
+        spec: GermSpec,
+        source: str,
+        interned: dict[UPoly, int],
+        oracle: Oracle | None = None,
+    ) -> None:
         self.spec = spec
         self.source = source
         self.interned = interned
+        self.oracle = oracle
         self.values: list[UPoly | None] = []
         self.ids: list[int | None] = []
 
     def extend(self) -> None:
         """Resolve the cell at the next scan position."""
-        value = resolve_cell(self.spec, *_cell_at(len(self.values)), self.source).value
+        value = resolve_cell(
+            self.spec, *_cell_at(len(self.values)), self.source, self.oracle
+        ).value
         self.values.append(value)
         interned = self.interned
         self.ids.append(None if value is None else interned.setdefault(value, len(interned)))
@@ -490,7 +503,8 @@ def ade_table(
     names = [g.render() for g in specs]
     canonical = [canonicalize(g).render() for g in specs]
     interned: dict[UPoly, int] = {}
-    rows = [_Row(g, source, interned) for g in specs]
+    oracle = _table_oracle(source)
+    rows = [_Row(g, source, interned, oracle) for g in specs]
     entries: list[PairEntry] = []
     failures: list[str] = []
     for i, j in combinations(range(len(specs)), 2):

@@ -181,7 +181,13 @@ FAMILY: dict[str, Family] = {
 
 @dataclass(frozen=True)
 class GermSpec:
-    """One germ: family data plus the quadratic suspension Q_{p,q}."""
+    """One germ: family data plus the quadratic suspension Q_{p,q}.
+
+    The hash is that of the field tuple, computed once when the spec is
+    built and kept; equality, ``repr`` and ``dataclasses.replace`` go by
+    the fields.  Pickling and copying rebuild a spec from its fields, so
+    the hash is computed afresh in the process that loads it.
+    """
 
     family: str
     sig: Sig
@@ -232,6 +238,18 @@ class GermSpec:
             raise ValueError(f"family {fam.token} takes no i, got {self.i}")
         elif self.params:
             raise ValueError(f"family {fam.token} takes no coefficient parameters")
+        # every cache lookup hashes its spec, so the hash of the fields is kept
+        object.__setattr__(
+            self, "_hash",
+            hash((self.family, self.sig, self.k, self.i, self.signs, self.params)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # by the fields alone: a kept hash is valid only in the process that made it
+        return GermSpec, (self.family, self.sig, self.k, self.i, self.signs, self.params)
 
     # -- derived data ---------------------------------------------------
 
@@ -521,12 +539,15 @@ def _representative(g: GermSpec, n: int, channel: str) -> tuple[GermSpec, str]:
     return min(_orbit(g, n, channel), key=_orbit_order)
 
 
-def oracle_cell(g: GermSpec, n: int, channel: str) -> EngineOutcome:
+def oracle_cell(
+    g: GermSpec, n: int, channel: str, budget: int | None = None
+) -> EngineOutcome:
     """Engine-computed cell value, cached.
 
-    The stratum budget is resolved from the environment before the cache
-    lookup and is part of its key, so an outcome computed under one
-    budget is never served under another.
+    The stratum budget is ``effective_budget(budget)``: ``budget`` when
+    given, else read from the environment on this call.  It is resolved
+    before the cache lookup and is part of its key, so an outcome
+    computed under one budget is never served under another.
 
     The cache is keyed on the least cell of the symmetry orbit
     (``_orbit``): every cell in it is the same set up to a linear
@@ -538,11 +559,25 @@ def oracle_cell(g: GermSpec, n: int, channel: str) -> EngineOutcome:
     """
     _check_channel(channel)
     rep, rep_channel = _representative(g, n, channel)
-    return _oracle_cached(rep, n, rep_channel, effective_budget())
+    return _oracle_cached(rep, n, rep_channel, effective_budget(budget))
 
 
 # An engine-outcome source for resolve_cell: (germ, n, channel) -> outcome.
 Oracle = Callable[[GermSpec, int, str], EngineOutcome]
+
+
+def _table_oracle(source: str) -> Oracle | None:
+    """The oracle one table's cells share: ``oracle_cell`` at the budget read now.
+
+    The budget cannot change within a table, so it is read once per
+    table, not once per cell.  None under ``formulas``, which never
+    reaches the engine, and for an unknown source, which ``resolve_cell``
+    then rejects.
+    """
+    if source == "formulas" or source not in SOURCES:
+        return None
+    budget = effective_budget()
+    return lambda g, n, channel: oracle_cell(g, n, channel, budget)
 
 
 @dataclass(frozen=True, slots=True)
@@ -687,6 +722,8 @@ def zeta_table(
 ) -> ZetaTable:
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
+    if oracle is None:
+        oracle = _table_oracle(source)
     rows = []
     for n in range(2, N + 1):
         cells = {ch: resolve_cell(g, n, ch, source, oracle=oracle) for ch in CHANNELS}

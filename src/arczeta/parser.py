@@ -102,9 +102,12 @@ class _Scanner:
                 raise GermParseError("expected digits after separator", self.pos)
         if not digits_before:
             raise GermParseError("expected a number", start)
+        text = self.text[start : self.pos]
         try:
-            return Fraction(self.text[start : self.pos])
-        except (ValueError, ZeroDivisionError) as exc:
+            return Fraction(text)
+        except ZeroDivisionError as exc:
+            raise GermParseError(f"zero denominator in {text!r}", start) from exc
+        except ValueError as exc:
             raise GermParseError(str(exc), start) from exc
 
     def _digits(self) -> bool:
@@ -157,7 +160,8 @@ def _parse_family(s: _Scanner) -> dict:
         fields["params"] = tuple(params)
     s.expect(")")
     if family == "AK" and not fields["signs"]:
-        if fields["k"] % 2:
+        # below A's least k, the spec's own k check gives the reason
+        if fields["k"] % 2 and fields["k"] >= fam.kmin:
             raise GermParseError(
                 f"A({fields['k']}) is ambiguous for odd k: give a sign", start, "semantic"
             )

@@ -1,16 +1,22 @@
 """Germ specifications, cell resolution policies, and zeta tables."""
 
+import copy
 import csv
 import dataclasses
 import io
 import json
+import os
+import pickle
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from arczeta import germs
-from arczeta.classifier import enumerate_simple
+from arczeta.classifier import ade_table, distinguish, enumerate_simple
 from arczeta.engine import BUDGET_ENV, EngineOutcome, beta_of
 from arczeta.formulas import OutOfCoverage, arc_order2
 from arczeta.germs import (
@@ -27,6 +33,7 @@ from arczeta.germs import (
     _oracle_cached,
     _relatives,
     _representative,
+    _table_oracle,
     analytic_equiv,
     apply_signed_permutation,
     canonicalize,
@@ -179,6 +186,86 @@ def test_list_arguments_build_the_tuple_spec():
     jki = GermSpec("JKI", [0, 0], k=2, i=0, params=[("b", 2)])
     assert jki == GermSpec("JKI", (0, 0), k=2, i=0, params=(("b", 2),))
     assert GermSpec("Q", (1, 1), params=[]).params == ()
+
+
+def _fields(g):
+    return (g.family, g.sig, g.k, g.i, g.signs, g.params)
+
+
+# J specs with moduli: their params hold Fractions and parameter names
+_JKI_SPECS = [
+    GermSpec("JKI", (0, 0), k=3, i=0, params=(("b", Fraction(1, 2)), ("a1", 3))),
+    GermSpec("JKI", (1, 2), k=2, i=1, params=(("s", -1), ("a2", Fraction(-2, 3)))),
+    GermSpec("JKI", (0, 1), k=2, i=0),
+]
+_SPECS = [g for d in range(2, 6) for g in enumerate_simple(d)] + _JKI_SPECS
+
+
+def test_hash_is_the_hash_of_the_field_tuple():
+    # the value a generated dataclass hash gives, so set and dict orders stay
+    for g in _SPECS:
+        assert hash(g) == hash(_fields(g))
+
+
+def test_hash_is_computed_once_when_the_spec_is_built():
+    g = A(2)
+    h = hash(g)
+    # a spec is frozen; a field forced past that leaves the kept hash as it was
+    object.__setattr__(g, "sig", (2, 0))
+    assert hash(g) == h != hash(A(2, sig=(2, 0)))
+
+
+def test_copies_and_pickles_hash_like_a_fresh_spec():
+    for g in _SPECS:
+        fresh = GermSpec(*_fields(g))
+        # a spec loaded in another process carries a hash made under another
+        # PYTHONHASHSEED; a wrong kept hash stands in for it here
+        stale = GermSpec(*_fields(g))
+        object.__setattr__(stale, "_hash", hash(fresh) + 1)
+        for spec in (g, stale):
+            for twin in (
+                dataclasses.replace(spec),
+                copy.copy(spec),
+                copy.deepcopy(spec),
+                pickle.loads(pickle.dumps(spec)),
+            ):
+                assert twin == fresh and _fields(twin) == _fields(fresh)
+                assert hash(twin) == hash(fresh)
+    assert hash(dataclasses.replace(A(2), sig=(2, 0))) == hash(A(2, sig=(2, 0)))
+
+
+_CHILD = """
+import json, pickle, sys
+from arczeta.germs import GermSpec, formula_cell
+
+out = []
+for g in pickle.loads(sys.stdin.buffer.read()):
+    fresh = GermSpec(g.family, g.sig, g.k, g.i, g.signs, g.params)
+    kept = formula_cell(fresh, 3, "plus")
+    hits = formula_cell.cache_info().hits
+    found = formula_cell(g, 3, "plus") is kept and formula_cell.cache_info().hits == hits + 1
+    out.append([hash(g) == hash(fresh), found])
+print(json.dumps({"probe": hash("arczeta"), "specs": out}))
+"""
+
+
+def test_a_spec_pickled_here_hashes_afresh_in_another_process():
+    specs = [A(2), D(5, 1, -1, sig=(2, 1)), GermSpec("E6", (0, 1), signs=(-1,))] + _JKI_SPECS
+    blob = pickle.dumps(specs)
+    src = str(Path(germs.__file__).resolve().parents[1])
+    probes = set()
+    for seed in ("1", "2"):  # at least one differs from this process's
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _CHILD], input=blob, env=env, capture_output=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        result = json.loads(run.stdout)
+        assert result["specs"] == [[True, True]] * len(specs)
+        probes.add(result["probe"])
+    # the children hashed strings under a seed other than this process's
+    assert probes - {hash("arczeta")}
 
 
 @pytest.mark.parametrize(
@@ -679,6 +766,63 @@ def test_oracle_cache_keys_on_budget(monkeypatch):
     assert oracle_cell(g, 6, "plus").failure == "depth-exceeded"
     monkeypatch.delenv(BUDGET_ENV)
     assert oracle_cell(g, 6, "plus") is first
+
+
+@pytest.fixture
+def budget_reads(monkeypatch):
+    """The calls of ``effective_budget`` that read the environment, counted."""
+    reads = []
+    real = germs.effective_budget
+
+    def counting(override=None):
+        if override is None:
+            reads.append(override)
+        return real(override)
+
+    monkeypatch.setattr(germs, "effective_budget", counting)
+    return reads
+
+
+@pytest.mark.parametrize("source, expected", [("auto", 1), ("hybrid", 1), ("formulas", 0)])
+def test_a_table_reads_the_budget_once(budget_reads, source, expected):
+    ade_table(2, 4, 6, source)
+    assert len(budget_reads) == expected
+
+
+@pytest.mark.parametrize("source", ["auto", "hybrid", "oracle"])
+def test_a_zeta_table_and_a_distinction_read_the_budget_once(budget_reads, source):
+    zeta_table(A(2), 6, source)
+    assert len(budget_reads) == 1
+    distinguish(A(2), A(3), 6, source)
+    assert len(budget_reads) == 2
+
+
+def test_a_bad_budget_raises_only_where_the_engine_can_be_reached(monkeypatch):
+    g = A(2)  # beyond n = 3 only the engine has its cells
+    calls = (
+        lambda source: zeta_table(g, 6, source),
+        lambda source: ade_table(2, 4, 6, source),
+        lambda source: distinguish(g, A(3), 6, source),
+    )
+    for raw, message in (("x", "must be an integer, got 'x'"), ("0", "must be positive, got 0")):
+        monkeypatch.setenv(BUDGET_ENV, raw)
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"^{BUDGET_ENV} {message}$"):
+                call("auto")
+            call("formulas")
+            # an unknown source is the first error
+            with pytest.raises(ValueError, match="unknown source 'formula'"):
+                call("formula")
+
+
+def test_a_table_oracle_keeps_the_budget_it_read(monkeypatch):
+    g = D(4, 1, 1, sig=(1, 0))  # its n = 6 plus cell needs 8 strata
+    monkeypatch.setenv(BUDGET_ENV, "1")
+    oracle = _table_oracle("auto")
+    monkeypatch.delenv(BUDGET_ENV)
+    assert oracle(g, 6, "plus") is oracle_cell(g, 6, "plus", budget=1)
+    assert oracle(g, 6, "plus").failure == "depth-exceeded"
+    assert oracle_cell(g, 6, "plus").failure == "unmatched-terminal"
 
 
 @pytest.fixture

@@ -70,6 +70,14 @@ def test_odd_k_without_sign_is_semantic():
     assert "ambiguous" in str(e)
 
 
+def test_k_below_the_least_without_sign_is_the_k_error():
+    # A(1) has odd k, but its k is the reason, as for A(1,+)
+    e = _err("A(1) (+) Q(1,1)")
+    assert (e.kind, e.position) == ("semantic", 0)
+    assert str(e) == str(_err("A(1,+) (+) Q(1,1)"))
+    assert str(e) == "semantic error at position 0: family A needs k >= 2, got 1"
+
+
 def test_spec_level_rejections_are_semantic_at_family_start():
     e = _err("A(1,+) (+) Q(1,1)")
     assert e.kind == "semantic"
@@ -116,6 +124,7 @@ def test_zero_denominator_is_a_parse_error():
     e = _err("J(2,0; b=1/0, c=1) (+) Q(0,0)")
     assert e.kind == "syntax"
     assert e.position == 9
+    assert str(e) == "syntax error at position 9: zero denominator in '1/0'"
 
 
 @pytest.mark.parametrize(
