@@ -49,7 +49,6 @@ __all__ = [
     "SuiteReport",
     "SuiteSection",
     "ade_table",
-    "audit_scan_minimality",
     "distinguish",
     "enumerate_simple",
     "nonsimple_report",
@@ -206,18 +205,6 @@ def _scan(germ1: str, germ2: str, row1: _Row, row2: _Row, N: int, source: str) -
                 germ1, germ2, N, source, *_cell_at(pos), v1, v2, tuple(unavailable)
             )
     return Distinguisher(germ1, germ2, N, source, unavailable=tuple(unavailable))
-
-
-def audit_scan_minimality(
-    dist: Distinguisher, g1: GermSpec, g2: GermSpec, source: str = "auto"
-) -> bool:
-    """Whether a certificate is exactly what the pair scan gives at its own N and source.
-
-    A certificate passes when it separates nothing, or when a fresh
-    :func:`distinguish` reproduces it field for field: the same first
-    differing cell, both values, and the same unavailable cells before it.
-    """
-    return not dist.separated or distinguish(g1, g2, dist.N, source) == dist
 
 
 def oracle_recheck(pairs: list[tuple[GermSpec, GermSpec, Distinguisher]]) -> list[str]:
@@ -644,6 +631,8 @@ def nonsimple_report(
     simple corank-2 class of the same ambient dimension.  An engine
     failure on an instance cell is reported and the instance skipped.
     """
+    if N < 2:  # before any instance runs its engine cells
+        raise ValueError(f"N must be >= 2, got {N}")
     entries: list[NonsimpleEntry] = []
     failures: list[str] = []
     for g in instances:

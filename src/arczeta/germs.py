@@ -470,16 +470,6 @@ def formula_cell(g: GermSpec, n: int, channel: str) -> Cell:
         return Cell(None, "unavailable", str(exc))
 
 
-@lru_cache(maxsize=None)
-def _oracle_cached(g: GermSpec, n: int, channel: str, budget: int) -> EngineOutcome:
-    """The engine outcome of one cell; a failure's detail names the cell."""
-    poly, blocks = germ_poly(g)
-    out = beta_of(poly, blocks, n, TARGETS[channel], budget=budget)
-    if out.ok:
-        return out
-    return replace(out, detail=f"on {g.render()} n={n} {channel}: {out.detail}")
-
-
 _SWAP = {"plus": "minus", "minus": "plus", "naive": "naive"}
 
 
@@ -512,54 +502,59 @@ def _relatives(g: GermSpec) -> tuple[GermSpec, GermSpec, GermSpec]:
     return dual, _flip(g), _flip(dual)
 
 
-def _orbit(g: GermSpec, n: int, channel: str) -> list[tuple[GermSpec, str]]:
-    """The cells whose value equals cell (g, n, channel) by a sign symmetry.
+def _representative(g: GermSpec, n: int, channel: str) -> tuple[GermSpec, str]:
+    """The least cell of the orbit of (g, n, channel) under the sign symmetries.
 
     Negation maps (g, c) to (dual g, -c); x1 -> -x1 maps g to ``_flip(g)``
     in the same channel; at odd n, t -> -t maps the plus cell of a germ to
-    its minus cell.
+    its minus cell.  Family, k and i are the same across an orbit.
     """
     dual, flip, flip_dual = _relatives(g)
     swapped = _SWAP[channel]
     cells = [(g, channel), (dual, swapped), (flip, channel), (flip_dual, swapped)]
     if n % 2 and channel != "naive":
         cells += [(h, _SWAP[ch]) for h, ch in cells]
-    return cells
-
-
-def _orbit_order(cell: tuple[GermSpec, str]) -> tuple:
-    # family, k and i are the same across an orbit
-    g, channel = cell
-    return g.sig, g.signs, g.params, CHANNELS.index(channel)
+    return min(cells, key=lambda c: (c[0].sig, c[0].signs, c[0].params, CHANNELS.index(c[1])))
 
 
 @lru_cache(maxsize=None)
-def _representative(g: GermSpec, n: int, channel: str) -> tuple[GermSpec, str]:
-    """The least cell of the orbit of (g, n, channel): its oracle cache key."""
-    return min(_orbit(g, n, channel), key=_orbit_order)
+def _oracle_cached(g: GermSpec, n: int, channel: str, budget: int) -> EngineOutcome:
+    """The engine outcome of one cell: the one oracle cache, keyed on the cell.
+
+    A miss runs the engine only if the cell is its orbit's least
+    (``_representative``); any other member reads the least cell's entry.
+    So clearing this cache forgets every member and every representative.
+    """
+    _check_channel(channel)
+    rep, rep_channel = _representative(g, n, channel)
+    if (rep, rep_channel) != (g, channel):
+        return _oracle_cached(rep, n, rep_channel, budget)
+    poly, blocks = germ_poly(g)
+    out = beta_of(poly, blocks, n, TARGETS[channel], budget=budget)
+    if out.ok:
+        return out
+    return replace(out, detail=f"on {g.render()} n={n} {channel}: {out.detail}")
 
 
 def oracle_cell(
     g: GermSpec, n: int, channel: str, budget: int | None = None
 ) -> EngineOutcome:
-    """Engine-computed cell value, cached.
+    """Engine-computed cell value, cached in ``_oracle_cached`` per cell.
 
     The stratum budget is ``effective_budget(budget)``: ``budget`` when
     given, else read from the environment on this call.  It is resolved
     before the cache lookup and is part of its key, so an outcome
     computed under one budget is never served under another.
 
-    The cache is keyed on the least cell of the symmetry orbit
-    (``_orbit``): every cell in it is the same set up to a linear
+    Every cell of a symmetry orbit is the same set up to a linear
     automorphism of the truncated arcs, so its virtual Poincaré
-    polynomial is the same.  The whole orbit shares that one outcome,
-    a failure included, so the engine runs once per orbit; a failure's
-    detail names the cell it ran on, which may be another member's.
-    An unknown channel raises ``ValueError``.
+    polynomial is the same.  The engine runs once per orbit, on its least
+    cell, and every member holds that one outcome, a failure included; a
+    failure's detail names the cell it ran on, which may be another
+    member's.  A warm lookup is one cache hit: it computes no orbit.  An
+    unknown channel raises ``ValueError``.
     """
-    _check_channel(channel)
-    rep, rep_channel = _representative(g, n, channel)
-    return _oracle_cached(rep, n, rep_channel, effective_budget(budget))
+    return _oracle_cached(g, n, channel, effective_budget(budget))
 
 
 # An engine-outcome source for resolve_cell: (germ, n, channel) -> outcome.
@@ -646,6 +641,7 @@ class ZetaTable:
         return self.germ.d
 
     def cell(self, n: int, channel: str) -> Cell:
+        _check_channel(channel)
         for row_n, cells in self.rows:
             if row_n == n:
                 return cells[channel]
@@ -661,6 +657,7 @@ class ZetaTable:
 
     def z_text(self, channel: str) -> str:
         """Zeta polynomial truncated at N, omitting unavailable cells."""
+        _check_channel(channel)
         parts = []
         skipped = []
         for n, cells in self.rows:

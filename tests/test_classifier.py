@@ -17,7 +17,6 @@ from arczeta import classifier
 from arczeta.classifier import (
     Distinguisher,
     ade_table,
-    audit_scan_minimality,
     distinguish,
     enumerate_simple,
     nonsimple_report,
@@ -100,26 +99,6 @@ def test_distinguish_json_shape():
         "value1": "2*u^7 - u^6",
         "value2": "2*u^7 - 2*u^6",
     }
-
-
-def test_scan_minimality_audit():
-    g1, g2 = A(3, 1, (1, 1)), A(3, -1, (1, 1))
-    dist = distinguish(g1, g2, N=6)
-    assert audit_scan_minimality(dist, g1, g2)
-    # a doctored certificate pointing past the first difference must fail
-    from dataclasses import replace
-
-    late = replace(dist, n=5, channel="plus")
-    assert not audit_scan_minimality(late, g1, g2)
-
-
-def test_scan_minimality_audit_compares_every_field():
-    g1, g2 = A(3, 1, (1, 1)), A(3, -1, (1, 1))
-    dist = distinguish(g1, g2, N=6)
-    assert not audit_scan_minimality(dataclasses.replace(dist, unavailable=("n=2/plus",)), g1, g2)
-    assert not audit_scan_minimality(dataclasses.replace(dist, value1=u_pow(1)), g1, g2)
-    # an unseparated result certifies nothing, so there is nothing to audit
-    assert audit_scan_minimality(distinguish(g1, g1, N=3), g1, g1)
 
 
 # Pairs of equal but distinct values; a constant and zero hash as ints.
@@ -602,6 +581,15 @@ def test_nonsimple_report_j21():
     assert (e7.n, e7.channel) == (5, "plus")
     assert e7.value1.is_zero()
     assert e7.value2 == u_pow(8) - u_pow(7)
+
+
+def test_nonsimple_report_rejects_n_below_two_before_any_engine_cell(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an engine cell ran before N was checked")
+
+    monkeypatch.setattr(classifier, "oracle_cell", never)
+    with pytest.raises(ValueError, match=r"^N must be >= 2, got 1$"):
+        nonsimple_report([GermSpec("JKI", (0, 0), k=2, i=0)], N=1)
 
 
 def test_nonsimple_report_validates_family():

@@ -587,7 +587,16 @@ def test_unknown_channel_raises_before_any_work(monkeypatch, source):
             resolve_cell(A(2), n, "plu", source, oracle=never)
 
 
-@pytest.mark.parametrize("reader", [formula_cell, oracle_cell], ids=["formula", "oracle"])
+@pytest.mark.parametrize(
+    "reader",
+    [
+        formula_cell,
+        oracle_cell,
+        lambda g, n, channel: zeta_table(g, n, "formulas").cell(n, channel),
+        lambda g, n, channel: zeta_table(g, n, "formulas").z_text(channel),
+    ],
+    ids=["formula", "oracle", "table_cell", "z_text"],
+)
 def test_cell_readers_reject_an_unknown_channel(reader):
     with pytest.raises(ValueError, match="unknown channel 'plu'"):
         reader(A(2), 3, "plu")
@@ -832,33 +841,72 @@ def empty_oracle_cache():
     _oracle_cached.cache_clear()
 
 
-def test_oracle_cell_shares_a_success_across_the_orbit(empty_oracle_cache):
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """The (order, target) of every engine run that ``oracle_cell`` starts."""
+    runs = []
+
+    def counting(poly, blocks, n, target, budget=None):
+        runs.append((n, target))
+        return beta_of(poly, blocks, n, target, budget=budget)
+
+    monkeypatch.setattr(germs, "beta_of", counting)
+    return runs
+
+
+def test_oracle_cell_shares_a_success_across_the_orbit(empty_oracle_cache, engine_runs):
     g = A(3, 1)
     out = oracle_cell(g, 3, "plus")
     assert out.ok
     # t -> -t at odd n, and the dual A(3,-) with plus and minus swapped
     for h, ch in ((g, "minus"), (A(3, -1), "minus"), (A(3, -1), "plus")):
         assert oracle_cell(h, 3, ch) is out
-    assert _oracle_cached.cache_info().currsize == 1
+    assert len(engine_runs) == 1
     # at even n plus and minus are different sets: one run each
     assert oracle_cell(g, 2, "plus") is not oracle_cell(g, 2, "minus")
-    assert _oracle_cached.cache_info().currsize == 3
+    assert len(engine_runs) == 3
     # x1 -> -x1 takes A(2,+) to A(2,-) in the same channel
     g = A(2, 1, (1, 0))
     out = oracle_cell(g, 4, "plus")
     assert out.ok and oracle_cell(A(2, -1, (1, 0)), 4, "plus") is out
     assert oracle_cell(A(2, -1, (1, 0)), 4, "minus") is oracle_cell(g, 4, "minus")
     assert oracle_cell(g, 4, "minus") is not out
-    assert _oracle_cached.cache_info().currsize == 5
+    assert len(engine_runs) == 5
     # over Q(1,1), A(2) is its own negation up to x1 -> -x1: plus is minus
     assert oracle_cell(A(2), 4, "plus") is oracle_cell(A(2), 4, "minus")
-    assert _oracle_cached.cache_info().currsize == 6
+    assert len(engine_runs) == 6
     # a D_4 orbit at even n: D(4,+,-), its flip D(4,-,+), and both duals
     out = oracle_cell(D(4, 1, -1), 2, "plus")
     assert out.ok
     for h, ch in ((D(4, -1, 1), "plus"), (D(4, -1, 1), "minus"), (D(4, 1, -1), "minus")):
         assert oracle_cell(h, 2, ch) is out
-    assert _oracle_cached.cache_info().currsize == 7
+    assert len(engine_runs) == 7
+
+
+# Every member of the D(4,+,-) (+) Q(1,1) orbit at n = 3: the germ and its
+# flip, each in both channels
+_D4_ORBIT = [(D(4, e, -e), ch) for e in (1, -1) for ch in ("plus", "minus")]
+
+
+def test_a_cleared_oracle_cache_serves_no_member_from_before(monkeypatch, empty_oracle_cache):
+    """Clearing ``_oracle_cached`` alone forgets every member's outcome."""
+    for detail in ("first engine", "second engine"):
+        outcome = EngineOutcome(None, "unmatched-terminal", detail, 1, [])
+        monkeypatch.setattr(germs, "beta_of", lambda *args, budget=None, out=outcome: out)
+        for g, ch in _D4_ORBIT:
+            assert oracle_cell(g, 3, ch).detail.endswith(f": {detail}"), (g.render(), ch)
+        _oracle_cached.cache_clear()
+
+
+def test_a_warm_oracle_lookup_computes_no_orbit(monkeypatch, empty_oracle_cache):
+    outcomes = [oracle_cell(g, 3, ch) for g, ch in _D4_ORBIT]
+    assert all(out is outcomes[0] for out in outcomes)
+    probes = []
+    probe = germs._representative
+    monkeypatch.setattr(germs, "_representative", lambda *cell: probes.append(cell) or probe(*cell))
+    for (g, ch), out in zip(_D4_ORBIT, outcomes):
+        assert oracle_cell(g, 3, ch) is out
+    assert probes == []
 
 
 def test_a_failing_orbit_shares_the_representatives_failure(monkeypatch, empty_oracle_cache):
