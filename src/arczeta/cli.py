@@ -127,12 +127,12 @@ def zeta(germ_expr: str, n_max: int, fmt: str, source: str, out: str | None, tra
         raise click.UsageError("--trace appends text lines, so it needs --format text")
     _check_order(n_max, source)
     g = _parse(germ_expr)
-    # With --trace every engine run collects its trace, so each cell is
-    # decomposed once; the oracle cache, which holds no traces, is bypassed.
+    # --trace decomposes each cell once over its own system, bypassing the
+    # oracle cache, whose outcome is the run of the orbit's least cell.
     traced: dict[tuple[int, str], EngineOutcome] = {}
 
     def traced_oracle(g: GermSpec, n: int, channel: str) -> EngineOutcome:
-        traced[n, channel] = beta_of(*germ_poly(g), n, TARGETS[channel], collect_trace=True)
+        traced[n, channel] = beta_of(*germ_poly(g), n, TARGETS[channel])
         return traced[n, channel]
 
     try:

@@ -433,21 +433,23 @@ class _Stratum:
 #: ``arg`` (a constraint index or a leaf value) unless it is None.
 Step = tuple[int, str, tuple[int, ...], object]
 
+#: The template of a leaf step, whose ``arg`` is the leaf's value.
+_LEAF = "[leaf] %s"
+
 
 @dataclass
 class EngineOutcome:
     """Result of a decomposition: a value or an explicit failure.
 
-    ``leaves`` holds the value of each leaf in the order the run met them.
-    A traced run keeps its fired rules as ``steps`` and the system's
-    ``names``, from which ``trace`` renders; an untraced run keeps no steps.
+    Every run keeps its fired rules as ``steps`` and the system's
+    ``names``, from which ``trace`` renders; no text is built before
+    ``trace`` is read.  ``leaves`` is read off the leaf steps.
     """
 
     value: UPoly | None
     failure: str | None
     detail: str
     strata: int
-    leaves: list[UPoly]
     steps: list[Step] = field(default_factory=list)
     names: Mapping[int, str] = field(default_factory=dict)
 
@@ -458,6 +460,12 @@ class EngineOutcome:
     def __getstate__(self) -> dict:
         # ``names`` is the system's read-only layout view, which cannot be pickled
         return {**self.__dict__, "names": dict(self.names)}
+
+    @property
+    def leaves(self) -> list[UPoly]:
+        """The value of each leaf, in the order the run met them."""
+        # ``==``, not ``is``: a pickled or copied outcome carries fresh strings
+        return [arg for _, template, _, arg in self.steps if template == _LEAF]
 
     @property
     def trace(self) -> list[str]:
@@ -487,12 +495,9 @@ class _Failure(Exception):
         self.detail = detail
 
 
-def decompose(
-    system: ArcSystem,
-    budget: int | None = None,
-    collect_trace: bool = False,
-) -> EngineOutcome:
-    """Stratify ``system`` and add up its leaves, once, in one map (``u_sum``).
+def decompose(system: ArcSystem, budget: int | None = None) -> EngineOutcome:
+    """Stratify ``system``, recording every fired rule as a step, and add up
+    the leaf steps' values, once, in one map (``u_sum``).
 
     Splits and peels choose variables by the system's ``rank`` and the
     root stratum starts from its ``alive`` set, both shared with every
@@ -500,9 +505,7 @@ def decompose(
     """
     limit = effective_budget(budget)
     names = system.names
-    # None when untraced: every step is guarded, so none is recorded
-    steps: list[Step] | None = [] if collect_trace else None
-    leaves: list[UPoly] = []
+    steps: list[Step] = []
     processed = 0
 
     root = _Stratum(list(system.constraints), 0, system.alive, (0, 0), 0)
@@ -520,15 +523,13 @@ def decompose(
                 )
             fate = _simplify(st, rank, names, steps)
             if fate is None:
-                if steps is not None:
-                    steps.append((st.depth, "[empty]", (), None))
+                steps.append((st.depth, "[empty]", (), None))
             elif isinstance(fate, UPoly):
-                if steps is not None:
-                    steps.append((st.depth, "[leaf] %s", (), fate))
-                leaves.append(fate)
+                steps.append((st.depth, _LEAF, (), fate))
             else:
                 stack.extend(fate)
-        value, failure, detail = u_sum(leaves), None, ""
+        value = u_sum(arg for _, template, _, arg in steps if template == _LEAF)
+        failure, detail = None, ""
     except _Failure as f:
         value, failure, detail = None, f.kind, f.detail
     return EngineOutcome(
@@ -536,8 +537,7 @@ def decompose(
         failure=failure,
         detail=detail,
         strata=processed,
-        leaves=leaves,
-        steps=[] if steps is None else steps,
+        steps=steps,
         names=names,
     )
 
@@ -551,8 +551,8 @@ def _simplify(st, rank, names, steps):
 
     Rules read each constraint's cached ``MPoly.summary()``, and every set
     of variables is an id mask; ``rank`` orders the variable ids for
-    splits and peels; ``names`` serve only the failure detail.  Fired rules are appended to ``steps``, which is None
-    when the run is untraced.
+    splits and peels; ``names`` serve only the failure detail.  Every fired
+    rule is appended to ``steps``.
     """
     cleanup = True
     while True:
@@ -661,16 +661,14 @@ def _simplify(st, rank, names, steps):
                 st.constraints = new_cons
                 st.alive &= ~(1 << v)
                 cleanup = split is not None
-                if steps is not None:
-                    steps.append((st.depth, "[pivot] %s from eq#%s", (v,), i))
+                steps.append((st.depth, "[pivot] %s from eq#%s", (v,), i))
             else:
                 st.constraints = cons[:i] + cons[i + 1 :]
                 st.alive &= ~(1 << v)
                 a, b = st.prefactor
                 st.prefactor = (a, b + 1)
                 cleanup = False
-                if steps is not None:
-                    steps.append((st.depth, "[pivot] %s from neq#%s (factor u-1)", (v,), i))
+                steps.append((st.depth, "[pivot] %s from neq#%s (factor u-1)", (v,), i))
             if i < len(cons) - 1:
                 break
             cons = st.constraints
@@ -715,8 +713,7 @@ def _simplify(st, rank, names, steps):
         if pair is None:
             continue
         z, w = pair
-        if steps is not None:
-            steps.append((st.depth, "[peel] %s^2-%s^2 in #%s", (z, w), i))
+        steps.append((st.depth, "[peel] %s^2-%s^2 in #%s", (z, w), i))
         # z and w occur in p only as their own bare squares
         both = 1 << z | 1 << w
         reduced = p.subs_zero_mask(both)
@@ -735,8 +732,7 @@ def _simplify(st, rank, names, steps):
         splittable = masks[i] & ~assumed
         if splittable:
             v = min(mask_ids(splittable), key=rank.__getitem__)
-            if steps is not None:
-                steps.append((st.depth, "[split] %s", (v,), None))
+            steps.append((st.depth, "[split] %s", (v,), None))
             zeroed = [(p.subs_zero(v), rel) for p, rel in st.constraints]
             bit, depth = 1 << v, st.depth + 1
             return [
@@ -793,8 +789,6 @@ def beta_of(
     n: int,
     target: int | str,
     budget: int | None = None,
-    collect_trace: bool = False,
 ) -> EngineOutcome:
     """Convenience wrapper: build the cell system and decompose it."""
-    system = build_system(germ, blocks, n, target)
-    return decompose(system, budget=budget, collect_trace=collect_trace)
+    return decompose(build_system(germ, blocks, n, target), budget=budget)

@@ -214,6 +214,8 @@ class GermSpec:
         fam = FAMILY.get(self.family)
         if fam is None:
             raise ValueError(f"unknown family {self.family!r}")
+        if len(self.sig) != 2:
+            raise ValueError(f"signature must be a pair (p, q), got {self.sig}")
         p, q = self.sig
         if p < 0 or q < 0:
             raise ValueError(f"signature entries must be >= 0, got {self.sig}")
@@ -295,8 +297,8 @@ def _normalize_jki(
 ) -> tuple[tuple[str, Fraction], ...]:
     """Materialize defaults and validate the J-family moduli.
 
-    J(k,0) is an isolated singularity when 4b^3 + 27 != 0, as it is for
-    every rational b.
+    J(k,0) is isolated when its cubic x^3 + b x^2 y^k + c y^(3k) has no repeated
+    factor, that is when -c(4b^3 + 27c) != 0: for every rational b at c = 1.
     """
     given: dict[str, Fraction] = {}
     for name, value in params:
@@ -314,6 +316,8 @@ def _normalize_jki(
         c = Fraction(given.get("c", 1))
         if c == 0:
             raise ValueError("J(k,0) requires a nonzero x2^(3k) coefficient")
+        if 4 * b**3 + 27 * c == 0:
+            raise ValueError(f"J(k,0) requires 4b^3 + 27c != 0, got b={b}, c={c}")
         out["b"] = b
         out["c"] = c
         for m in range(0, k):

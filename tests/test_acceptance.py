@@ -332,7 +332,10 @@ def _random_spec(rng):
     if fam == "JKI":
         k, i = rng.randint(2, 4), rng.randint(0, 2)
         if i == 0:
-            params = [("b", frac()), ("c", frac(nonzero=True))]
+            b, c = frac(), frac(nonzero=True)
+            if 4 * b**3 + 27 * c == 0:  # a repeated cubic factor: not a J(k,0) germ
+                c = -c
+            params = [("b", b), ("c", c)]
             if k > 2 and rng.random() < 0.5:
                 params.append((f"a{rng.randint(0, k - 1)}", frac(nonzero=True)))
         else:

@@ -10,6 +10,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from arczeta.classifier import (
     oracle_recheck,
     verify_paper_suite,
 )
+from arczeta.cli import main
 from arczeta.engine import beta_of
 from arczeta.formulas import arc_G
 from arczeta.germs import (
@@ -33,6 +35,7 @@ from arczeta.germs import (
     analytic_equiv,
     canonicalize,
     germ_poly,
+    oracle_cell,
     resolve_cell,
     zeta_table,
 )
@@ -239,7 +242,7 @@ def test_results_survive_pickle_and_deepcopy():
     table = zeta_table(A(2, 1, (1, 1)), 5)
     report = ade_table(2, 3, 3)
     poly, blocks = germ_poly(A(2, 1, (1, 1)))
-    outcome = beta_of(poly, blocks, 4, 1, collect_trace=True)
+    outcome = beta_of(poly, blocks, 4, 1)
 
     def cert_values(rep):
         return [
@@ -606,6 +609,43 @@ def test_nonsimple_report_text_and_json():
     data = json.loads(rep.to_json())
     assert data["ok"] is True
     assert data["entries"][0]["cube_checks"][0]["matched"] is True
+
+
+J20 = GermSpec("JKI", (1, 1), k=2, i=0)
+
+
+def _bump_the_cube_cell(spec, n, channel, cell):
+    if (spec.family, n, channel) == ("CUBE", 4, "plus"):
+        return dataclasses.replace(cell, value=cell.value + u_pow(40))
+    return cell
+
+
+def _e8_mirrors_the_instance(spec, n, channel, cell):
+    if spec.render() == "E8 (+) Q(1,1)":
+        return resolve_cell(J20, n, channel, "auto")
+    return cell
+
+
+@pytest.mark.parametrize("rewrite", [_bump_the_cube_cell, _e8_mirrors_the_instance])
+def test_nonsimple_report_names_each_failed_check(monkeypatch, rewrite):
+    """A cube cell that the instance does not match, and a simple class the
+    instance is not separated from, each fail the report and exit 1."""
+    cube = resolve_cell(GermSpec("CUBE", (1, 1)), 4, "plus", "auto").value
+    own = oracle_cell(J20, 4, "plus").value
+    expected = {
+        _bump_the_cube_cell: (
+            f"{J20.render()}: cell n=4/plus does not match the cube cell "
+            f"({own} vs {cube + u_pow(40)})"
+        ),
+        _e8_mirrors_the_instance: f"{J20.render()} not separated from E8 (+) Q(1,1) at n <= 5",
+    }[rewrite]
+    _patch_cells(monkeypatch, rewrite)
+    rep = nonsimple_report([J20], N=5, kmax=8)
+    assert not rep.ok
+    assert rep.failures == (expected,)
+    r = CliRunner().invoke(main, ["nonsimple", "J(2,0) (+) Q(1,1)", "--N", "5"])
+    assert r.exit_code == 1
+    assert r.output.endswith(f"failures: 1\n  {expected}\n")
 
 
 # -- the verification suite -------------------------------------------------------

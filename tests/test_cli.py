@@ -100,7 +100,7 @@ def test_zeta_trace_decomposes_each_cell_once(monkeypatch):
     decompose = engine.decompose
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("collect_trace", False))
+        calls.append(args[0])
         return decompose(*args, **kwargs)
 
     germs._oracle_cached.cache_clear()
@@ -108,14 +108,14 @@ def test_zeta_trace_decomposes_each_cell_once(monkeypatch):
     r = run("zeta", "D(4,+,-) (+) Q(1,1)", "--N", "6", "--trace")
     assert r.exit_code == 0
     # 5 rows x 3 channels; 6 cells are oracle-only and print a trace
-    assert calls == [True] * 15
+    assert len(calls) == 15
     assert r.output.count("# trace n=") == 6
     calls.clear()
     plain = run("zeta", "D(4,+,-) (+) Q(1,1)", "--N", "6")
     assert r.output.startswith(plain.output)
     # D(4,+,-) (+) Q(1,1) is its own negation up to x1 -> -x1, so each
     # minus cell is the plus cell at every n (and by t -> -t at odd n)
-    assert calls == [False] * 10
+    assert len(calls) == 10
 
 
 # sha256 of `zeta "D(4,+,-) (+) Q(1,1)" --N 6 --trace` under each engine-backed
@@ -141,7 +141,7 @@ def test_zeta_trace_of_a_formula_table_runs_no_engine(monkeypatch):
     decompose = engine.decompose
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("collect_trace", False))
+        calls.append(args[0])
         return decompose(*args, **kwargs)
 
     monkeypatch.setattr(engine, "decompose", counting)
@@ -482,6 +482,13 @@ def test_nonsimple_skips_an_instance_the_engine_fails_on():
         "failures": [f"{label}: {reason}"],
         "ok": False,
     }
+
+
+def test_nonsimple_rejects_a_j_instance_with_a_repeated_cubic_factor():
+    # J(2,0; b=-3, c=4) is (x - 2y^2)^2 (x + y^2), singular along x = 2y^2
+    r = run("nonsimple", "J(2,0; b=-3, c=4) (+) Q(0,0)")
+    assert r.exit_code == 2
+    assert "semantic error at position 0: J(k,0) requires 4b^3 + 27c != 0" in r.output
 
 
 def test_nonsimple_rejects_simple_germ():

@@ -154,7 +154,7 @@ def test_corank1_cell_matches_closed_form():
 
 def test_hyperbolic_pair_is_peeled():
     """A balanced suspension of the order-4 D4 cell needs the peel rule."""
-    out = beta_of(D4PM11, ("a", "b", "c", "c"), 4, 1, collect_trace=True)
+    out = beta_of(D4PM11, ("a", "b", "c", "c"), 4, 1)
     assert out.ok, out.detail
     assert any("[peel]" in line for line in out.trace)
     assert out.value == arc_D4_order4(-1, 1, (1, 1))
@@ -181,7 +181,7 @@ def test_recognition_does_not_rotate():
 
 def test_rotation_is_a_traced_peel():
     system = _hand_built({2: "c1^1", 3: "c1^2", 1: "b1", 0: "a1"}, [(D_CURVE_PAIR, EQ)])
-    out = decompose(system, collect_trace=True)
+    out = decompose(system)
     assert out.ok, out.detail
     assert out.value == u_pow(3)
     assert any(line.startswith("[peel] c1^1^2-c1^2^2") for line in out.trace)
@@ -221,8 +221,7 @@ def test_pivot_substitutes_into_later_constraints(monkeypatch):
         _hand_built(
             _c1(range(4)),
             [(v0 + v1**2, EQ), (v0**2 + v2**2 - one, EQ), (v0 * v3 - one, NEQ)],
-        ),
-        collect_trace=True,
+        )
     )
     assert calls == [0]
     assert out.ok, out.detail
@@ -237,7 +236,7 @@ def test_pivot_substitutes_into_later_constraints(monkeypatch):
 
 def test_pivot_without_later_occurrence_splits_nothing(monkeypatch):
     calls = _counting_linear_split(monkeypatch)
-    out = beta_of(D4PM11, ("a", "b", "c", "c"), 6, 1, collect_trace=True)
+    out = beta_of(D4PM11, ("a", "b", "c", "c"), 6, 1)
     assert any("[pivot]" in line and "from eq#" in line for line in out.trace)
     assert calls == []
 
@@ -270,8 +269,7 @@ def test_deepest_pivots_are_discharged_in_one_round(monkeypatch):
         _hand_built(
             FIVE_VARS,
             [(CIRCLE, EQ), (v2 + v0**2, EQ), (v3 + v2**2 + v1, EQ), (v4 + v3, NEQ)],
-        ),
-        collect_trace=True,
+        )
     )
     assert out.ok, out.detail
     assert out.trace == [
@@ -291,8 +289,7 @@ def test_shallower_discharge_restarts_the_scan():
     constraint's pivot and is taken next, before the circle is tried."""
     v2, v3 = _v(2), _v(3)
     out = decompose(
-        _hand_built(_c1(range(4)), [(CIRCLE, EQ), (v3 + v2, NEQ), (v2 + _v(1) ** 2, EQ)]),
-        collect_trace=True,
+        _hand_built(_c1(range(4)), [(CIRCLE, EQ), (v3 + v2, NEQ), (v2 + _v(1) ** 2, EQ)])
     )
     assert out.ok, out.detail
     assert out.trace == [
@@ -309,8 +306,7 @@ def test_substituting_pivot_is_followed_by_cleanup(monkeypatch):
     v0, v1, v2 = _v(0), _v(1), _v(2)
     # the later equation becomes 1 = 0: the stratum is empty, not a zero leaf
     out = decompose(
-        _hand_built(_c1(range(2)), [(v0 + v1**2, EQ), (v0 + v1**2 + MPoly.const(1), EQ)]),
-        collect_trace=True,
+        _hand_built(_c1(range(2)), [(v0 + v1**2, EQ), (v0 + v1**2 + MPoly.const(1), EQ)])
     )
     assert out.ok, out.detail
     assert out.trace == ["[pivot] c1^1 from eq#0", "[empty]"]
@@ -325,8 +321,7 @@ def test_substituting_pivot_is_followed_by_cleanup(monkeypatch):
 
     monkeypatch.setattr(MPoly, "subs_zero_mask", recording)
     out = decompose(
-        _hand_built(_c1(range(3)), [(v0 + v1**2, EQ), (v0 + v1**2 + v2**2, EQ)]),
-        collect_trace=True,
+        _hand_built(_c1(range(3)), [(v0 + v1**2, EQ), (v0 + v1**2 + v2**2, EQ)])
     )
     assert out.ok, out.detail
     assert out.trace == ["[pivot] c1^1 from eq#0", "[leaf] u"]
@@ -376,7 +371,7 @@ PEELED_CELLS = {
 def test_peeled_cells_are_pinned(cell, channel):
     text, n = cell
     poly, blocks = germ_poly(parse_germ(text))
-    out = beta_of(poly, blocks, n, TARGETS[channel], collect_trace=True)
+    out = beta_of(poly, blocks, n, TARGETS[channel])
     assert out.ok, out.detail
     assert (out.value, out.strata) == PEELED_CELLS[cell][channel]
     assert any("[peel]" in line for line in out.trace)
@@ -398,10 +393,7 @@ def test_unbalanced_deep_cell_fails_honestly():
 
 
 def test_determinism():
-    runs = [
-        beta_of(D4PM11, ("a", "b", "c", "c"), 5, "naive", collect_trace=True)
-        for _ in range(2)
-    ]
+    runs = [beta_of(D4PM11, ("a", "b", "c", "c"), 5, "naive") for _ in range(2)]
     assert runs[0].value == runs[1].value
     assert runs[0].trace == runs[1].trace
     assert runs[0].leaves == runs[1].leaves
@@ -455,15 +447,9 @@ def test_budget_override_must_be_positive(budget):
         beta_of(Q21, ("c", "c", "c"), 3, 1, budget=budget)
 
 
-def test_trace_only_on_request():
-    assert beta_of(Q21, ("c", "c", "c"), 3, 1).trace == []
-    assert beta_of(Q21, ("c", "c", "c"), 3, 1, collect_trace=True).trace
-
-
-def test_untraced_run_formats_no_trace_line(monkeypatch):
-    """An untraced run records no step and renders no polynomial; a traced
-    run records one step per trace line and renders text only when its
-    trace is read."""
+def test_run_renders_no_text_until_its_trace_is_read(monkeypatch):
+    """A run records one step per trace line and renders no polynomial
+    until its trace is read; then each leaf's value is rendered once."""
     rendered = []
 
     def counting(original):
@@ -475,14 +461,12 @@ def test_untraced_run_formats_no_trace_line(monkeypatch):
 
     monkeypatch.setattr(UPoly, "__str__", counting(UPoly.__str__))
     monkeypatch.setattr(MPoly, "text", counting(MPoly.text))
-    # leaves, splits and a peel, as in the traced run below
+    # leaves, splits and a peel
     out = beta_of(D4PM11, ("a", "b", "c", "c"), 4, 1)
     assert out.ok and len(out.leaves) > 1
-    assert out.steps == [] and rendered == []
-    traced = beta_of(D4PM11, ("a", "b", "c", "c"), 4, 1, collect_trace=True)
-    assert traced.steps and rendered == []
-    assert len(traced.steps) == len(traced.trace)
-    assert len(rendered) == len(traced.leaves)
+    assert out.steps and rendered == []
+    assert len(out.steps) == len(out.trace)
+    assert len(rendered) == len(out.leaves)
 
 
 def test_decompose_accepts_prebuilt_system():
@@ -620,7 +604,7 @@ def _pinned_cells():
     return cells
 
 
-# the six rule templates of a traced run's steps
+# the six rule templates of a run's steps
 PIVOT = "[pivot] %s from eq#%s"
 PIVOT_NEQ = "[pivot] %s from neq#%s (factor u-1)"
 PEEL = "[peel] %s^2-%s^2 in #%s"
@@ -630,7 +614,7 @@ LEAF = "[leaf] %s"
 
 
 def _leaf_paths(steps, names) -> list[str]:
-    """The path of each leaf, replayed from a traced run's steps.
+    """The path of each leaf, replayed from a run's steps.
 
     A stratum's steps end with its one empty, leaf, peel or split step; a
     peel or a split pushes its two children, and the second is run first.
@@ -651,14 +635,14 @@ def _leaf_paths(steps, names) -> list[str]:
     return paths
 
 
-def _traced_pinned_cell(g, n: int, ch: str):
+def _pinned_run(g, n: int, ch: str):
     poly, blocks = germ_poly(g)
-    return beta_of(poly, blocks, n, TARGETS[ch], budget=DEFAULT_BUDGET, collect_trace=True)
+    return beta_of(poly, blocks, n, TARGETS[ch], budget=DEFAULT_BUDGET)
 
 
 def _pinned_record(g, n: int, ch: str) -> tuple[bytes, bool]:
-    """Every outcome field of one traced cell, and whether it succeeded."""
-    out = _traced_pinned_cell(g, n, ch)
+    """Every outcome field of one cell, trace included, and whether it succeeded."""
+    out = _pinned_run(g, n, ch)
     record = [g.render(), str(n), ch, str(out.value), str(out.failure), out.detail]
     record.append(str(out.strata))
     paths = _leaf_paths(out.steps, out.names)
@@ -671,9 +655,9 @@ def test_steps_use_the_six_rule_templates():
     """Every fired rule is one of six templates, and the pinned cells with
     one peeled cell fire all six; a new rule must bring its own template,
     since consumers of the steps group them by template."""
-    runs = [_traced_pinned_cell(*cell) for cell in _pinned_cells()]
+    runs = [_pinned_run(*cell) for cell in _pinned_cells()]
     # no pinned cell has an isolated hyperbolic pair
-    runs.append(beta_of(D4PM11, ("a", "b", "c", "c"), 4, 1, collect_trace=True))
+    runs.append(beta_of(D4PM11, ("a", "b", "c", "c"), 4, 1))
     templates = {template for out in runs for _, template, _, _ in out.steps}
     assert templates == {PIVOT, PIVOT_NEQ, PEEL, SPLIT, EMPTY, LEAF}
 
@@ -705,24 +689,6 @@ def test_caches_never_change_an_answer():
     reverse = [backwards[i] for i in range(len(cells))]
     for records in (cold, warm, reverse):
         assert hashlib.sha256(b"".join(records)).hexdigest() == PINNED_DIGEST
-
-
-def test_traced_and_untraced_runs_agree():
-    """Collecting a trace changes nothing else about an outcome."""
-    for g, n, ch in _pinned_cells():
-        poly, blocks = germ_poly(g)
-        plain, traced = (
-            beta_of(poly, blocks, n, TARGETS[ch], budget=DEFAULT_BUDGET, collect_trace=flag)
-            for flag in (False, True)
-        )
-        assert plain.trace == [] and traced.trace
-        assert (plain.value, plain.failure, plain.detail, plain.strata, plain.leaves) == (
-            traced.value,
-            traced.failure,
-            traced.detail,
-            traced.strata,
-            traced.leaves,
-        ), (g.render(), n, ch)
 
 
 def test_terminal_slice_that_frees_another_assumed_variable():

@@ -77,6 +77,10 @@ def test_spec_validation():
         GermSpec("E7", (1, 1), k=4)
     with pytest.raises(ValueError):
         GermSpec("CUBE", (-1, 0))
+    for sig in ((0, 0, 0), (1,)):
+        message = f"signature must be a pair (p, q), got {sig}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GermSpec("E7", sig)
     with pytest.raises(ValueError, match="J parameter 'b' is given more than once"):
         GermSpec("JKI", (0, 0), k=2, i=0, params=(("b", Fraction(1)), ("b", Fraction(2))))
 
@@ -141,6 +145,11 @@ def test_jki_validation_and_defaults():
     assert g.params == (("a0", Fraction(1)), ("s", Fraction(1)))
     with pytest.raises(ValueError):
         GermSpec("JKI", (0, 0), k=2, i=0, params=(("c", Fraction(0)),))
+    # 4b^3 + 27c = 0: the cubic has a repeated factor, as in (x - 2y^2)^2 (x + y^2)
+    # at b, c = -3, 4 and (x - y^3)^2 (x + y^3/2) at b, c = -3/2, 1/2
+    for k, b, c in ((2, Fraction(-3), Fraction(4)), (3, Fraction(-3, 2), Fraction(1, 2))):
+        with pytest.raises(ValueError, match=r"J\(k,0\) requires 4b\^3 \+ 27c != 0"):
+            GermSpec("JKI", (0, 0), k=k, i=0, params=(("b", b), ("c", c)))
     with pytest.raises(ValueError):
         GermSpec("JKI", (0, 0), k=2, i=0, params=(("a0", Fraction(1)),))
     with pytest.raises(ValueError):
@@ -886,6 +895,20 @@ def test_oracle_cell_shares_a_success_across_the_orbit(empty_oracle_cache, engin
 # Every member of the D(4,+,-) (+) Q(1,1) orbit at n = 3: the germ and its
 # flip, each in both channels
 _D4_ORBIT = [(D(4, e, -e), ch) for e in (1, -1) for ch in ("plus", "minus")]
+
+
+def test_a_cached_outcome_carries_its_least_cells_steps(empty_oracle_cache):
+    """Every cached outcome keeps its derivation, and an orbit member holds
+    the least cell's run, steps included."""
+    g = D(4, 1, -1)
+    rep, rep_channel = _representative(g, 3, "plus")
+    assert (rep, rep_channel) != (g, "plus")
+    out = oracle_cell(g, 3, "plus")
+    assert out.trace and out.audit()
+    assert any(line.lstrip().startswith("[leaf]") for line in out.trace)
+    assert out is oracle_cell(rep, 3, rep_channel)
+    own = beta_of(*germ_poly(rep), 3, TARGETS[rep_channel])
+    assert (out.steps, out.trace) == (own.steps, own.trace)
 
 
 def test_a_cleared_oracle_cache_serves_no_member_from_before(monkeypatch, empty_oracle_cache):

@@ -89,6 +89,10 @@ def test_spec_level_rejections_are_semantic_at_family_start():
     assert e.position == 2  # family token, not the offending parameter
     e = _err("J(2,0; c=0) (+) Q(0,0)")
     assert e.kind == "semantic"
+    # (x - 2y^2)^2 (x + y^2): not an isolated singularity
+    e = _err("J(2,0; b=-3, c=4) (+) Q(0,0)")
+    assert (e.kind, e.position) == ("semantic", 0)
+    assert "J(k,0) requires 4b^3 + 27c != 0" in str(e)
     # a repeated parameter is an error, not an overwrite
     for text, name in (
         (" J(2,0; b=1, b=2) (+) Q(0,0)", "b"),

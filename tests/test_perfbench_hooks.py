@@ -121,7 +121,7 @@ def test_engine_zeroings_reach_the_counted_method(monkeypatch):
         tracer = spans.Tracer()
         try:
             layers.install(tracer, PKG)
-            outcome = engine.beta_of(germ, ("c", "c", "c"), 3, 1, collect_trace=True)
+            outcome = engine.beta_of(germ, ("c", "c", "c"), 3, 1)
         finally:
             tracer.remove()
         assert any(line.lstrip().startswith("[split]") for line in outcome.trace)

@@ -39,4 +39,10 @@ def test_library_example_runs(capsys):
     (code,) = _blocks("python")
     exec(compile(code, "README.md", "exec"), {})
     printed = capsys.readouterr().out
-    assert printed.startswith("Z(T) = (") and printed.endswith(" + O(T^7)\n")
+    table, end, trace = printed.partition(" + O(T^7)\n")
+    assert table.startswith("Z(T) = (") and "\n" not in table and end
+    # then the cached cell's trace, one rule a line, ending with a leaf
+    lines = trace.splitlines()
+    assert lines and trace.endswith("\n")
+    assert all(line.lstrip().startswith("[") for line in lines)
+    assert lines[-1].lstrip().startswith("[leaf] ")
