@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii
 
+from .engine import beta_of
 from .formulas import (
     GRID_SIGS,
     VARIANTS,
@@ -27,6 +28,7 @@ from .germs import (
     CHANNEL_OF,
     CHANNELS,
     FAMILY,
+    TARGETS,
     GermSpec,
     Oracle,
     _csv,
@@ -34,11 +36,12 @@ from .germs import (
     _table_oracle,
     canonicalize,
     formula_cell,
+    germ_poly,
     oracle_cell,
     resolve_cell,
 )
 from .quadric import Sig, beta_D_curve, beta_Y, beta_Y_fiber
-from .upoly import UPoly, u_pow
+from .upoly import U_MINUS_1, UPoly, u_pow
 
 __all__ = [
     "CHANNELS",
@@ -812,7 +815,7 @@ def _report_values() -> SuiteSection:
     frozen = [
         ("curve fiber, odd k, aligned signs", beta_D_curve(5, 1, 1), 2 * u),
         ("curve fiber, even k, positive", beta_D_curve(4, 1, 1), u),
-        ("curve fiber, even k, negative", beta_D_curve(4, -1, 1), 2 * u),
+        ("curve fiber, even k, negative", beta_D_curve(4, -1, 1), u - 2),
         ("suspension-free order 3", arc_G(3, 1, (0, 0)), u_pow(4) * (u - 1)),
         ("suspension-free order 5", arc_G(5, 1, (0, 0)), u_pow(6) * (u_pow(2) - 1)),
         ("E7 order-5 cell at (0,0)", arc_E("E7", 5, 1, (0, 0)), (u - 1) * u_pow(7)),
@@ -883,6 +886,75 @@ def _variant_adjudication() -> SuiteSection:
     return _section("variant-adjudication", lines, any_fail, any_flag)
 
 
+#: The germs of the two identity sections: every simple germ at d = 2..5.
+_IDENTITY_DIMS = (2, 3, 4, 5)
+
+
+def _identity_section(name: str, compared: str, failures: list[str]) -> SuiteSection:
+    return _section(
+        name, [f"{compared}, {len(failures)} failures"] + failures, bool(failures)
+    )
+
+
+def _odd_order_identity() -> SuiteSection:
+    """naive = (u - 1)*plus in Z[u] at odd n, from two direct engine runs.
+
+    At odd n, (gamma, lambda) -> gamma(lambda*t) is a Nash isomorphism
+    A_n^{+1} x R* -> A_n, so beta(A_n) = (u - 1)*beta(A_n^{+1}).  Both
+    cells run the engine on their own system: the oracle cache derives
+    odd-order naive cells from this identity, so it could not witness it.
+    """
+    failures = []
+    count = 0
+    for d in _IDENTITY_DIMS:
+        for g in enumerate_simple(d):
+            poly, blocks = germ_poly(g)
+            for n in (3, 5, 7, 9):
+                plus, naive = (beta_of(poly, blocks, n, TARGETS[ch]) for ch in ("plus", "naive"))
+                if not (plus.ok and naive.ok):
+                    continue
+                count += 1
+                if naive.value != U_MINUS_1 * plus.value:
+                    failures.append(
+                        f"{g.render()} n={n}: naive {naive.value}, "
+                        f"(u - 1)*plus {U_MINUS_1 * plus.value} [FAIL]"
+                    )
+    return _identity_section(
+        "odd-order-identity", f"{count} (germ, n) pairs compared", failures
+    )
+
+
+def _chi_c_identity() -> SuiteSection:
+    """The three cells of each (germ, n) at u = -1, where beta is chi_c.
+
+    t -> lambda*t makes A_n the product A_n^{+1} x R* at odd n and
+    (A_n^{+1} + A_n^{-1}) x R_{>0} at even n, so chi_c gives plus = minus
+    and naive = -2*plus at odd n, and naive = -(plus + minus) at even n.
+    """
+    failures = []
+    count = 0
+    for d in _IDENTITY_DIMS:
+        for g in enumerate_simple(d):
+            for n in range(2, 10):
+                values = [resolve_cell(g, n, ch, "auto").value for ch in CHANNELS]
+                if None in values:
+                    continue
+                count += 1
+                plus, minus, naive = (v.eval_at(-1) for v in values)
+                if n % 2:
+                    holds = plus == minus and naive == -2 * plus
+                else:
+                    holds = naive == -(plus + minus)
+                if not holds:
+                    failures.append(
+                        f"{g.render()} n={n}: plus {plus}, minus {minus}, "
+                        f"naive {naive} at u = -1 [FAIL]"
+                    )
+    return _identity_section(
+        "chi-c-identity", f"{count} (germ, n) triples compared", failures
+    )
+
+
 #: The suite's sections in report order; each adjudicates one claim.
 _SECTIONS = (
     _quadric_catalog,
@@ -891,6 +963,8 @@ _SECTIONS = (
     _report_values,
     _cube_jet_classes,
     _variant_adjudication,
+    _odd_order_identity,
+    _chi_c_identity,
 )
 
 

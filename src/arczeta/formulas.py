@@ -385,6 +385,13 @@ def _lem5_keven_00_stated(k: int, e1: int, e2: int, eps: int) -> UPoly:
     return arc_G(k - 1, eps, (0, 0)) + u_pow(3 * n - 1)
 
 
+def _lem5_keven_curve_stated(k: int, e1: int, e2: int, eps: int, sig: Sig) -> UPoly:
+    # arc_Dk's order-(k-1) cell read with the published curve fiber 2u
+    n = (k - 2) // 2
+    corr = 2 * u_pow(1) - _lead(eps) * U_MINUS_1
+    return arc_G(k - 1, eps, sig) + u_pow((n + 1) * sum(sig) + 3 * n + 1) * corr
+
+
 #: The suspension signatures of the verification grid and the variant domains.
 GRID_SIGS: tuple[Sig, ...] = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))
 
@@ -444,6 +451,27 @@ VARIANTS: tuple[FormulaVariant, ...] = (
         ),
         cell=lambda k, e1, e2, eps: (
             {"family": "DK", "sig": (0, 0), "k": k, "signs": (e1, e2)},
+            k - 1,
+            eps,
+        ),
+    ),
+    FormulaVariant(
+        id="lem5-keven-curve",
+        description=(
+            "order-(k-1) signed cells of even-k D-germs with e1*e2 = -1: the "
+            "curve fiber {x1*x2^2 - x1^(k-1) = eps} read as the published 2u "
+            "vs u - 2 (three arcs, one circle less three points at infinity)"
+        ),
+        stated=_lem5_keven_curve_stated,
+        domain=tuple(
+            (k, e1, -e1, eps, sig)
+            for k in (4, 6, 8)
+            for e1 in (1, -1)
+            for eps in (1, -1)
+            for sig in GRID_SIGS
+        ),
+        cell=lambda k, e1, e2, eps, sig: (
+            {"family": "DK", "sig": sig, "k": k, "signs": (e1, e2)},
             k - 1,
             eps,
         ),

@@ -140,15 +140,25 @@ def beta_D_curve(k: int, sigma2: int, eps: int) -> UPoly:
     For odd k the substitution x1 -> -x1 identifies the (sigma2, eps)
     and (-sigma2, -eps) fibers, so the value depends on sigma2*eps only;
     for even k the same substitution makes the value eps-independent.
+
+    Even k, sigma2 = -1, at eps = 1: the curve is x2^2 = (1 + x1^(k-1))/x1
+    with k - 1 odd.  For x1 > 0 the right side is positive, giving two
+    graphs x2 = ±sqrt(1/x1 + x1^(k-2)); for x1 < 0 it is >= 0 exactly when
+    x1 <= -1, giving one arc that crosses x2 = 0 at x1 = -1.  So the curve
+    has three components, each homeomorphic to R, and chi_c = -3.  Its six
+    ends (x1 -> 0+ and x1 -> +inf on the graphs, x1 -> -inf on the arc)
+    meet in pairs at three points at infinity of the completion, which is
+    one circle.  So beta = beta(circle) - 3 = (u + 1) - 3 = u - 2, and
+    beta(-1) = -3 = chi_c.  The published value 2u gives chi_c = -2; it is
+    kept as a stated reading in ``formulas.VARIANTS``.
     """
     if k < 4:
         raise ValueError(f"k must be >= 4, got {k}")
     _check_sign(sigma2, "sigma2")
     _check_sign(eps, "eps")
-    two_u = 2 * u_pow(1)
     if k % 2 == 1:
-        return two_u if sigma2 * eps == 1 else U_MINUS_1
-    return u_pow(1) if sigma2 == 1 else two_u
+        return 2 * u_pow(1) if sigma2 * eps == 1 else U_MINUS_1
+    return u_pow(1) if sigma2 == 1 else U_MINUS_1 - 1
 
 
 def beta_D_curve_zero(k: int, sigma2: int) -> UPoly:

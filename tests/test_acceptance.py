@@ -115,7 +115,8 @@ def test_criterion_4_spot_values():
     # boundary-curve invariants for the three D-type cases
     assert beta_D_curve(5, 1, 1) == 2 * u
     assert beta_D_curve(4, 1, 1) == u
-    assert beta_D_curve(4, -1, 1) == 2 * u
+    # the published 2u is adjudicated as the variant lem5-keven-curve
+    assert beta_D_curve(4, -1, 1) == u - 2
     # rank-zero corank-2 ladder at odd orders 3 and 5
     for m in (1, 2):
         assert arc_G(2 * m + 1, 1, (0, 0)) == u_pow(2 * m + 2) * (u_pow(m) - 1)
@@ -132,7 +133,7 @@ def test_criterion_5_variant_adjudication():
     assert rep.ok
     sec = rep.section("variant-adjudication")
     assert sec.status == "flagged"
-    for fid in ("quadra-even-terminal", "lem7-A3-first-term"):
+    for fid in ("quadra-even-terminal", "lem7-A3-first-term", "lem5-keven-curve"):
         line = next(ln for ln in sec.lines if ln.startswith(fid))
         assert "oracle-inconsistent" in line
         assert "proof-derived confirmed" in line

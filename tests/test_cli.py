@@ -119,11 +119,13 @@ def test_zeta_trace_decomposes_each_cell_once(monkeypatch):
 
 
 # sha256 of `zeta "D(4,+,-) (+) Q(1,1)" --N 6 --trace` under each engine-backed
-# source: the table and every trace block, byte for byte
+# source: the table and every trace block, byte for byte.  Re-recorded when
+# beta_D_curve(k even, -1) became u - 2: the plus and minus cells at n = 3 and
+# 6 and the leaves that read that curve fiber moved, nothing else.
 PINNED_TRACE_DIGESTS = {
-    "oracle": "5963ced66f3153dc4c20ba349bee032b5a2f1eb5c997d1e76d91d09af6153636",
-    "hybrid": "41f55975702a9f8d59148ea914d27e1f301d230a644364673eda0b8712590226",
-    "auto": "1fa5d6342dd89007768f070c903de78d23b9be9d7c4673c2deb601c30cd6c6e5",
+    "oracle": "7d1eafeff29553d95b4cd18e98d881585e3aa233ca6586e7aa6051098bb09b32",
+    "hybrid": "d6e35c760ccf672a68a07c373c49520576594db9e2c42559fe560eca6616a175",
+    "auto": "478ef72b21eef5dcb0fc5e7b41b2670d91ddbf7c545775ae5ee732961c098c0b",
 }
 
 
@@ -622,7 +624,9 @@ def test_no_text_line_ends_in_whitespace(args):
 # final newline of every other text output; no other byte changed either time.
 # Re-recorded once more when the table legend named `!!` instead of `==` and
 # the catalog text dropped the spaces padding its last column; only the text
-# of `table` and `catalog` changed.
+# of `table` and `catalog` changed.  Re-recorded when beta_D_curve(k even, -1)
+# became u - 2: certificate values of `table` and `nonsimple` moved (no
+# verdict did), and `verify` gained a variant line and two sections.
 PINNED_OUTPUT = [
     ("table", "--d", "2"),
     ("distinguish", "A(3,+) (+) Q(1,1)", "A(3,-) (+) Q(1,1)"),
@@ -632,7 +636,7 @@ PINNED_OUTPUT = [
     ("catalog", "--max", "2"),
     ("zeta", "A(3,+) (+) Q(1,1)", "--N", "5"),
 ]
-PINNED_OUTPUT_DIGEST = "d34947ba3a1097d1006aad28ee56295b0907aad6fd0c77ca85d214f1faaf748e"
+PINNED_OUTPUT_DIGEST = "565277258794390a7aa49e24fb83f0d7edbb1ff85cc547f1d309b13a16cf71dd"
 
 
 def test_output_bytes_are_pinned():

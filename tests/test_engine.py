@@ -166,7 +166,8 @@ def test_deep_balanced_cell_completes():
     # beyond every closed form, but the peel keeps the terminals recognizable
     out = beta_of(D4PM11, ("a", "b", "c", "c"), 6, 1)
     assert out.ok, out.detail
-    assert out.value == 2 * u_pow(19) + u_pow(18) - u_pow(16)
+    # one leaf is u^15 times the curve fiber beta_D_curve(4, -1) = u - 2
+    assert out.value == 2 * u_pow(19) + u_pow(18) - 2 * u_pow(16) - 2 * u_pow(15)
 
 
 # A D-curve plus an isolated hyperbolic pair: x*y^2 + x^3 + z^2 - w^2 = 1.

@@ -1010,36 +1010,6 @@ def test_hybrid_tables_do_not_depend_on_the_germ_order(empty_oracle_cache):
     assert any("unavailable (unmatched-terminal: on " in table for table in forward)
 
 
-# The (germ, n) pairs on which the identity below fails today: every one is a
-# D_k with k even and e1*e2 = -1, whose closed form and engine terminal both
-# read the curve fiber beta_D_curve(k even, -1) = 2u.  ROADMAP item 1 derives
-# u - 2 for that fiber; when it lands this set is empty.
-CHI_C_FAILURES = {
-    ("D(4,+,-) (+) Q(0,0)", 3),
-    ("D(4,+,-) (+) Q(0,0)", 6),
-    ("D(4,+,-) (+) Q(0,0)", 9),
-    ("D(4,+,-) (+) Q(0,1)", 3),
-    ("D(4,+,-) (+) Q(1,0)", 3),
-    ("D(4,-,+) (+) Q(0,0)", 3),
-    ("D(4,-,+) (+) Q(0,0)", 6),
-    ("D(4,-,+) (+) Q(0,0)", 9),
-    ("D(4,-,+) (+) Q(0,1)", 3),
-    ("D(4,-,+) (+) Q(1,0)", 3),
-    ("D(6,+,-) (+) Q(0,0)", 5),
-    ("D(6,+,-) (+) Q(0,1)", 5),
-    ("D(6,+,-) (+) Q(1,0)", 5),
-    ("D(6,-,+) (+) Q(0,0)", 5),
-    ("D(6,-,+) (+) Q(0,1)", 5),
-    ("D(6,-,+) (+) Q(1,0)", 5),
-    ("D(8,+,-) (+) Q(0,0)", 7),
-    ("D(8,+,-) (+) Q(0,1)", 7),
-    ("D(8,+,-) (+) Q(1,0)", 7),
-    ("D(8,-,+) (+) Q(0,0)", 7),
-    ("D(8,-,+) (+) Q(0,1)", 7),
-    ("D(8,-,+) (+) Q(1,0)", 7),
-}
-
-
 def test_euler_characteristic_identity_across_channels():
     """t -> lambda*t makes A_n a product of A_n^{+1} (and A_n^{-1}) with R* or
     R_{>0}, and chi_c = beta(-1) sees that: at odd n plus = minus and
@@ -1058,93 +1028,28 @@ def test_euler_characteristic_identity_across_channels():
                 if not holds:
                     failures.add((g.render(), n))
     assert checked == 1085
-    assert failures == CHI_C_FAILURES
-
-
-# The (germ, n) pairs on which the identity below fails today: the D_k with k
-# even and e1*e2 = -1 again, the cells of ROADMAP item 1.  With its value
-# u - 2 for beta_D_curve(k even, -1) in place of 2u, the set is empty.
-ODD_NAIVE_FAILURES = {
-    ("D(4,+,-) (+) Q(0,0)", 3),
-    ("D(4,+,-) (+) Q(0,0)", 9),
-    ("D(4,+,-) (+) Q(0,1)", 3),
-    ("D(4,+,-) (+) Q(0,2)", 3),
-    ("D(4,+,-) (+) Q(0,3)", 3),
-    ("D(4,+,-) (+) Q(1,0)", 3),
-    ("D(4,+,-) (+) Q(1,1)", 3),
-    ("D(4,+,-) (+) Q(1,2)", 3),
-    ("D(4,+,-) (+) Q(2,0)", 3),
-    ("D(4,+,-) (+) Q(2,1)", 3),
-    ("D(4,+,-) (+) Q(3,0)", 3),
-    ("D(4,-,+) (+) Q(0,0)", 3),
-    ("D(4,-,+) (+) Q(0,0)", 9),
-    ("D(4,-,+) (+) Q(0,1)", 3),
-    ("D(4,-,+) (+) Q(0,2)", 3),
-    ("D(4,-,+) (+) Q(0,3)", 3),
-    ("D(4,-,+) (+) Q(1,0)", 3),
-    ("D(4,-,+) (+) Q(1,1)", 3),
-    ("D(4,-,+) (+) Q(1,2)", 3),
-    ("D(4,-,+) (+) Q(2,0)", 3),
-    ("D(4,-,+) (+) Q(2,1)", 3),
-    ("D(4,-,+) (+) Q(3,0)", 3),
-    ("D(6,+,-) (+) Q(0,0)", 5),
-    ("D(6,+,-) (+) Q(0,1)", 5),
-    ("D(6,+,-) (+) Q(0,2)", 5),
-    ("D(6,+,-) (+) Q(0,3)", 5),
-    ("D(6,+,-) (+) Q(1,0)", 5),
-    ("D(6,+,-) (+) Q(1,1)", 5),
-    ("D(6,+,-) (+) Q(1,2)", 5),
-    ("D(6,+,-) (+) Q(2,0)", 5),
-    ("D(6,+,-) (+) Q(2,1)", 5),
-    ("D(6,+,-) (+) Q(3,0)", 5),
-    ("D(6,-,+) (+) Q(0,0)", 5),
-    ("D(6,-,+) (+) Q(0,1)", 5),
-    ("D(6,-,+) (+) Q(0,2)", 5),
-    ("D(6,-,+) (+) Q(0,3)", 5),
-    ("D(6,-,+) (+) Q(1,0)", 5),
-    ("D(6,-,+) (+) Q(1,1)", 5),
-    ("D(6,-,+) (+) Q(1,2)", 5),
-    ("D(6,-,+) (+) Q(2,0)", 5),
-    ("D(6,-,+) (+) Q(2,1)", 5),
-    ("D(6,-,+) (+) Q(3,0)", 5),
-    ("D(8,+,-) (+) Q(0,0)", 7),
-    ("D(8,+,-) (+) Q(0,1)", 7),
-    ("D(8,+,-) (+) Q(0,2)", 7),
-    ("D(8,+,-) (+) Q(0,3)", 7),
-    ("D(8,+,-) (+) Q(1,0)", 7),
-    ("D(8,+,-) (+) Q(1,1)", 7),
-    ("D(8,+,-) (+) Q(1,2)", 7),
-    ("D(8,+,-) (+) Q(2,0)", 7),
-    ("D(8,+,-) (+) Q(2,1)", 7),
-    ("D(8,+,-) (+) Q(3,0)", 7),
-    ("D(8,-,+) (+) Q(0,0)", 7),
-    ("D(8,-,+) (+) Q(0,1)", 7),
-    ("D(8,-,+) (+) Q(0,2)", 7),
-    ("D(8,-,+) (+) Q(0,3)", 7),
-    ("D(8,-,+) (+) Q(1,0)", 7),
-    ("D(8,-,+) (+) Q(1,1)", 7),
-    ("D(8,-,+) (+) Q(1,2)", 7),
-    ("D(8,-,+) (+) Q(2,0)", 7),
-    ("D(8,-,+) (+) Q(2,1)", 7),
-    ("D(8,-,+) (+) Q(3,0)", 7),
-}
+    assert failures == set()
 
 
 def test_odd_order_naive_is_punctured_line_times_plus():
     """At odd n, (gamma, lambda) -> gamma(lambda*t) is a Nash isomorphism
     A_n^{+1} x R* -> A_n, since lambda -> lambda^n is a Nash automorphism of
     R*; beta is invariant under Nash isomorphisms, so naive = (u - 1)*plus
-    holds in Z[u], not only at u = -1.  Checked on engine cells only."""
+    holds in Z[u], not only at u = -1.  Both cells run the engine on their
+    own system: the oracle cache derives odd-order naive cells from plus."""
     checked = 0
     failures = set()
     for d in (2, 3, 4, 5):
         for g in enumerate_simple(d):
+            poly, blocks = germ_poly(g)
             for n in (3, 5, 7, 9):
-                plus, naive = (oracle_cell(g, n, ch).value for ch in ("plus", "naive"))
+                plus, naive = (
+                    beta_of(poly, blocks, n, TARGETS[ch]).value for ch in ("plus", "naive")
+                )
                 if plus is None or naive is None:
                     continue
                 checked += 1
                 if naive != U_MINUS_1 * plus:
                     failures.add((g.render(), n))
     assert checked == 1626
-    assert failures == ODD_NAIVE_FAILURES
+    assert failures == set()

@@ -130,9 +130,11 @@ def test_d_curve_values():
     assert beta_D_curve(4, 1, 1) == U
     assert beta_D_curve(4, 1, -1) == U
     assert beta_D_curve(6, 1, 1) == U
-    # even k, sigma2 = -1: the catalog keeps the published value 2u
-    assert beta_D_curve(4, -1, 1) == 2 * U
-    assert beta_D_curve(4, -1, -1) == 2 * U
+    # even k, sigma2 = -1: three arcs whose completion is one circle less
+    # three points at infinity, so u - 2 (chi_c = -3); the published 2u is
+    # the stated reading of the formula variant lem5-keven-curve
+    assert beta_D_curve(4, -1, 1) == U - 2
+    assert beta_D_curve(4, -1, -1) == U - 2
 
 
 def test_d_curve_zero_values():
