@@ -930,6 +930,8 @@ def _chi_c_identity() -> SuiteSection:
     t -> lambda*t makes A_n the product A_n^{+1} x R* at odd n and
     (A_n^{+1} + A_n^{-1}) x R_{>0} at even n, so chi_c gives plus = minus
     and naive = -2*plus at odd n, and naive = -(plus + minus) at even n.
+    The cells are those the tables serve (``auto``); an engine naive cell
+    at odd n is derived from plus, so ``odd-order-identity`` witnesses it.
     """
     failures = []
     count = 0

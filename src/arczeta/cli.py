@@ -128,7 +128,8 @@ def zeta(germ_expr: str, n_max: int, fmt: str, source: str, out: str | None, tra
     _check_order(n_max, source)
     g = _parse(germ_expr)
     # --trace decomposes each cell once over its own system, bypassing the
-    # oracle cache, whose outcome is the run of the orbit's least cell.
+    # oracle cache, whose outcome is the run of the orbit's least cell (at
+    # odd n, for a naive cell, that of its plus cell).
     traced: dict[tuple[int, str], EngineOutcome] = {}
 
     def traced_oracle(g: GermSpec, n: int, channel: str) -> EngineOutcome:

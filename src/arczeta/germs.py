@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .engine import EngineOutcome, beta_of, effective_budget
+from .engine import _LEAF, EngineOutcome, beta_of, effective_budget
 from .formulas import (
     OutOfCoverage,
     arc_Ak,
@@ -43,7 +43,7 @@ from .formulas import (
 )
 from .mpoly import MPoly
 from .quadric import Sig
-from .upoly import UPoly
+from .upoly import U_MINUS_1, UPoly
 
 __all__ = [
     "FAMILY",
@@ -521,18 +521,43 @@ def _representative(g: GermSpec, n: int, channel: str) -> tuple[GermSpec, str]:
     return min(cells, key=lambda c: (c[0].sig, c[0].signs, c[0].params, CHANNELS.index(c[1])))
 
 
+def _naive_from_plus(plus: EngineOutcome) -> EngineOutcome:
+    """The naive outcome at odd n, re-expressed from the plus run of the cell.
+
+    At odd n, (gamma, lambda) -> gamma(lambda*t) is a Nash isomorphism
+    A_n^{+1} x R* -> A_n, and beta(R*) = u - 1, so naive = (u - 1)*plus in
+    Z[u].  The plus run's steps move one level deeper under one leading
+    step, and each leaf is multiplied by u - 1, so ``value``, ``leaves``,
+    ``audit()`` and ``trace`` stay consistent.
+    """
+    steps = [(0, "[odd order] naive = (u-1)*plus", (), None)]
+    steps += [
+        (depth + 1, template, var_ids, U_MINUS_1 * arg if template == _LEAF else arg)
+        for depth, template, var_ids, arg in plus.steps
+    ]
+    return replace(plus, value=U_MINUS_1 * plus.value, steps=steps)
+
+
 @lru_cache(maxsize=None)
 def _oracle_cached(g: GermSpec, n: int, channel: str, budget: int) -> EngineOutcome:
     """The engine outcome of one cell: the one oracle cache, keyed on the cell.
 
     A miss runs the engine only if the cell is its orbit's least
     (``_representative``); any other member reads the least cell's entry.
-    So clearing this cache forgets every member and every representative.
+    An odd-order naive cell then reads its plus cell's entry, and if that
+    run completed, derives its outcome from it (``_naive_from_plus``);
+    if it failed, the engine runs the naive cell itself.  So clearing this
+    cache forgets every member, every representative and every plus run a
+    naive cell was read from.
     """
     _check_channel(channel)
     rep, rep_channel = _representative(g, n, channel)
     if (rep, rep_channel) != (g, channel):
         return _oracle_cached(rep, n, rep_channel, budget)
+    if n % 2 and channel == "naive":
+        plus = _oracle_cached(g, n, "plus", budget)
+        if plus.ok:
+            return _naive_from_plus(plus)
     poly, blocks = germ_poly(g)
     out = beta_of(poly, blocks, n, TARGETS[channel], budget=budget)
     if out.ok:
@@ -555,8 +580,10 @@ def oracle_cell(
     polynomial is the same.  The engine runs once per orbit, on its least
     cell, and every member holds that one outcome, a failure included; a
     failure's detail names the cell it ran on, which may be another
-    member's.  A warm lookup is one cache hit: it computes no orbit.  An
-    unknown channel raises ``ValueError``.
+    member's.  At odd n a naive cell is (u - 1) times its plus cell, read
+    from the plus outcome when that run completed.  A warm lookup is one
+    cache hit: it computes no orbit.  An unknown channel raises
+    ``ValueError``.
     """
     return _oracle_cached(g, n, channel, effective_budget(budget))
 

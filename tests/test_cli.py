@@ -114,8 +114,9 @@ def test_zeta_trace_decomposes_each_cell_once(monkeypatch):
     plain = run("zeta", "D(4,+,-) (+) Q(1,1)", "--N", "6")
     assert r.output.startswith(plain.output)
     # D(4,+,-) (+) Q(1,1) is its own negation up to x1 -> -x1, so each
-    # minus cell is the plus cell at every n (and by t -> -t at odd n)
-    assert len(calls) == 10
+    # minus cell is the plus cell at every n (and by t -> -t at odd n); the
+    # naive cells at odd n = 3, 5 are (u - 1) times the plus cells
+    assert len(calls) == 8
 
 
 # sha256 of `zeta "D(4,+,-) (+) Q(1,1)" --N 6 --trace` under each engine-backed

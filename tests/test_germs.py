@@ -965,6 +965,69 @@ def test_a_failing_orbit_shares_the_representatives_failure(monkeypatch, empty_o
         assert runs == [TARGETS[rep_channel]]  # one engine run per orbit
 
 
+def test_an_odd_order_naive_outcome_is_its_plus_run_times_the_punctured_line(
+    empty_oracle_cache, engine_runs
+):
+    """At odd n a naive cell reads its plus cell's entry and runs no engine
+    of its own; its value, leaves, audit and trace all say (u - 1)*plus."""
+    g = D(4, 1, -1)
+    naive = oracle_cell(g, 3, "naive")
+    plus = oracle_cell(g, 3, "plus")
+    assert len(engine_runs) == 1  # the plus run
+    assert naive.ok and naive.value == U_MINUS_1 * plus.value
+    assert naive.value == beta_of(*germ_poly(g), 3, "naive").value
+    assert naive.audit()
+    assert naive.leaves == [U_MINUS_1 * v for v in plus.leaves]
+    assert naive.trace[0] == "[odd order] naive = (u-1)*plus"
+    # every other step is the plus run's, one level deeper
+    assert [(depth - 1, template, var_ids) for depth, template, var_ids, _ in naive.steps[1:]] == [
+        step[:3] for step in plus.steps
+    ]
+    assert (naive.strata, naive.names) == (plus.strata, plus.names)
+    # at even n the naive cell is no product: it runs the engine itself
+    assert oracle_cell(g, 4, "naive").trace[0] != naive.trace[0]
+    assert engine_runs[-1] == (4, "naive")
+
+
+def test_an_odd_order_naive_cell_whose_plus_run_fails_runs_itself(empty_oracle_cache):
+    """E7 (+) Q at n = 9: the plus run meets an unmatched terminal while the
+    naive run completes, so the naive cell falls back to its own run."""
+    cells = [g for d in range(2, 6) for g in enumerate_simple(d) if g.family == "E7"]
+    assert len(cells) == 10
+    for g in cells:
+        assert oracle_cell(g, 9, "plus").failure == "unmatched-terminal"
+        naive = oracle_cell(g, 9, "naive")
+        assert naive.ok, g.render()
+        assert naive.value == beta_of(*germ_poly(g), 9, "naive").value
+        assert not naive.trace[0].startswith("[odd order]")
+
+
+def test_a_cleared_oracle_cache_recomputes_a_derived_naive_cell(monkeypatch, empty_oracle_cache):
+    """Clearing ``_oracle_cached`` forgets the naive entry and the plus entry
+    it was read from: neither is served from before."""
+    for e in (1, 2):
+        value = u_pow(e)
+        outcome = EngineOutcome(value, None, "", 1, [(0, "[leaf] %s", (), value)])
+        monkeypatch.setattr(germs, "beta_of", lambda *args, budget=None, out=outcome: out)
+        assert oracle_cell(D(4, 1, -1), 3, "naive").value == U_MINUS_1 * value
+        for g, ch in _D4_ORBIT:
+            assert oracle_cell(g, 3, ch) is outcome, (g.render(), ch)
+        _oracle_cached.cache_clear()
+
+
+def test_a_derived_naive_cell_keys_on_the_budget(empty_oracle_cache):
+    """A naive outcome made under one budget is not served under another,
+    whichever budget comes first."""
+    g = D(4, 1, -1)  # its n = 3 plus run takes 3 strata
+    for order in ((None, 1), (1, None)):
+        outcomes = {budget: oracle_cell(g, 3, "naive", budget) for budget in order}
+        assert outcomes[None].ok and outcomes[None].strata > 1
+        assert outcomes[1].failure == "depth-exceeded"
+        for budget in order:
+            assert oracle_cell(g, 3, "naive", budget) is outcomes[budget]
+        _oracle_cached.cache_clear()
+
+
 def test_representative_is_the_least_cell_of_the_orbit_built_directly():
     """The kept relatives give the orbit that _dual and _flip give afresh."""
     swap = {"plus": "minus", "minus": "plus", "naive": "naive"}
