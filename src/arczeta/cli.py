@@ -19,7 +19,7 @@ from typing import NoReturn
 
 import click
 
-from .classifier import ade_table, distinguish, nonsimple_report, verify_paper_suite
+from .classifier import ade_table, distinguish, nonsimple_report
 from .engine import MAX_ORDER, EngineOutcome, beta_of, effective_budget
 from .germs import (
     CHANNELS,
@@ -35,6 +35,7 @@ from .germs import (
 )
 from .parser import GermParseError, parse_germ
 from .quadric import beta_Y, beta_Y_compl, beta_Y_fiber, beta_Y_star
+from .verify import verify_paper_suite
 
 _FORMATS = click.Choice(["text", "csv", "json"])
 _SOURCES = click.Choice(SOURCES)

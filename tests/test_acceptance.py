@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from arczeta.classifier import ade_table, nonsimple_report, verify_paper_suite
+from arczeta.classifier import ade_table, nonsimple_report
 from arczeta.engine import beta_of
 from arczeta.formulas import (
     arc_E,
@@ -30,6 +30,7 @@ from arczeta.germs import (
 from arczeta.parser import GermParseError, parse_germ
 from arczeta.quadric import beta_D_curve, beta_Y, beta_Y_fiber
 from arczeta.upoly import UPoly, u_pow
+from arczeta.verify import verify_paper_suite
 
 SIGS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2)]
 
@@ -128,8 +129,8 @@ def test_criterion_4_spot_values():
     print(f"[PASS] criterion 4: published spot values exact ({elapsed:.3f}s)")
 
 
-def test_criterion_5_variant_adjudication():
-    rep = verify_paper_suite()
+def test_criterion_5_variant_adjudication(suite_report):
+    rep = suite_report
     assert rep.ok
     sec = rep.section("variant-adjudication")
     assert sec.status == "flagged"

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arczeta import classifier
+from arczeta import classifier, verify
 from arczeta.classifier import (
     Distinguisher,
     ade_table,
@@ -22,11 +22,10 @@ from arczeta.classifier import (
     enumerate_simple,
     nonsimple_report,
     oracle_recheck,
-    verify_paper_suite,
 )
 from arczeta.cli import main
 from arczeta.engine import beta_of
-from arczeta.formulas import arc_G
+from arczeta.formulas import VARIANTS, arc_G
 from arczeta.germs import (
     CHANNELS,
     TARGETS,
@@ -40,6 +39,7 @@ from arczeta.germs import (
     zeta_table,
 )
 from arczeta.upoly import UPoly, u_pow
+from arczeta.verify import SuiteReport, verify_paper_suite
 
 
 def A(k, sign, sig):
@@ -590,7 +590,7 @@ def test_nonsimple_report_rejects_n_below_two_before_any_engine_cell(monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("an engine cell ran before N was checked")
 
-    monkeypatch.setattr(classifier, "oracle_cell", never)
+    monkeypatch.setattr(verify, "oracle_cell", never)
     with pytest.raises(ValueError, match=r"^N must be >= 2, got 1$"):
         nonsimple_report([GermSpec("JKI", (0, 0), k=2, i=0)], N=1)
 
@@ -651,8 +651,8 @@ def test_nonsimple_report_names_each_failed_check(monkeypatch, rewrite):
 # -- the verification suite -------------------------------------------------------
 
 
-def test_suite_sections_and_statuses():
-    rep = verify_paper_suite()
+def test_suite_sections_and_statuses(suite_report):
+    rep = suite_report
     assert [s.name for s in rep.sections] == [
         "quadric-catalog",
         "closed-vs-recursive",
@@ -676,8 +676,8 @@ def test_suite_sections_and_statuses():
     assert rep.flagged == ("variant-adjudication",)
 
 
-def test_suite_grid_coverage_counts():
-    rep = verify_paper_suite()
+def test_suite_grid_coverage_counts(suite_report):
+    rep = suite_report
     assert rep.section("closed-vs-recursive").lines[0] == (
         "550 cells compared, 0 mismatches"
     )
@@ -688,12 +688,15 @@ def test_suite_grid_coverage_counts():
     assert "CUBE: 72 covered cells, 0 mismatches" in grid
 
 
-def test_suite_flags_the_two_published_discrepancies():
-    rep = verify_paper_suite()
-    lines = rep.section("variant-adjudication").lines
+def test_suite_flags_every_stated_reading(suite_report):
+    """All six registered variants' stated readings are flagged, each with its
+    proof-derived reading confirmed."""
+    lines = suite_report.section("variant-adjudication").lines
     flagged = {
         ln.split(":")[0] for ln in lines if "oracle-inconsistent" in ln
     }
+    assert len(VARIANTS) == 6
+    assert flagged == {v.id for v in VARIANTS}
     assert "quadra-even-terminal" in flagged
     assert "lem7-A3-first-term" in flagged
     for ln in lines:
@@ -702,8 +705,8 @@ def test_suite_flags_the_two_published_discrepancies():
         assert "[FAIL]" not in ln
 
 
-def test_suite_cube_jet_certificates():
-    rep = verify_paper_suite()
+def test_suite_cube_jet_certificates(suite_report):
+    rep = suite_report
     lines = rep.section("cube-jet-classes").lines
     assert len(lines) == 6
     by_pair = {}
@@ -717,14 +720,12 @@ def test_suite_cube_jet_certificates():
     assert by_pair["E7 (+) Q(0,0) vs E8 (+) Q(0,0)"] == "distinguished at n=5, plus"
 
 
-def test_suite_is_deterministic():
-    a = verify_paper_suite().to_json()
-    b = verify_paper_suite().to_json()
-    assert a == b
+def test_suite_is_deterministic(suite_report):
+    assert verify_paper_suite().to_json() == suite_report.to_json()
 
 
-def test_suite_section_lookup():
-    rep = verify_paper_suite()
+def test_suite_section_lookup(suite_report):
+    rep = suite_report
     assert rep.section("report-values").status == "ok"
     with pytest.raises(KeyError):
         rep.section("no-such-section")
@@ -734,28 +735,29 @@ def test_suite_section_lookup():
 
 
 def _failing_section(name):
-    """Run the suite, check that it and the named section FAIL, and return the section."""
-    rep = verify_paper_suite()
-    assert rep.ok is False
-    section = rep.section(name)
+    """Run the named section alone, check that it and a report of it FAIL, and return it."""
+    (run,) = [f for f in verify._SECTIONS if f.__name__ == "_" + name.replace("-", "_")]
+    section = run()
+    assert section.name == name
     assert section.status == "FAIL"
+    assert SuiteReport((section,)).ok is False
     return section
 
 
 def test_suite_fails_when_closed_form_and_recursion_disagree(monkeypatch):
-    real = classifier.arc_Q_recursive
+    real = verify.arc_Q_recursive
 
     def off_by_one(l, eps, sig):
         return real(l, eps, sig) + (1 if (l, eps, sig) == (4, 1, (1, 1)) else 0)
 
-    monkeypatch.setattr(classifier, "arc_Q_recursive", off_by_one)
+    monkeypatch.setattr(verify, "arc_Q_recursive", off_by_one)
     section = _failing_section("closed-vs-recursive")
     assert section.lines == ("550 cells compared, 1 mismatches", "l=4 eps=1 sig=(1,1)")
 
 
 def test_suite_fails_when_oracle_and_formula_disagree(monkeypatch):
     g = A(2, 1, (1, 1))
-    real = classifier.oracle_cell
+    real = verify.oracle_cell
 
     def skewed(h, n, channel):
         out = real(h, n, channel)
@@ -763,7 +765,7 @@ def test_suite_fails_when_oracle_and_formula_disagree(monkeypatch):
             return dataclasses.replace(out, value=out.value + 1)
         return out
 
-    monkeypatch.setattr(classifier, "oracle_cell", skewed)
+    monkeypatch.setattr(verify, "oracle_cell", skewed)
     lines = _failing_section("oracle-vs-formulas").lines
     right = 2 * u_pow(7) - u_pow(6)
     assert "AK: 720 covered cells, 1 mismatches" in lines
@@ -771,14 +773,14 @@ def test_suite_fails_when_oracle_and_formula_disagree(monkeypatch):
 
 
 def test_suite_fails_on_an_unseparated_cube_jet_pair(monkeypatch):
-    real = classifier.distinguish
+    real = verify.distinguish
 
     def blind(g1, g2, N, source):
         if (g1.family, g2.family) == ("E7", "E8"):
             return Distinguisher(g1.render(), g2.render(), N, source)
         return real(g1, g2, N, source)
 
-    monkeypatch.setattr(classifier, "distinguish", blind)
+    monkeypatch.setattr(verify, "distinguish", blind)
     lines = _failing_section("cube-jet-classes").lines
     assert len(lines) == 6
     assert lines[-1] == "E7 (+) Q(0,0) vs E8 (+) Q(0,0): NOT SEPARATED [FAIL]"
@@ -787,12 +789,12 @@ def test_suite_fails_on_an_unseparated_cube_jet_pair(monkeypatch):
 def test_suite_fails_on_an_inconsistent_proof_derived_form(monkeypatch):
     """A served closed form the oracle refutes is a FAIL; a variant whose two
     forms coincide gets the "agree" line."""
-    variants = {v.id: v for v in classifier.VARIANTS}
+    variants = {v.id: v for v in verify.VARIANTS}
     variants["lem4-display-set"] = dataclasses.replace(
         variants["lem4-display-set"], stated=arc_G
     )
     lem5 = variants["lem5-keven-00"]
-    real = classifier.formula_cell
+    real = verify.formula_cell
 
     def misread(g, n, channel):
         """The lem5 cells served as the stated form reads them."""
@@ -800,8 +802,8 @@ def test_suite_fails_on_an_inconsistent_proof_derived_form(monkeypatch):
             return Cell(lem5.stated(g.k, *g.signs, TARGETS[channel]), "formula")
         return real(g, n, channel)
 
-    monkeypatch.setattr(classifier, "VARIANTS", tuple(variants.values()))
-    monkeypatch.setattr(classifier, "formula_cell", misread)
+    monkeypatch.setattr(verify, "VARIANTS", tuple(variants.values()))
+    monkeypatch.setattr(verify, "formula_cell", misread)
     lines = _failing_section("variant-adjudication").lines
     assert (
         "lem4-display-set: stated and proof-derived agree with the oracle on all 40 domain cells"

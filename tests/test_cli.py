@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -12,13 +13,19 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from arczeta import classifier, cli, engine, germs
+from arczeta import cli, engine, germs, verify
 from arczeta.cli import main
 from arczeta.parser import parse_germ
 
 
 def run(*args, env=None):
     return CliRunner().invoke(main, args, env=env, catch_exceptions=False)
+
+
+@pytest.fixture(scope="module")
+def shared_run():
+    """``run`` memoised on its arguments, for the tests that only read an unpatched result."""
+    return functools.cache(run)
 
 
 # -- zeta ------------------------------------------------------------------------
@@ -511,8 +518,8 @@ def test_nonsimple_csv():
 # -- verify -----------------------------------------------------------------------------
 
 
-def test_verify_paper_suite_exit_0():
-    r = run("verify")
+def test_verify_paper_suite_exit_0(shared_run):
+    r = shared_run("verify", "--format", "text")
     assert r.exit_code == 0
     assert "[ok] quadric-catalog" in r.output
     assert "[flagged] variant-adjudication" in r.output
@@ -520,20 +527,20 @@ def test_verify_paper_suite_exit_0():
 
 
 def test_verify_failure_exits_1(monkeypatch):
-    real = classifier.arc_Q_recursive
+    real = verify.arc_Q_recursive
 
     def off_by_one(l, eps, sig):
         return real(l, eps, sig) + (1 if (l, eps, sig) == (4, 1, (1, 1)) else 0)
 
-    monkeypatch.setattr(classifier, "arc_Q_recursive", off_by_one)
+    monkeypatch.setattr(verify, "arc_Q_recursive", off_by_one)
     r = run("verify")
     assert r.exit_code == 1
     assert "[FAIL] closed-vs-recursive" in r.output
     assert "result: FAIL" in r.output
 
 
-def test_verify_json():
-    r = run("verify", "--format", "json")
+def test_verify_json(shared_run):
+    r = shared_run("verify", "--format", "json")
     assert r.exit_code == 0
     data = json.loads(r.output)
     assert data["ok"] is True
@@ -597,22 +604,22 @@ EVERY_COMMAND = [
 
 
 @pytest.mark.parametrize("args", EVERY_COMMAND, ids=lambda args: args[0])
-def test_every_csv_ends_lines_with_crlf(args):
-    out = run(*args, "--format", "csv").stdout_bytes
+def test_every_csv_ends_lines_with_crlf(shared_run, args):
+    out = shared_run(*args, "--format", "csv").stdout_bytes
     lines = out.split(b"\r\n")
     assert len(lines) > 2 and lines[-1] == b""
     assert not any(b"\n" in line for line in lines)
 
 
 @pytest.mark.parametrize("args", EVERY_COMMAND, ids=lambda args: args[0])
-def test_every_text_ends_in_one_newline(args):
-    out = run(*args, "--format", "text").output
+def test_every_text_ends_in_one_newline(shared_run, args):
+    out = shared_run(*args, "--format", "text").output
     assert out.endswith("\n") and not out.endswith("\n\n")
 
 
 @pytest.mark.parametrize("args", EVERY_COMMAND, ids=lambda args: args[0])
-def test_no_text_line_ends_in_whitespace(args):
-    out = run(*args, "--format", "text").output
+def test_no_text_line_ends_in_whitespace(shared_run, args):
+    out = shared_run(*args, "--format", "text").output
     assert [line for line in out.splitlines() if line != line.rstrip()] == []
 
 

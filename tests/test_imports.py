@@ -163,3 +163,53 @@ def test_independent_paths_share_only_the_catalog_and_arithmetic(module):
     assert package_imports(source) <= INDEPENDENT_PATHS[module], (
         f"{module} imports a module outside its independent path"
     )
+
+
+def names_taken_from(source: str, module: str) -> set[str]:
+    """The names a module takes from package module ``module``: imported by
+    name (relative or absolute), or read as an attribute of it."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level == 1 and node.module == module) or node.module == f"arczeta.{module}"
+        ):
+            found.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == module
+        ):
+            found.add(node.attr)
+    return found
+
+
+def test_checker_reads_names_taken_from_one_module():
+    source = (
+        "from .formulas import VARIANTS, arc_Q\n"
+        "from arczeta.formulas import GRID_SIGS\n"
+        "from .germs import formula_cell\n"
+        "from . import formulas\n"
+        "x = formulas.arc_Q_recursive\n"
+    )
+    assert names_taken_from(source, "formulas") == {
+        "VARIANTS", "arc_Q", "GRID_SIGS", "arc_Q_recursive"
+    }
+
+
+#: Names of ``formulas`` that only the verification suite reads: the stated
+#: readings it adjudicates and the recursion it checks the closed form against.
+VERIFICATION_ONLY = {"VARIANTS", "arc_Q_recursive"}
+
+
+def test_the_suite_sits_above_the_classifier():
+    """``classifier`` imports nothing from ``verify``, and within the package
+    only ``verify`` takes the verification-only names of ``formulas``."""
+    classifier = (ROOT / "src" / "arczeta" / "classifier.py").read_text(encoding="utf-8")
+    assert "verify" not in package_imports(classifier)
+    takers = {
+        path.stem
+        for path in PACKAGE
+        if path.stem != "formulas"
+        and names_taken_from(path.read_text(encoding="utf-8"), "formulas") & VERIFICATION_ONLY
+    }
+    assert takers == {"verify"}
