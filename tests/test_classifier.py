@@ -590,7 +590,7 @@ def test_nonsimple_report_rejects_n_below_two_before_any_engine_cell(monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("an engine cell ran before N was checked")
 
-    monkeypatch.setattr(verify, "oracle_cell", never)
+    monkeypatch.setattr(classifier, "oracle_cell", never)
     with pytest.raises(ValueError, match=r"^N must be >= 2, got 1$"):
         nonsimple_report([GermSpec("JKI", (0, 0), k=2, i=0)], N=1)
 
@@ -734,9 +734,9 @@ def test_suite_section_lookup(suite_report):
     assert "result: PASS" in text
 
 
-def _failing_section(name):
-    """Run the named section alone, check that it and a report of it FAIL, and return it."""
-    (run,) = [f for f in verify._SECTIONS if f.__name__ == "_" + name.replace("-", "_")]
+def _failing_section(run, name):
+    """Run one section alone, check that it is ``name`` and that it and a
+    report of it FAIL, and return it."""
     section = run()
     assert section.name == name
     assert section.status == "FAIL"
@@ -751,7 +751,7 @@ def test_suite_fails_when_closed_form_and_recursion_disagree(monkeypatch):
         return real(l, eps, sig) + (1 if (l, eps, sig) == (4, 1, (1, 1)) else 0)
 
     monkeypatch.setattr(verify, "arc_Q_recursive", off_by_one)
-    section = _failing_section("closed-vs-recursive")
+    section = _failing_section(verify._closed_vs_recursive, "closed-vs-recursive")
     assert section.lines == ("550 cells compared, 1 mismatches", "l=4 eps=1 sig=(1,1)")
 
 
@@ -766,7 +766,7 @@ def test_suite_fails_when_oracle_and_formula_disagree(monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "oracle_cell", skewed)
-    lines = _failing_section("oracle-vs-formulas").lines
+    lines = _failing_section(verify._oracle_vs_formulas, "oracle-vs-formulas").lines
     right = 2 * u_pow(7) - u_pow(6)
     assert "AK: 720 covered cells, 1 mismatches" in lines
     assert lines[-1] == f"A(2) (+) Q(1,1) n=3/plus: formula {right}, oracle {right + 1}"
@@ -781,7 +781,7 @@ def test_suite_fails_on_an_unseparated_cube_jet_pair(monkeypatch):
         return real(g1, g2, N, source)
 
     monkeypatch.setattr(verify, "distinguish", blind)
-    lines = _failing_section("cube-jet-classes").lines
+    lines = _failing_section(verify._cube_jet_classes, "cube-jet-classes").lines
     assert len(lines) == 6
     assert lines[-1] == "E7 (+) Q(0,0) vs E8 (+) Q(0,0): NOT SEPARATED [FAIL]"
 
@@ -804,7 +804,7 @@ def test_suite_fails_on_an_inconsistent_proof_derived_form(monkeypatch):
 
     monkeypatch.setattr(verify, "VARIANTS", tuple(variants.values()))
     monkeypatch.setattr(verify, "formula_cell", misread)
-    lines = _failing_section("variant-adjudication").lines
+    lines = _failing_section(verify._variant_adjudication, "variant-adjudication").lines
     assert (
         "lem4-display-set: stated and proof-derived agree with the oracle on all 40 domain cells"
         in lines
