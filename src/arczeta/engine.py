@@ -545,6 +545,11 @@ def decompose(system: ArcSystem, budget: int | None = None) -> EngineOutcome:
 def _simplify(st, rank, names, steps):
     """Run the rewrite rules to quiescence; return the stratum's fate.
 
+    The first round, and each round after a pivot that substituted, repeats
+    one cleanup sweep to its fixpoint; every round then discharges one
+    pivot.  When no pivot is left, a terminal attempt, a peel or a split
+    ends the stratum.
+
     Returns None for an empty stratum, the value of a leaf, or the two
     child strata of a peel or a split; raises ``_Failure`` when a
     terminal is unmatched and nothing can be split.
@@ -557,79 +562,67 @@ def _simplify(st, rank, names, steps):
     cleanup = True
     while True:
         if cleanup:
-            changed = False
-
-            # trivial constants
+            # One sweep runs the cleanup rules on each constraint in turn: it
+            # divides out the assumed content (a neq first assumes its whole
+            # content), drops a satisfied constant or finds the stratum empty
+            # on an unsatisfiable one, and collects the zeros an equation
+            # forces.  A neq's new assumptions can divide a constraint the
+            # sweep has passed, so sweeps repeat until one assumes nothing
+            # new; only then are the forced zeros applied.
+            assumed = before = st.assumed
             kept: list[tuple[MPoly, str]] = []
-            for p, rel in st.constraints:
-                if p.is_zero():
-                    if rel == NEQ:
-                        return None
-                    changed = True
-                    continue
-                if p.is_const():
-                    if rel == EQ:
-                        return None
-                    changed = True
-                    continue
-                kept.append((p, rel))
-            st.constraints = kept
-
-            # nonzero-factor reduction
-            for i, (p, rel) in enumerate(st.constraints):
-                content = p.summary().content
-                if not content:
-                    continue
-                if rel == NEQ:
-                    for v, _ in content:
-                        st.assumed |= 1 << v
-                    st.constraints[i] = (p.divide_by(dict(content)), rel)
-                    changed = True
-                else:
-                    assumed = st.assumed
-                    div = {v: e for v, e in content if assumed >> v & 1}
-                    if div:
-                        st.constraints[i] = (p.divide_by(div), rel)
-                        changed = True
-            if changed:
-                continue
-
-            # forced zeros
             forced = 0
             for p, rel in st.constraints:
+                content = p.summary().content
+                if content:
+                    if rel == NEQ:
+                        for v, _ in content:
+                            assumed |= 1 << v
+                        p = p.divide_by(dict(content))
+                    else:
+                        div = {v: e for v, e in content if assumed >> v & 1}
+                        if div:
+                            p = p.divide_by(div)
+                if p.is_const():
+                    # 0 = 0 and c != 0 hold; 0 != 0 and c = 0 do not
+                    if p.is_zero() == (rel == NEQ):
+                        return None
+                    continue
+                kept.append((p, rel))
                 if rel != EQ:
                     continue
                 single = p.single_term()
                 if single is not None and len(single[0]) == 1:
                     forced |= 1 << single[0][0][0]
                     continue
-                verdict = _definite(p, st.assumed)
+                verdict = _definite(p, assumed)
                 if verdict == "empty":
                     return None
                 if verdict:
                     forced |= verdict
+            st.constraints = kept
+            st.assumed = assumed
+            if assumed != before:
+                continue
             if forced:
-                if forced & st.assumed:
+                if forced & assumed:
                     return None
-                st.constraints = [(p.subs_zero_mask(forced), rel) for p, rel in st.constraints]
+                st.constraints = [(p.subs_zero_mask(forced), rel) for p, rel in kept]
                 st.alive &= ~forced
                 continue
 
-        # pivot discharges, deepest constraint first: a variable is a pivot
-        # of constraint i if it occurs in no earlier constraint (and, for a
-        # neq, in no later one either).  The cleanup rules read only each
-        # constraint and the assumptions, so they re-run only after a
-        # substitution.  Discharging the deepest constraint leaves every
-        # other pivot set as it was, so the scan goes on one constraint up
-        # with the same prefix unions; any other discharge restarts it.
+        # one pivot discharge per round, deepest constraint first: a variable
+        # is a pivot of constraint i if it occurs in no earlier constraint
+        # (and, for a neq, in no later one either).  The cleanup rules read
+        # only each constraint and the assumptions, so they re-run only after
+        # a pivot substitutes into another constraint.
         cons = st.constraints
         earlier = [0]
         for p, _ in cons[:-1]:
             earlier.append(earlier[-1] | p.summary().mask)
         assumed = st.assumed
         unassumed = ~assumed
-        i = len(cons) - 1
-        while i >= 0:
+        for i in range(len(cons) - 1, -1, -1):
             p, rel = cons[i]
             # taken: the variables of earlier (or, for a neq, of any other)
             # constraints and the assumed ones, none of which can be a pivot
@@ -645,36 +638,30 @@ def _simplify(st, rank, names, steps):
                     and (v is None or rank[w] < rank[v])
                 ):
                     v = w
-            if v is None:
-                i -= 1
-                continue
-            if rel == EQ:
-                # v = -b/a is needed only where a later constraint has v
-                split = None
-                new_cons = cons[:i]
-                for q, qrel in cons[i + 1 :]:
-                    if q.summary().mask >> v & 1:
-                        if split is None:
-                            split = p.linear_split(v)
-                        q = q.subs_clear(v, *split)
-                    new_cons.append((q, qrel))
-                st.constraints = new_cons
-                st.alive &= ~(1 << v)
-                cleanup = split is not None
-                steps.append((st.depth, "[pivot] %s from eq#%s", (v,), i))
-            else:
-                st.constraints = cons[:i] + cons[i + 1 :]
-                st.alive &= ~(1 << v)
-                a, b = st.prefactor
-                st.prefactor = (a, b + 1)
-                cleanup = False
-                steps.append((st.depth, "[pivot] %s from neq#%s (factor u-1)", (v,), i))
-            if i < len(cons) - 1:
+            if v is not None:
                 break
-            cons = st.constraints
-            i -= 1
         else:
             break
+        st.alive &= ~(1 << v)
+        if rel == EQ:
+            # v = -b/a is needed only where a later constraint has v
+            split = None
+            new_cons = cons[:i]
+            for q, qrel in cons[i + 1 :]:
+                if q.summary().mask >> v & 1:
+                    if split is None:
+                        split = p.linear_split(v)
+                    q = q.subs_clear(v, *split)
+                new_cons.append((q, qrel))
+            st.constraints = new_cons
+            cleanup = split is not None
+            steps.append((st.depth, "[pivot] %s from eq#%s", (v,), i))
+        else:
+            st.constraints = cons[:i] + cons[i + 1 :]
+            a, b = st.prefactor
+            st.prefactor = (a, b + 1)
+            cleanup = False
+            steps.append((st.depth, "[pivot] %s from neq#%s (factor u-1)", (v,), i))
 
     # terminal attempt: a constraint sharing no variable with another is
     # recognized on its own

@@ -259,11 +259,10 @@ def _counting_definite(monkeypatch) -> list:
     return calls
 
 
-def test_deepest_pivots_are_discharged_in_one_round(monkeypatch):
+def test_cleanup_runs_once_when_no_pivot_substitutes(monkeypatch):
     """Each discharge empties the deepest constraint and substitutes nothing,
-    so the scan goes on one constraint up: the cleanup rules run once, over
-    the three equations, where a restart after every pivot would run them
-    four times."""
+    so the cleanup runs once, in the first round, over the three equations,
+    where a cleanup after every pivot would make nine `_definite` calls."""
     v0, v1, v2, v3, v4 = (_v(j) for j in range(5))
     calls = _counting_definite(monkeypatch)
     out = decompose(
@@ -282,6 +281,28 @@ def test_deepest_pivots_are_discharged_in_one_round(monkeypatch):
     assert len(calls) == 3
     # v4 ranges over a punctured line, v3 and v2 over graphs, (v0, v1) the circle
     assert out.value == (u_pow(1) - 1) * (u_pow(1) + 1)
+
+
+V0, V1, V2 = _v(0), _v(1), _v(2)
+
+
+@pytest.mark.parametrize(
+    "constraints, value, trace",
+    [
+        ([(V0 * V1, EQ), (V0, NEQ)], u_pow(3) - u_pow(2), ["[leaf] u^3 - u^2"]),
+        ([(V0, NEQ), (V0 * V1, EQ)], u_pow(3) - u_pow(2), ["[leaf] u^3 - u^2"]),
+        ([(V0**2 + V1**2, EQ), (V0 * V2, NEQ)], 0, ["[empty]"]),
+    ],
+    ids=["eq-before-neq", "neq-before-eq", "definite-eq-before-neq"],
+)
+def test_cleanup_sweeps_to_a_fixpoint_before_forcing_zeros(constraints, value, trace):
+    """A neq met after the equation it divides still feeds that equation's
+    forced zero: v0 != 0 leaves v0*v1 = 0 as v1 = 0, and v0^2 + v1^2 = 0 with
+    v0 assumed is empty."""
+    out = decompose(_hand_built(_c1(range(4)), constraints))
+    assert out.ok, out.detail
+    assert out.value == value
+    assert out.trace == trace
 
 
 def test_shallower_discharge_restarts_the_scan():

@@ -1073,46 +1073,23 @@ def test_hybrid_tables_do_not_depend_on_the_germ_order(empty_oracle_cache):
     assert any("unavailable (unmatched-terminal: on " in table for table in forward)
 
 
-def test_euler_characteristic_identity_across_channels():
+def test_euler_characteristic_identity_across_channels(suite_report):
     """t -> lambda*t makes A_n a product of A_n^{+1} (and A_n^{-1}) with R* or
     R_{>0}, and chi_c = beta(-1) sees that: at odd n plus = minus and
-    naive = -2*plus, at even n naive = -(plus + minus)."""
-    checked = 0
-    failures = set()
-    for d in (2, 3):
-        for g in enumerate_simple(d):
-            for n in range(2, 10):
-                values = [resolve_cell(g, n, ch, "auto").value for ch in CHANNELS]
-                if None in values:
-                    continue
-                checked += 1
-                plus, minus, naive = (v.eval_at(-1) for v in values)
-                holds = (plus == minus and naive == -2 * plus) if n % 2 else naive == -(plus + minus)
-                if not holds:
-                    failures.add((g.render(), n))
-    assert checked == 1085
-    assert failures == set()
+    naive = -2*plus, at even n naive = -(plus + minus).  The suite's
+    ``chi-c-identity`` section checks it on the served cells, d = 2..5."""
+    section = suite_report.section("chi-c-identity")
+    assert section.lines == ("3270 (germ, n) triples compared, 0 failures",)
+    assert section.status == "ok"
 
 
-def test_odd_order_naive_is_punctured_line_times_plus():
+def test_odd_order_naive_is_punctured_line_times_plus(suite_report):
     """At odd n, (gamma, lambda) -> gamma(lambda*t) is a Nash isomorphism
     A_n^{+1} x R* -> A_n, since lambda -> lambda^n is a Nash automorphism of
     R*; beta is invariant under Nash isomorphisms, so naive = (u - 1)*plus
     holds in Z[u], not only at u = -1.  Both cells run the engine on their
-    own system: the oracle cache derives odd-order naive cells from plus."""
-    checked = 0
-    failures = set()
-    for d in (2, 3, 4, 5):
-        for g in enumerate_simple(d):
-            poly, blocks = germ_poly(g)
-            for n in (3, 5, 7, 9):
-                plus, naive = (
-                    beta_of(poly, blocks, n, TARGETS[ch]).value for ch in ("plus", "naive")
-                )
-                if plus is None or naive is None:
-                    continue
-                checked += 1
-                if naive != U_MINUS_1 * plus:
-                    failures.add((g.render(), n))
-    assert checked == 1626
-    assert failures == set()
+    own system: the oracle cache derives odd-order naive cells from plus.
+    The suite's ``odd-order-identity`` section makes those runs."""
+    section = suite_report.section("odd-order-identity")
+    assert section.lines == ("1626 (germ, n) pairs compared, 0 failures",)
+    assert section.status == "ok"
