@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from json.encoder import encode_basestring_ascii
 
 from .germs import (
@@ -45,12 +45,6 @@ __all__ = [
 
 def _cell_id(n: int, channel: str) -> str:
     return f"n={n}/{channel}"
-
-
-def _cell_at(pos: int) -> tuple[int, str]:
-    """The (n, channel) at position pos of the scan order: n from 2 up, channels in turn."""
-    n, k = divmod(pos, len(CHANNELS))
-    return n + 2, CHANNELS[k]
 
 
 def _failure_lines(failures: tuple[str, ...]) -> list[str]:
@@ -127,19 +121,21 @@ def distinguish(
     interned: dict[UPoly, int] = {}
     oracle = _table_oracle(source)
     row1, row2 = _Row(g1, source, interned, oracle), _Row(g2, source, interned, oracle)
-    return _scan(g1.render(), g2.render(), row1, row2, N, source)
+    return _scan(g1.render(), row1, [(g2.render(), row2)], N, source)[0]
 
 
 class _Row:
     """One spec's cells in scan order, resolved as far as some scan has reached.
 
-    ``values[pos]`` is the cell at scan position pos (see ``_cell_at``),
+    ``values[pos]`` is the cell at scan position pos (see ``_positions``),
     or None if unavailable; ``ids[pos]`` is its interned id, or None.
-    Rows that share ``interned`` give equal values equal ids, whether or
-    not they are the same object, so the scan compares ids and reads
-    ``values`` only for a certificate.  A row calls ``resolve_cell`` as
-    the module names it at the time, so a patched lookup takes effect,
-    and passes it ``oracle``: the table's, bound to its budget, or None.
+    Only ``_scan`` extends a row, one position at a time, handing it that
+    position's (n, channel) from ``_positions``.  Rows that share
+    ``interned`` give equal values equal ids, whether or not they are the
+    same object, so the scan compares ids and reads ``values`` only for a
+    certificate.  A row calls ``resolve_cell`` as the module names it at
+    the time, so a patched lookup takes effect, and passes it ``oracle``:
+    the table's, bound to its budget, or None.
     """
 
     __slots__ = ("spec", "source", "interned", "oracle", "values", "ids")
@@ -158,40 +154,67 @@ class _Row:
         self.values: list[UPoly | None] = []
         self.ids: list[int | None] = []
 
-    def extend(self) -> None:
-        """Resolve the cell at the next scan position."""
-        value = resolve_cell(
-            self.spec, *_cell_at(len(self.values)), self.source, self.oracle
-        ).value
+    def extend(self, n: int, channel: str) -> None:
+        """Resolve the cell (n, channel), which is at the next scan position."""
+        value = resolve_cell(self.spec, n, channel, self.source, self.oracle).value
         self.values.append(value)
         interned = self.interned
         self.ids.append(None if value is None else interned.setdefault(value, len(interned)))
 
 
-def _scan(germ1: str, germ2: str, row1: _Row, row2: _Row, N: int, source: str) -> Distinguisher:
-    """The one pair scan: the first position, in scan order up to N, where the rows' ids differ.
+@lru_cache(maxsize=None)
+def _positions(N: int) -> tuple[tuple[tuple[int, str], ...], tuple[str, ...]]:
+    """The scan order up to order N: each position's (n, channel), n from 2 up
+    and channels in turn, and its cell id; built once per N."""
+    cells = tuple((n, channel) for n in range(2, N + 1) for channel in CHANNELS)
+    return cells, tuple(_cell_id(n, channel) for n, channel in cells)
 
-    Each row is extended only as far as the scan reaches.  An
+
+def _scan(
+    germ1: str, row1: _Row, partners: list[tuple[str, _Row]], N: int, source: str
+) -> list[Distinguisher]:
+    """The one scan: row1 against each (name, row) partner in turn, one result each.
+
+    A partner's result is the first position, in scan order up to N,
+    where its ids and row1's differ.  Both rows are extended only as far
+    as that partner's scan reaches, so cells are resolved pair by pair,
+    in partner order, as one scan per pair would resolve them.  An
     unavailable cell (id None) on either side is recorded and skipped.
+    N is checked once per call, even with no partners, and the positions'
+    (n, channel) and cell ids come from ``_positions``.  Only this loop
+    extends the rows, and no row is its own partner, so ``reach1`` and
+    ``reach2`` stay ``len(ids1)`` and ``len(ids2)`` without a call.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    ids1, ids2 = row1.ids, row2.ids
-    unavailable: list[str] = []
-    for pos in range((N - 1) * len(CHANNELS)):
-        if pos == len(ids1):
-            row1.extend()
-        if pos == len(ids2):
-            row2.extend()
-        a, b = ids1[pos], ids2[pos]
-        if a is None or b is None:
-            unavailable.append(_cell_id(*_cell_at(pos)))
-        elif a != b:
-            v1, v2 = row1.values[pos], row2.values[pos]
-            return Distinguisher(
-                germ1, germ2, N, source, *_cell_at(pos), v1, v2, tuple(unavailable)
-            )
-    return Distinguisher(germ1, germ2, N, source, unavailable=tuple(unavailable))
+    cells, cell_ids = _positions(N)
+    positions = range(len(cells))
+    ids1, values1 = row1.ids, row1.values
+    reach1 = len(ids1)
+    out: list[Distinguisher] = []
+    for germ2, row2 in partners:
+        ids2 = row2.ids
+        reach2 = len(ids2)
+        unavailable: tuple[str, ...] = ()
+        for pos in positions:
+            if pos == reach1:
+                row1.extend(*cells[pos])
+                reach1 += 1
+            if pos == reach2:
+                row2.extend(*cells[pos])
+                reach2 += 1
+            a, b = ids1[pos], ids2[pos]
+            if a is None or b is None:
+                unavailable += (cell_ids[pos],)
+            elif a != b:
+                out.append(Distinguisher(
+                    germ1, germ2, N, source, *cells[pos],
+                    values1[pos], row2.values[pos], unavailable,
+                ))
+                break
+        else:
+            out.append(Distinguisher(germ1, germ2, N, source, unavailable=unavailable))
+    return out
 
 
 def oracle_recheck(pairs: list[tuple[GermSpec, GermSpec, Distinguisher]]) -> list[str]:
@@ -464,13 +487,14 @@ def ade_table(
 ) -> ClassificationReport:
     """Pairwise classification of every simple germ at ambient dimension d.
 
-    Every pair goes through the scan of :func:`distinguish`, over one
-    row per spec that resolves each (spec, n, channel) at most once per
-    table, and only when a pair's scan reaches it.  The rows share one
-    table of interned value ids, so the scan compares ids.  Equivalent
-    pairs (same canonical form) must come out unseparated, agreeing on every
-    available cell up to N; all other pairs must be separated at some
-    n <= N.  Violations land in ``failures``; a broken equivalent pair
+    Each spec's row is scanned once, by the scan of :func:`distinguish`,
+    against the rows of every later spec, so the pairs come in
+    ``combinations`` order.  A row resolves each (spec, n, channel) at
+    most once per table, and only when a pair's scan reaches it.  The
+    rows share one table of interned value ids, so the scan compares
+    ids.  Equivalent pairs (same canonical form) must come out
+    unseparated, agreeing on every available cell up to N; all other
+    pairs must be separated at some n <= N.  Violations land in ``failures``; a broken equivalent pair
     is reported at its first disagreeing cell.
     """
     specs = enumerate_simple(d, kmax)
@@ -481,29 +505,32 @@ def ade_table(
     rows = [_Row(g, source, interned, oracle) for g in specs]
     entries: list[PairEntry] = []
     failures: list[str] = []
-    for i, j in combinations(range(len(specs)), 2):
-        dist = _scan(names[i], names[j], rows[i], rows[j], N, source)
-        equivalent = canonical[i] == canonical[j]
-        if not equivalent:
-            relation, cert, agreed = "distinct", dist, 0
-            if not dist.separated:
-                failures.append(
-                    f"no distinguisher at n <= {N} for {dist.germ1} vs "
-                    f"{dist.germ2} (unavailable: {', '.join(dist.unavailable) or 'none'})"
-                )
-        else:
-            relation, cert = "equivalent", None
-            # agreed cells: those compared before the scan stopped, less the unavailable
-            scanned = (N - 1) * len(CHANNELS)
-            if dist.separated:
-                failures.append(
-                    f"equivalent pair {dist.germ1} ~ {dist.germ2} "
-                    f"disagrees at {_cell_id(dist.n, dist.channel)}: "
-                    f"{dist.value1} vs {dist.value2}"
-                )
-                scanned = (dist.n - 2) * len(CHANNELS) + CHANNELS.index(dist.channel)
-            agreed = scanned - len(dist.unavailable)
-        entries.append(PairEntry(dist.germ1, dist.germ2, relation, cert, dist.unavailable, agreed))
+    for i, row in enumerate(rows):
+        partners = list(zip(names[i + 1 :], rows[i + 1 :]))
+        for j, dist in enumerate(_scan(names[i], row, partners, N, source), i + 1):
+            equivalent = canonical[i] == canonical[j]
+            if not equivalent:
+                relation, cert, agreed = "distinct", dist, 0
+                if not dist.separated:
+                    failures.append(
+                        f"no distinguisher at n <= {N} for {dist.germ1} vs "
+                        f"{dist.germ2} (unavailable: {', '.join(dist.unavailable) or 'none'})"
+                    )
+            else:
+                relation, cert = "equivalent", None
+                # agreed cells: those compared before the scan stopped, less the unavailable
+                scanned = (N - 1) * len(CHANNELS)
+                if dist.separated:
+                    failures.append(
+                        f"equivalent pair {dist.germ1} ~ {dist.germ2} "
+                        f"disagrees at {_cell_id(dist.n, dist.channel)}: "
+                        f"{dist.value1} vs {dist.value2}"
+                    )
+                    scanned = (dist.n - 2) * len(CHANNELS) + CHANNELS.index(dist.channel)
+                agreed = scanned - len(dist.unavailable)
+            entries.append(
+                PairEntry(dist.germ1, dist.germ2, relation, cert, dist.unavailable, agreed)
+            )
     return ClassificationReport(
         d,
         kmax,
@@ -614,9 +641,11 @@ def nonsimple_report(
 
     Per instance: the engine confirms that its order-4 and order-5
     signed cells coincide with the pure-cube cells (the freedom that
-    collapses the count), then a Distinguisher is produced against each
-    simple corank-2 class of the same ambient dimension.  An engine
-    failure on an instance cell is reported and the instance skipped.
+    collapses the count), then its row is scanned once against the rows
+    of every simple corank-2 class of the same ambient dimension, one
+    Distinguisher each; the rows share one table of interned ids per
+    instance.  An engine failure on an instance cell is reported and the
+    instance skipped.
     """
     if N < 2:  # before any instance runs its engine cells
         raise ValueError(f"N must be >= 2, got {N}")
@@ -645,13 +674,15 @@ def nonsimple_report(
             entries.append(NonsimpleEntry(g.render(), True, skip_reason, (), ()))
             failures.append(f"{g.render()}: {skip_reason}")
             continue
-        seps: list[Distinguisher] = []
-        for cls in _corank2_classes(g.d, kmax):
-            dist = distinguish(g, cls, N, "auto")
+        interned: dict[UPoly, int] = {}
+        oracle = _table_oracle("auto")
+        partners = [
+            (cls.render(), _Row(cls, "auto", interned, oracle))
+            for cls in _corank2_classes(g.d, kmax)
+        ]
+        seps = _scan(g.render(), _Row(g, "auto", interned, oracle), partners, N, "auto")
+        for dist in seps:
             if not dist.separated:
-                failures.append(
-                    f"{g.render()} not separated from {cls.render()} at n <= {N}"
-                )
-            seps.append(dist)
+                failures.append(f"{dist.germ1} not separated from {dist.germ2} at n <= {N}")
         entries.append(NonsimpleEntry(g.render(), False, "", tuple(checks), tuple(seps)))
     return NonsimpleReport(N, tuple(entries), tuple(failures))

@@ -127,6 +127,19 @@ def _reference_scan(values1, values2, N):
     return None, None, None, None, tuple(unavailable)
 
 
+def _twin_row(data, values1):
+    """A row drawn from the pool; "twin" picks an equal, distinct object of
+    values1's cell at that position, so scans against values1 run deep."""
+    picks = data.draw(
+        st.lists(
+            st.one_of(st.just("twin"), st.sampled_from(_POOL)),
+            min_size=len(values1),
+            max_size=len(values1),
+        )
+    )
+    return [_TWIN.get(id(v1)) if isinstance(p, str) else p for v1, p in zip(values1, picks)]
+
+
 @given(st.data())
 def test_scan_matches_a_reference_scan_over_raw_values(data):
     """Interned ids compare as the values do, equal-but-distinct objects
@@ -134,13 +147,7 @@ def test_scan_matches_a_reference_scan_over_raw_values(data):
     N = data.draw(st.integers(2, 5))
     size = (N - 1) * len(CHANNELS)
     values1 = data.draw(st.lists(st.sampled_from(_POOL), min_size=size, max_size=size))
-    # "twin": an equal, distinct object of the first row's value, so scans run deep
-    picks = data.draw(
-        st.lists(st.one_of(st.just("twin"), st.sampled_from(_POOL)), min_size=size, max_size=size)
-    )
-    values2 = [
-        _TWIN.get(id(v1)) if isinstance(pick, str) else pick for v1, pick in zip(values1, picks)
-    ]
+    values2 = _twin_row(data, values1)
     g1, g2 = A(2, 1, (0, 0)), A(3, 1, (0, 0))
     table = {g1: values1, g2: values2}
     calls = {g1: [], g2: []}
@@ -159,6 +166,41 @@ def test_scan_matches_a_reference_scan_over_raw_values(data):
     # each row resolves its cells in scan order, up to where the scan stopped
     reached = size if n is None else (n - 2) * len(CHANNELS) + CHANNELS.index(channel) + 1
     assert calls == {g1: list(range(reached)), g2: list(range(reached))}
+
+
+@given(st.data())
+def test_one_scan_call_per_row_matches_the_pair_scans(data):
+    """One row scanned against 1-4 partner rows gives, per partner, the
+    reference scan of that pair, and resolves each row's cells once each, in
+    scan order, up to the furthest position any of its scans reached."""
+    N = data.draw(st.integers(2, 5))
+    size = (N - 1) * len(CHANNELS)
+    values1 = data.draw(st.lists(st.sampled_from(_POOL), min_size=size, max_size=size))
+    partner_values = [_twin_row(data, values1) for _ in range(data.draw(st.integers(1, 4)))]
+    g1, *gs = [A(k, 1, (0, 0)) for k in range(2, 3 + len(partner_values))]
+    table = {g1: values1, **dict(zip(gs, partner_values))}
+    calls = {g: [] for g in table}
+
+    def cell(g, n, channel, source, oracle=None):
+        pos = (n - 2) * len(CHANNELS) + CHANNELS.index(channel)
+        calls[g].append(pos)
+        return Cell(table[g][pos], "oracle")
+
+    interned = {}
+    row1 = classifier._Row(g1, "auto", interned)
+    partners = [(g.render(), classifier._Row(g, "auto", interned)) for g in gs]
+    with mock.patch.object(classifier, "resolve_cell", cell):
+        dists = classifier._scan(g1.render(), row1, partners, N, "auto")
+    assert len(dists) == len(gs)
+    reached = {g1: 0}
+    for g, values2, dist in zip(gs, partner_values, dists):
+        n, channel, v1, v2, unavailable = _reference_scan(values1, values2, N)
+        assert (dist.germ1, dist.germ2, dist.N, dist.source) == (g1.render(), g.render(), N, "auto")
+        assert (dist.n, dist.channel, dist.unavailable) == (n, channel, unavailable)
+        assert dist.value1 is v1 and dist.value2 is v2
+        reached[g] = size if n is None else (n - 2) * len(CHANNELS) + CHANNELS.index(channel) + 1
+        reached[g1] = max(reached[g1], reached[g])
+    assert calls == {g: list(range(k)) for g, k in reached.items()}
 
 
 def test_scan_rejects_orders_below_two():
@@ -523,6 +565,28 @@ def test_ade_table_resolves_each_cell_once_and_scans_as_distinguish(monkeypatch)
     assert distinct
     for e in distinct:
         assert e.certificate == distinguish(spec[e.germ1], spec[e.germ2], 6, "auto")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ade_table_scans_once_per_spec(monkeypatch, d):
+    """A table makes one scan call per spec, against the later specs, not one per pair."""
+    scan, scans = classifier._scan, []
+
+    def counting(germ1, row1, partners, N, source):
+        scans.append(len(partners))
+        return scan(germ1, row1, partners, N, source)
+
+    monkeypatch.setattr(classifier, "_scan", counting)
+    specs = enumerate_simple(d)
+    rep = ade_table(d)
+    assert scans == list(range(len(specs) - 1, -1, -1))
+    assert len(rep.entries) == sum(scans)
+    # the last spec's call has no partners, yet it rejects N < 2 before any cell
+    monkeypatch.setattr(classifier, "resolve_cell", None)
+    row = classifier._Row(specs[-1], "auto", {})
+    with pytest.raises(ValueError, match="N must be >= 2, got 1"):
+        scan(specs[-1].render(), row, [], 1, "auto")
+    assert row.values == []
 
 
 def test_pair_records_are_slotted():
