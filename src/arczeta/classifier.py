@@ -505,6 +505,7 @@ def ade_table(
     rows = [_Row(g, source, interned, oracle) for g in specs]
     entries: list[PairEntry] = []
     failures: list[str] = []
+    cells, _ = _positions(N)
     for i, row in enumerate(rows):
         partners = list(zip(names[i + 1 :], rows[i + 1 :]))
         for j, dist in enumerate(_scan(names[i], row, partners, N, source), i + 1):
@@ -519,14 +520,14 @@ def ade_table(
             else:
                 relation, cert = "equivalent", None
                 # agreed cells: those compared before the scan stopped, less the unavailable
-                scanned = (N - 1) * len(CHANNELS)
+                scanned = len(cells)
                 if dist.separated:
                     failures.append(
                         f"equivalent pair {dist.germ1} ~ {dist.germ2} "
                         f"disagrees at {_cell_id(dist.n, dist.channel)}: "
                         f"{dist.value1} vs {dist.value2}"
                     )
-                    scanned = (dist.n - 2) * len(CHANNELS) + CHANNELS.index(dist.channel)
+                    scanned = cells.index((dist.n, dist.channel))
                 agreed = scanned - len(dist.unavailable)
             entries.append(
                 PairEntry(dist.germ1, dist.germ2, relation, cert, dist.unavailable, agreed)

@@ -5,8 +5,11 @@ by recursive stratification of the coefficient constraints:
 
 * algebraic cleanup (constant constraints, nonzero-factor reduction,
   forced zeros from definite forms),
-* pivot discharges of variables that appear linearly with a unit
-  coefficient (graphs contribute a factor 1, punctured lines u-1),
+* pivot discharges of the last constraint through a variable that
+  occurs in no other constraint, linearly, with a unit coefficient
+  (graphs contribute a factor 1, punctured lines u-1); nothing is
+  substituted, so the rules change a constraint only by zeroing
+  variables and dividing out assumed factors,
 * a catalog of recognized terminal shapes (diagonal quadrics, power
   forms, monomial equations, cusp-type plane curves), combined by
   inclusion-exclusion over nonvanishing assumptions,
@@ -545,10 +548,9 @@ def decompose(system: ArcSystem, budget: int | None = None) -> EngineOutcome:
 def _simplify(st, rank, names, steps):
     """Run the rewrite rules to quiescence; return the stratum's fate.
 
-    The first round, and each round after a pivot that substituted, repeats
-    one cleanup sweep to its fixpoint; every round then discharges one
-    pivot.  When no pivot is left, a terminal attempt, a peel or a split
-    ends the stratum.
+    One cleanup sweep, repeated to its fixpoint, comes first.  Then the
+    last constraint is discharged while it has a pivot.  When it has none,
+    a terminal attempt, a peel or a split ends the stratum.
 
     Returns None for an empty stratum, the value of a leaf, or the two
     child strata of a peel or a split; raises ``_Failure`` when a
@@ -556,112 +558,91 @@ def _simplify(st, rank, names, steps):
 
     Rules read each constraint's cached ``MPoly.summary()``, and every set
     of variables is an id mask; ``rank`` orders the variable ids for
-    splits and peels; ``names`` serve only the failure detail.  Every fired
-    rule is appended to ``steps``.
+    pivots, splits and peels; ``names`` serve only the failure detail.
+    Every fired rule is appended to ``steps``.
     """
-    cleanup = True
     while True:
-        if cleanup:
-            # One sweep runs the cleanup rules on each constraint in turn: it
-            # divides out the assumed content (a neq first assumes its whole
-            # content), drops a satisfied constant or finds the stratum empty
-            # on an unsatisfiable one, and collects the zeros an equation
-            # forces.  A neq's new assumptions can divide a constraint the
-            # sweep has passed, so sweeps repeat until one assumes nothing
-            # new; only then are the forced zeros applied.
-            assumed = before = st.assumed
-            kept: list[tuple[MPoly, str]] = []
-            forced = 0
-            for p, rel in st.constraints:
-                content = p.summary().content
-                if content:
-                    if rel == NEQ:
-                        for v, _ in content:
-                            assumed |= 1 << v
-                        p = p.divide_by(dict(content))
-                    else:
-                        div = {v: e for v, e in content if assumed >> v & 1}
-                        if div:
-                            p = p.divide_by(div)
-                if p.is_const():
-                    # 0 = 0 and c != 0 hold; 0 != 0 and c = 0 do not
-                    if p.is_zero() == (rel == NEQ):
-                        return None
-                    continue
-                kept.append((p, rel))
-                if rel != EQ:
-                    continue
-                single = p.single_term()
-                if single is not None and len(single[0]) == 1:
-                    forced |= 1 << single[0][0][0]
-                    continue
-                verdict = _definite(p, assumed)
-                if verdict == "empty":
+        # One sweep runs the cleanup rules on each constraint in turn: it
+        # divides out the assumed content (a neq first assumes its whole
+        # content), drops a satisfied constant or finds the stratum empty
+        # on an unsatisfiable one, and collects the zeros an equation
+        # forces.  A neq's new assumptions can divide a constraint the
+        # sweep has passed, so sweeps repeat until one assumes nothing
+        # new; only then are the forced zeros applied.
+        assumed = before = st.assumed
+        kept: list[tuple[MPoly, str]] = []
+        forced = 0
+        for p, rel in st.constraints:
+            content = p.summary().content
+            if content:
+                if rel == NEQ:
+                    for v, _ in content:
+                        assumed |= 1 << v
+                    p = p.divide_by(dict(content))
+                else:
+                    div = {v: e for v, e in content if assumed >> v & 1}
+                    if div:
+                        p = p.divide_by(div)
+            if p.is_const():
+                # 0 = 0 and c != 0 hold; 0 != 0 and c = 0 do not
+                if p.is_zero() == (rel == NEQ):
                     return None
-                if verdict:
-                    forced |= verdict
-            st.constraints = kept
-            st.assumed = assumed
-            if assumed != before:
                 continue
-            if forced:
-                if forced & assumed:
-                    return None
-                st.constraints = [(p.subs_zero_mask(forced), rel) for p, rel in kept]
-                st.alive &= ~forced
+            kept.append((p, rel))
+            if rel != EQ:
                 continue
-
-        # one pivot discharge per round, deepest constraint first: a variable
-        # is a pivot of constraint i if it occurs in no earlier constraint
-        # (and, for a neq, in no later one either).  The cleanup rules read
-        # only each constraint and the assumptions, so they re-run only after
-        # a pivot substitutes into another constraint.
-        cons = st.constraints
-        earlier = [0]
-        for p, _ in cons[:-1]:
-            earlier.append(earlier[-1] | p.summary().mask)
-        assumed = st.assumed
-        unassumed = ~assumed
-        for i in range(len(cons) - 1, -1, -1):
-            p, rel = cons[i]
-            # taken: the variables of earlier (or, for a neq, of any other)
-            # constraints and the assumed ones, none of which can be a pivot
-            taken = earlier[i] | assumed
-            if rel == NEQ:
-                for q, _ in cons[i + 1 :]:
-                    taken |= q.summary().mask
-            v = None
-            for w, rest in p.summary().pivots.items():
-                if (
-                    not taken >> w & 1
-                    and not rest & unassumed
-                    and (v is None or rank[w] < rank[v])
-                ):
-                    v = w
-            if v is not None:
-                break
-        else:
+            single = p.single_term()
+            if single is not None and len(single[0]) == 1:
+                forced |= 1 << single[0][0][0]
+                continue
+            verdict = _definite(p, assumed)
+            if verdict == "empty":
+                return None
+            if verdict:
+                forced |= verdict
+        st.constraints = kept
+        st.assumed = assumed
+        if assumed != before:
+            continue
+        if not forced:
             break
+        if forced & assumed:
+            return None
+        st.constraints = [(p.subs_zero_mask(forced), rel) for p, rel in kept]
+        st.alive &= ~forced
+
+    # Pivots: the last constraint is discharged while one of its variables
+    # occurs in no other constraint, in a single term, to the first power,
+    # with a coefficient of assumed variables.  An equation is then the
+    # graph of that variable over the others (factor 1), a neq a punctured
+    # line (factor u-1).  Nothing is substituted, so the other constraints
+    # keep the cleanup's fixpoint.
+    cons = st.constraints
+    unassumed = ~assumed
+    while cons:
+        p, rel = cons[-1]
+        # taken: the variables of the other constraints and the assumed ones
+        taken = assumed
+        for q, _ in cons[:-1]:
+            taken |= q.summary().mask
+        v = None
+        for w, rest in p.summary().pivots.items():
+            if (
+                not taken >> w & 1
+                and not rest & unassumed
+                and (v is None or rank[w] < rank[v])
+            ):
+                v = w
+        if v is None:
+            break
+        cons.pop()
         st.alive &= ~(1 << v)
         if rel == EQ:
-            # v = -b/a is needed only where a later constraint has v
-            split = None
-            new_cons = cons[:i]
-            for q, qrel in cons[i + 1 :]:
-                if q.summary().mask >> v & 1:
-                    if split is None:
-                        split = p.linear_split(v)
-                    q = q.subs_clear(v, *split)
-                new_cons.append((q, qrel))
-            st.constraints = new_cons
-            cleanup = split is not None
-            steps.append((st.depth, "[pivot] %s from eq#%s", (v,), i))
+            steps.append((st.depth, "[pivot] %s from eq#%s", (v,), len(cons)))
         else:
-            st.constraints = cons[:i] + cons[i + 1 :]
             a, b = st.prefactor
             st.prefactor = (a, b + 1)
-            cleanup = False
-            steps.append((st.depth, "[pivot] %s from neq#%s (factor u-1)", (v,), i))
+            steps.append((st.depth, "[pivot] %s from neq#%s (factor u-1)", (v,), len(cons)))
 
     # terminal attempt: a constraint sharing no variable with another is
     # recognized on its own

@@ -309,25 +309,6 @@ class MPoly:
 
     # -- structure queries used by the engine --------------------------
 
-    def _by_degree(self, v: int) -> dict[int, dict[Monomial, Coeff]]:
-        """The terms grouped by their exponent of ``v``, with ``v`` removed."""
-        layers: dict[int, dict[Monomial, Coeff]] = {}
-        for m, c in self._t.items():
-            e = 0
-            for i, (w, we) in enumerate(m):
-                if w == v:
-                    e, m = we, m[:i] + m[i + 1 :]
-                    break
-            layers.setdefault(e, {})[m] = c
-        return layers
-
-    def linear_split(self, v: int) -> tuple[MPoly, MPoly] | None:
-        """Write self = A*v + B with A, B free of v; None unless deg_v = 1."""
-        layers = self._by_degree(v)
-        if max(layers, default=0) != 1:
-            return None
-        return MPoly._wrap(layers[1]), MPoly._wrap(layers.get(0, {}))
-
     def subs_zero(self, v: int) -> MPoly:
         """Set ``v`` to zero: ``subs_zero_mask(1 << v)``."""
         return self.subs_zero_mask(1 << v)
@@ -379,17 +360,6 @@ class MPoly:
         if not e or _ONE_M in self._t:
             raise ValueError("shifted needs a nonzero e and no constant term")
         return _Shifted(self, _coerce(e))
-
-    def subs_clear(self, v: int, a: MPoly, b: MPoly) -> MPoly:
-        """Return self * a^deg_v with v replaced by -b/a (a a monomial unit)."""
-        layers = self._by_degree(v)
-        d = max(layers, default=0)
-        if d == 0:
-            return self
-        total = MPoly()
-        for e, terms in layers.items():
-            total = total + MPoly._wrap(terms) * ((-b) ** e) * (a ** (d - e))
-        return total
 
     def divide_by(self, mono: dict[int, int]) -> MPoly:
         """Divide every term by ``mono``; ValueError unless it divides the content.

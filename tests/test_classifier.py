@@ -360,23 +360,33 @@ def _patch_cells(monkeypatch, rewrite):
 def test_ade_table_reports_a_broken_equivalent_pair(monkeypatch):
     g = "D(4,-,-) (+) Q(0,0)"
     bump = u_pow(40)
+    broken = None
 
     def rewrite(spec, n, channel, cell):
-        if (spec.render(), n, channel) == (g, 3, "minus"):
+        if (spec.render(), n, channel) == (g, *broken):
             return dataclasses.replace(cell, value=cell.value + bump)
         return cell
 
     _patch_cells(monkeypatch, rewrite)
-    rep = ade_table(2, kmax=4, N=5)
-    v = resolve_cell(D(4, 1, 1, (0, 0)), 3, "minus", "auto").value
-    assert not rep.ok
-    assert rep.failures == (
-        f"equivalent pair D(4,+,+) (+) Q(0,0) ~ {g} disagrees at n=3/minus: "
-        f"{v} vs {v + bump}",
-    )
-    # the scan stops at the first disagreement: n=2 and n=3/plus agreed
-    e = certificate_for(rep, "D(4,+,+) (+) Q(0,0)", g)
-    assert (e.relation, e.certificate, e.agreed_cells) == ("equivalent", None, 4)
+    # the scan stops at the first disagreement: the cells before it, in scan
+    # order (n from 2 up, channels plus, minus, naive), agreed
+    for N, n, channel, agreed in [
+        (5, 3, "minus", 4),
+        (5, 2, "plus", 0),
+        (5, 5, "naive", 11),
+        (6, 4, "naive", 8),
+        (6, 6, "plus", 12),
+    ]:
+        broken = (n, channel)
+        rep = ade_table(2, kmax=4, N=N)
+        v = resolve_cell(D(4, 1, 1, (0, 0)), n, channel, "auto").value
+        assert not rep.ok
+        assert rep.failures == (
+            f"equivalent pair D(4,+,+) (+) Q(0,0) ~ {g} disagrees at n={n}/{channel}: "
+            f"{v} vs {v + bump}",
+        )
+        e = certificate_for(rep, "D(4,+,+) (+) Q(0,0)", g)
+        assert (e.relation, e.certificate, e.agreed_cells) == ("equivalent", None, agreed)
 
 
 def test_ade_table_reports_an_unseparated_distinct_pair(monkeypatch):

@@ -200,46 +200,49 @@ def _c1(ids) -> dict[int, str]:
     return {j: f"c1^{j + 1}" for j in ids}
 
 
-def _counting_linear_split(monkeypatch) -> list:
-    calls = []
-    split = MPoly.linear_split
-
-    def counting(self, v):
-        calls.append(v)
-        return split(self, v)
-
-    monkeypatch.setattr(MPoly, "linear_split", counting)
-    return calls
-
-
-def test_pivot_substitutes_into_later_constraints(monkeypatch):
-    """eq#0's pivot v0 occurs in eq#1 and eq#2, which have no pivot of their
-    own: the rule solves v0 = -v1^2 once and clears it from both."""
+def test_pivots_come_from_the_last_constraint_only():
+    """Only the last constraint is discharged, and nothing is substituted:
+    a pivot of an earlier constraint waits until the constraints after it
+    are gone, and a system that needs v0 = -v1^2 cleared from a later
+    constraint ends unmatched instead."""
     v0, v1, v2, v3 = (_v(j) for j in range(4))
     one = MPoly.const(1)
-    calls = _counting_linear_split(monkeypatch)
-    out = decompose(
-        _hand_built(
-            _c1(range(4)),
-            [(v0 + v1**2, EQ), (v0**2 + v2**2 - one, EQ), (v0 * v3 - one, NEQ)],
-        )
-    )
-    assert calls == [0]
+    # v0 != 0 makes v2 the last constraint's pivot; v0 = 0 leaves -1 = 0
+    out = decompose(_hand_built(_c1(range(3)), [(v0 + v1, EQ), (v0 * v2 - one, EQ)]))
     assert out.ok, out.detail
-    assert any(line.startswith("[pivot] c1^1 from eq#0") for line in out.trace)
-    by_hand = decompose(
-        _hand_built(_c1(range(1, 4)), [(v1**4 + v2**2 - one, EQ), (-(v1**2) * v3 - one, NEQ)])
+    assert out.value == u_pow(1) - 1
+    assert out.trace == [
+        "[split] c1^1",
+        "  [pivot] c1^3 from eq#1",
+        "  [pivot] c1^2 from eq#0",
+        "  [leaf] u - 1",
+        "  [empty]",
+    ]
+    # the peel frees v0, so eq#0 becomes the last constraint
+    out = decompose(
+        _hand_built(_c1(range(4)), [(v0 + v1**2, EQ), (v0**2 + v2**2 - v3**2, EQ)])
     )
-    assert by_hand.ok, by_hand.detail
-    assert out.value == by_hand.value
-    assert out.audit()
+    assert out.ok, out.detail
+    assert out.value == u_pow(2)
+    assert out.trace == [
+        "[peel] c1^3^2-c1^4^2 in #1",
+        "  [leaf] u",
+        "  [pivot] c1^1 from eq#0",
+        "  [leaf] u^2 - u",
+    ]
+    # v0 is eq#0's pivot, but eq#1 has it too: no rule applies
+    out = decompose(
+        _hand_built(_c1(range(4)), [(v0 + v1**2, EQ), (v0**2 + v2**2 - one, EQ)])
+    )
+    assert out.failure == "unmatched-terminal"
+    assert out.value is None
+    assert out.detail == "no terminal form for: c1^1 + c1^2^2; c1^1^2 + c1^3^2 - 1"
+    assert out.trace == ["[split] c1^1", "  [split] c1^2", "    [split] c1^3"]
 
 
-def test_pivot_without_later_occurrence_splits_nothing(monkeypatch):
-    calls = _counting_linear_split(monkeypatch)
+def test_pivot_without_later_occurrence_splits_nothing():
     out = beta_of(D4PM11, ("a", "b", "c", "c"), 6, 1)
     assert any("[pivot]" in line and "from eq#" in line for line in out.trace)
-    assert calls == []
 
 
 CIRCLE = _v(0) ** 2 + _v(1) ** 2 - MPoly.const(1)  # beta = u + 1
@@ -260,8 +263,8 @@ def _counting_definite(monkeypatch) -> list:
 
 
 def test_cleanup_runs_once_when_no_pivot_substitutes(monkeypatch):
-    """Each discharge empties the deepest constraint and substitutes nothing,
-    so the cleanup runs once, in the first round, over the three equations,
+    """Each discharge empties the last constraint and substitutes nothing,
+    so the cleanup runs once, before the pivots, over the three equations,
     where a cleanup after every pivot would make nine `_definite` calls."""
     v0, v1, v2, v3, v4 = (_v(j) for j in range(5))
     calls = _counting_definite(monkeypatch)
@@ -303,52 +306,6 @@ def test_cleanup_sweeps_to_a_fixpoint_before_forcing_zeros(constraints, value, t
     assert out.ok, out.detail
     assert out.value == value
     assert out.trace == trace
-
-
-def test_shallower_discharge_restarts_the_scan():
-    """v2 is linear in the deepest equation but also occurs in the neq above
-    it; once the neq's own pivot v3 removes it, v2 is the deepest
-    constraint's pivot and is taken next, before the circle is tried."""
-    v2, v3 = _v(2), _v(3)
-    out = decompose(
-        _hand_built(_c1(range(4)), [(CIRCLE, EQ), (v3 + v2, NEQ), (v2 + _v(1) ** 2, EQ)])
-    )
-    assert out.ok, out.detail
-    assert out.trace == [
-        "[pivot] c1^4 from neq#1 (factor u-1)",
-        "[pivot] c1^3 from eq#1",
-        "[leaf] u^2 - 1",
-    ]
-    assert out.value == (u_pow(1) - 1) * (u_pow(1) + 1)
-
-
-def test_substituting_pivot_is_followed_by_cleanup(monkeypatch):
-    """Clearing v0 = -v1^2 from a later equation can leave a constant or a
-    single term, which the cleanup rules, not the terminal catalog, take."""
-    v0, v1, v2 = _v(0), _v(1), _v(2)
-    # the later equation becomes 1 = 0: the stratum is empty, not a zero leaf
-    out = decompose(
-        _hand_built(_c1(range(2)), [(v0 + v1**2, EQ), (v0 + v1**2 + MPoly.const(1), EQ)])
-    )
-    assert out.ok, out.detail
-    assert out.trace == ["[pivot] c1^1 from eq#0", "[empty]"]
-    assert out.value == 0 and out.leaves == []
-    # the later equation becomes v2^2 = 0: the forced-zero rule sets v2 = 0
-    zeroed = []
-    subs_zero_mask = MPoly.subs_zero_mask
-
-    def recording(self, mask):
-        zeroed.append(_ids(mask))
-        return subs_zero_mask(self, mask)
-
-    monkeypatch.setattr(MPoly, "subs_zero_mask", recording)
-    out = decompose(
-        _hand_built(_c1(range(3)), [(v0 + v1**2, EQ), (v0 + v1**2 + v2**2, EQ)])
-    )
-    assert out.ok, out.detail
-    assert out.trace == ["[pivot] c1^1 from eq#0", "[leaf] u"]
-    assert zeroed == [{2}]
-    assert out.value == u_pow(1)
 
 
 def test_systems_share_one_read_only_layout():

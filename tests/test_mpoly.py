@@ -10,7 +10,7 @@ v for variable v, which ``ids`` and ``mask_of`` convert.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from arczeta.engine import _definite
@@ -81,17 +81,15 @@ def ref_content(p: MPoly) -> dict[int, int]:
 def ref_pivots(p: MPoly, assumed: frozenset[int]) -> dict[int, frozenset]:
     """Variables v with p = c*m*v + B, B free of v and m a monomial in
     ``assumed``, each mapped to the variables of m."""
+    terms = [dict(m) for m, _ in p.terms()]
     out = {}
     for v in p.vars():
-        split = p.linear_split(v)
-        if split is None:
+        hits = [m for m in terms if v in m]
+        if len(hits) != 1 or hits[0][v] != 1:
             continue
-        unit = split[0].single_term()
-        if unit is None:
-            continue
-        if any(w not in assumed for w, _ in unit[0]):
-            continue
-        out[v] = frozenset(w for w, _ in unit[0])
+        rest = frozenset(hits[0]) - {v}
+        if rest <= assumed:
+            out[v] = rest
     return out
 
 
@@ -238,9 +236,6 @@ def test_summary_is_cached_and_survives_arithmetic(p):
     before = fields(p)
     for v in VARS:
         p.subs_zero(v)
-        if p.linear_split(v) is not None:
-            a, b = p.linear_split(v)
-            p.subs_clear(v, a, b)
     _ = (p + p, p * p, -p, p - p, p * 3, p * Fraction(1, 2), p**2)
     p.subs_zero_many(set(VARS))
     if first.content:
@@ -370,57 +365,6 @@ def test_exponents_are_validated_and_only_polynomials_compare_equal():
     with pytest.raises(ValueError, match="negative power"):
         MPoly.var(0) ** -1
     assert (MPoly.var(0) == 1) is False
-
-
-# -- the degree split: linear_split and subs_clear -----------------------------------
-
-points = st.lists(
-    st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=len(VARS), max_size=len(VARS)
-)
-
-
-def ref_deg(p: MPoly, v: int) -> int:
-    return max((e for m, _ in p.terms() for w, e in m if w == v), default=0)
-
-
-def ref_eval(p: MPoly, x) -> Fraction:
-    total = Fraction(0)
-    for m, c in p.terms():
-        for w, e in m:
-            c = c * x[w] ** e
-        total += c
-    return total
-
-
-@given(polys(), st.sampled_from(VARS))
-@example(MPoly(), 0)
-@example(MPoly({((0, 1), (1, 2)): 2, ((1, 1),): -1}), 0)
-@example(MPoly({((0, 1),): 1, ((0, 2),): 1}), 0)
-def test_linear_split_writes_p_as_a_v_plus_b(p, v):
-    split = p.linear_split(v)
-    if ref_deg(p, v) != 1:
-        assert split is None
-        return
-    a, b = split
-    assert v not in a.vars() and v not in b.vars()
-    assert a * MPoly.var(v) + b == p
-
-
-@given(polys(), st.sampled_from(VARS), polys(), polys(), points)
-def test_subs_clear_is_a_power_of_a_times_the_substitution(q, v, a, b, x):
-    a, b = a.subs_zero(v), b.subs_zero(v)
-    av = ref_eval(a, x)
-    assume(av != 0)
-    d = ref_deg(q, v)
-    at = list(x)
-    at[v] = -ref_eval(b, x) / av
-    assert ref_eval(q.subs_clear(v, a, b), x) == av**d * ref_eval(q, at)
-
-
-@given(polys(), st.sampled_from(VARS), polys(), polys())
-def test_subs_clear_leaves_a_polynomial_free_of_v_as_it_is(p, v, a, b):
-    for q in (MPoly(), p.subs_zero(v)):
-        assert q.subs_clear(v, a, b) is q
 
 
 @given(polys(), st.dictionaries(st.sampled_from(VARS), st.integers(1, 3), min_size=1))
