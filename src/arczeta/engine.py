@@ -140,12 +140,23 @@ def _levels(m: int, e: int, low: int = 1) -> Iterator[tuple[int, ...]]:
 def _power_terms(j: int, e: int, m: int) -> tuple[tuple[Monomial, int], ...]:
     """The t^m terms of x_j^e on the arc x_j = sum_{s>=1} v_{j,s} t^s.
 
-    One term per way to write m as a sum of e levels: the monomial of
-    the v_{j,s}, with coefficient e!/prod k! over the multiplicities k.
+    One term per way to write m as a sum of e levels, in ``_levels``
+    order: the monomial of the v_{j,s}, with coefficient e!/prod k! over
+    the multiplicities k.  For e <= 2 the terms are written in closed
+    form: x_j gives v_m, and x_j^2 gives 2*v_s*v_{m-s} for each s < m/2,
+    then v_{m/2}^2 at even m.
     """
+    base = j * _LEVEL_STRIDE - 1
+    if e == 1:
+        return ((((base + m, 1),), 1),) if m >= 1 else ()
+    if e == 2:
+        terms = [(((base + s, 1), (base + m - s, 1)), 2) for s in range(1, (m + 1) // 2)]
+        if m >= 2 and not m % 2:
+            terms.append((((base + m // 2, 2),), 1))
+        return tuple(terms)
     terms = []
     for levels in _levels(m, e):
-        mono = tuple((j * _LEVEL_STRIDE + s - 1, len(list(k))) for s, k in groupby(levels))
+        mono = tuple((base + s, len(list(k))) for s, k in groupby(levels))
         multinomial = factorial(e)
         for _, k in mono:
             multinomial //= factorial(k)
@@ -169,8 +180,10 @@ class _Expansion:
 
     A germ monomial c * prod_j x_j^{e_j} contributes at t^m, for every
     split m = sum_j m_j, the products of one t^{m_j} term of each x_j^{e_j}
-    (``_power_terms``).  Distinct monomials, splits and level choices give
-    distinct arc monomials, so each term is written once.
+    (``_power_terms``).  A single-variable monomial c * x_j^e has one
+    split, so its terms come straight from ``_power_terms``.  Distinct
+    monomials, splits and level choices give distinct arc monomials, so
+    each term is written once.
     """
 
     __slots__ = ("_monomials", "_coeffs")
@@ -190,6 +203,11 @@ class _Expansion:
     def _coefficient(self, m: int) -> MPoly:
         out: dict[Monomial, Coeff] = {}
         for mono, exps, c in self._monomials:
+            if len(mono) == 1:
+                # one variable: its own terms, with no split to choose
+                for part, k in _power_terms(*mono[0], m):
+                    out[part] = c * k
+                continue
             for split in _splits(m, exps):
                 factors = [_power_terms(j, e, mj) for (j, e), mj in zip(mono, split)]
                 for parts in product(*factors):

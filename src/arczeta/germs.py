@@ -496,14 +496,30 @@ def _dual(g: GermSpec) -> GermSpec:
 
 
 @lru_cache(maxsize=None)
-def _relatives(g: GermSpec) -> tuple[GermSpec, GermSpec, GermSpec]:
-    """``(_dual(g), _flip(g), _flip(_dual(g)))``, built once per germ.
+def _relatives(g: GermSpec) -> tuple[dict[str, tuple[GermSpec, str]], ...]:
+    """The least cell of each of g's orbits, built once per germ.
 
-    Every cell of a germ reads its orbit, and the relatives do not depend
-    on the cell.
+    Entry ``[n % 2][channel]`` is the least cell of the orbit of
+    (g, n, channel) (see ``_representative``).  At even n each channel
+    has its own orbit, and so has the naive channel at any n.  At odd n
+    the plus and minus cells of every relative share one orbit, so both
+    signed channels read the least relative's plus cell.  Family, k and
+    i are the same across an orbit, so cells are ordered by signature,
+    signs, parameters, then channel.
     """
+
+    def order(cell: tuple[GermSpec, str]) -> tuple:
+        h, ch = cell
+        return h.sig, h.signs, h.params, CHANNELS.index(ch)
+
     dual = _dual(g)
-    return dual, _flip(g), _flip(dual)
+    flip, flip_dual = _flip(g), _flip(dual)
+    even = {
+        ch: min([(g, ch), (dual, _SWAP[ch]), (flip, ch), (flip_dual, _SWAP[ch])], key=order)
+        for ch in CHANNELS
+    }
+    signed = min(even["plus"], even["minus"], key=order)
+    return even, dict(even, plus=signed, minus=signed)
 
 
 def _representative(g: GermSpec, n: int, channel: str) -> tuple[GermSpec, str]:
@@ -511,14 +527,10 @@ def _representative(g: GermSpec, n: int, channel: str) -> tuple[GermSpec, str]:
 
     Negation maps (g, c) to (dual g, -c); x1 -> -x1 maps g to ``_flip(g)``
     in the same channel; at odd n, t -> -t maps the plus cell of a germ to
-    its minus cell.  Family, k and i are the same across an orbit.
+    its minus cell.  Family, k and i are the same across an orbit.  The
+    least cells are kept per germ (``_relatives``), so this is one lookup.
     """
-    dual, flip, flip_dual = _relatives(g)
-    swapped = _SWAP[channel]
-    cells = [(g, channel), (dual, swapped), (flip, channel), (flip_dual, swapped)]
-    if n % 2 and channel != "naive":
-        cells += [(h, _SWAP[ch]) for h, ch in cells]
-    return min(cells, key=lambda c: (c[0].sig, c[0].signs, c[0].params, CHANNELS.index(c[1])))
+    return _relatives(g)[n % 2][channel]
 
 
 def _naive_from_plus(plus: EngineOutcome) -> EngineOutcome:

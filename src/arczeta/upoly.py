@@ -12,7 +12,7 @@ expressions are built with :func:`geom_sum`.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 __all__ = ["UPoly", "geom_sum", "u_pow", "u_sum", "U", "U_MINUS_1", "ONE", "ZERO", "NEG_INFINITY"]
 
@@ -57,6 +57,8 @@ class UPoly:
 
     @classmethod
     def const(cls, n: int) -> UPoly:
+        if type(n) is int:
+            return _raw({0: n} if n else {})
         return cls({0: n})
 
     # -- basic queries -------------------------------------------------

@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -469,6 +471,16 @@ WITNESS_GERMS = [
     GermSpec("G", (1, 0)),
     GermSpec("JKI", (0, 0), k=2, i=0, params=(("b", Fraction(1, 2)),)),
 ]
+# One germ more for each way the expansion writes a monomial: five squares
+# (the closed-form x_j^2), x^9 (the level enumeration) and a J(k,i>0) whose
+# two Fraction a_m sit on powers of x2 beside the two-variable s*x1^2*x2^2.
+# They stay out of the pinned cells below, whose digest was recorded over
+# WITNESS_GERMS alone.
+EXPANSION_GERMS = WITNESS_GERMS + [
+    GermSpec("Q", (3, 2)),
+    GermSpec("AK", (2, 2), k=8, signs=(-1,)),
+    GermSpec("JKI", (1, 0), k=2, i=1, params=(("a0", Fraction(1, 2)), ("a1", Fraction(3, 4)))),
+]
 _T_VAR = -1  # the arc parameter t, as an extra polynomial variable
 
 
@@ -511,7 +523,7 @@ def _coefficients(system):
     return [c for p, _ in system.constraints for _, c in p.terms()]
 
 
-@pytest.mark.parametrize("spec", WITNESS_GERMS, ids=lambda g: g.render())
+@pytest.mark.parametrize("spec", EXPANSION_GERMS, ids=lambda g: g.render())
 def test_build_system_matches_reference_expansion(spec):
     poly, blocks = germ_poly(spec)
     d = len(blocks)
@@ -535,10 +547,28 @@ def test_build_system_matches_reference_expansion(spec):
                 assert system.constraints == expected, (spec.render(), n, target)
                 coeffs = _coefficients(system)
                 if spec.family == "JKI":
-                    if n >= 4:  # b*x1^2*x2^2 first reaches t^4
-                        assert Fraction(1, 2) in coeffs
+                    # a germ coefficient c * x^e of degree |e| is the coefficient
+                    # of prod_j v_{j,1}^{e_j} at t^|e|, Fractions included
+                    for mono, c in poly.terms():
+                        if type(c) is Fraction and sum(e for _, e in mono) <= n:
+                            assert c in coeffs, (spec.render(), n, c)
                 else:
                     assert all(type(c) is int for c in coeffs)
+
+
+def test_power_terms_in_closed_form_are_the_level_enumeration():
+    """x_j and x_j^2 are written in closed form: term for term and in
+    order, they are the ``_levels`` enumeration with coefficient
+    e!/prod k! over the multiplicities k."""
+    for j in range(5):
+        for e in (1, 2):
+            for m in range(41):
+                expected = []
+                for levels in engine._levels(m, e):
+                    counts = sorted(Counter(levels).items())
+                    mono = tuple((j * STRIDE + s - 1, k) for s, k in counts)
+                    expected.append((mono, factorial(e) // prod(factorial(k) for _, k in counts)))
+                assert engine._power_terms(j, e, m) == tuple(expected), (j, e, m)
 
 
 

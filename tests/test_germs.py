@@ -1029,7 +1029,8 @@ def test_a_derived_naive_cell_keys_on_the_budget(empty_oracle_cache):
 
 
 def test_representative_is_the_least_cell_of_the_orbit_built_directly():
-    """The kept relatives give the orbit that _dual and _flip give afresh."""
+    """The least cells kept per germ are those of the orbit that _dual and
+    _flip give afresh, for J germs too, whose dual negates moduli."""
     swap = {"plus": "minus", "minus": "plus", "naive": "naive"}
 
     def least(g, n, ch):
@@ -1040,13 +1041,15 @@ def test_representative_is_the_least_cell_of_the_orbit_built_directly():
         return min(cells, key=lambda cell: (cell[0].sig, cell[0].signs, cell[0].params,
                                             CHANNELS.index(cell[1])))
 
-    for d in range(2, 6):
-        for g in enumerate_simple(d):
-            for h in (g, _dual(g)):
-                assert _relatives(h) is _relatives(h)
-                for n in range(2, 10):
-                    for ch in CHANNELS:
-                        assert _representative(h, n, ch) == least(h, n, ch), (h.render(), n, ch)
+    j_germs = ["J(2,0; b=1/2) (+) Q(1,0)", "J(2,1; a0=2, s=-1) (+) Q(0,1)",
+               "J(3,0; b=-1, c=1, a1=3/4) (+) Q(2,1)"]
+    specs = [g for d in range(2, 6) for g in enumerate_simple(d)]
+    for g in specs + [parse_germ(text) for text in j_germs]:
+        for h in (g, _dual(g)):
+            assert _relatives(h) is _relatives(h)
+            for n in range(2, 10):
+                for ch in CHANNELS:
+                    assert _representative(h, n, ch) == least(h, n, ch), (h.render(), n, ch)
 
 
 def test_every_orbit_member_has_its_representatives_outcome(empty_oracle_cache):

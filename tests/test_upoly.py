@@ -38,6 +38,16 @@ def test_int_coercion_matches_const(a, n):
     assert n - a == UPoly.const(n) - a
 
 
+@pytest.mark.parametrize("n", [0, -3, 5, True])
+def test_const_is_the_constant_coefficient_map(n):
+    c = UPoly.const(n)
+    assert c == UPoly({0: n}) and str(c) == str(UPoly({0: n}))
+    assert list(c.items()) == list(UPoly({0: n}).items())
+    assert all(type(k) is int for _, k in c.items())
+    assert hash(c) == hash(n)  # a constant hashes as its int
+    assert c.is_zero() == (n == 0)
+
+
 @given(polys, st.integers(min_value=-7, max_value=7))
 def test_eval_is_a_homomorphism(a, x):
     b = U - 3
